@@ -3,7 +3,7 @@
 The package counts walks exactly, interprets the counts as moments of
 measures supported on the adjacency spectrum, and turns classical
 moment-problem feasibility conditions into lower and upper bounds on the
-spectral radius, all checked against a dense symmetric eigensolver.
+spectral radius, all checked against numpy's LAPACK eigensolver.
 """
 
 from .bounds_lower import (
@@ -70,7 +70,6 @@ from .report import (
 from .spectrum import (
     SpectralSummary,
     eigen_decompose,
-    jacobi_eigh,
     spectral_weights,
     symmetric_eigenvalues,
     verify_moment_identities,

@@ -11,8 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 from .graph import Graph, degrees, triangle_counts
-from .moments import PSD_TOL, hamburger_check, hankel_pair
-from .moments import is_psd
+from .moments import PSD_TOL, _support_feasible, hamburger_check, hankel_pair
 from .walks import KIND_WALKS, MomentSequence
 
 SINGULAR_REL_TOL = 1e-12
@@ -183,13 +182,6 @@ def sdp_lower_bound(m: MomentSequence, order: int, upper_seed: float,
         return _not_applicable("sdp", "lower", "Hankel matrix not PSD", params)
 
     pair = hankel_pair(m, range(1, order + 2))
-    sigma = pair.scale
-
-    def feasible(u: float) -> bool:
-        t = u / sigma
-        return (is_psd(t * pair.h - pair.s, psd_tol)
-                and is_psd(t * pair.h + pair.s, psd_tol))
-
     lo = 0.0
     for s in range(order + 1):
         if m[2 * s] > 0:
@@ -197,15 +189,15 @@ def sdp_lower_bound(m: MomentSequence, order: int, upper_seed: float,
     hi = float(upper_seed)
     if hi < lo:
         hi = lo
-    if feasible(lo):
+    if _support_feasible(pair, lo, psd_tol):
         return BoundResult("sdp", "lower", lo, params)
-    if not feasible(hi):
+    if not _support_feasible(pair, hi, psd_tol):
         hi = float(upper_seed) + 1.0
-        if not feasible(hi):
+        if not _support_feasible(pair, hi, psd_tol):
             raise ArithmeticError("support bisection infeasible at the widened seed")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if feasible(mid):
+        if _support_feasible(pair, mid, psd_tol):
             hi = mid
         else:
             lo = mid

@@ -3,22 +3,22 @@
 Subcommands: bounds (full report for one graph), verify (invariant suite over
 a corpus), bench (tightness CSV over family sweeps), gen (emit an edge list).
 Exit codes: 0 ok, 1 parse/input error, 2 numerical failure, 3 verification
-violation. SWB_THREADS caps bench parallelism.
+violation (from verify, or from the sandwich check that bounds runs on its
+own report).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .graph import GraphError, generate, parse_edge_list, serialize_edge_list
 from .report import (
     CSV_HEADER,
+    DEFAULT_J_SETS,
     CorpusEntry,
     build_report,
     er_corpus,
@@ -51,7 +51,7 @@ def _entry_from_args(args: argparse.Namespace) -> CorpusEntry:
 
 def _parse_j_sets(values: Optional[Sequence[str]]) -> tuple[tuple[int, ...], ...]:
     if not values:
-        return ((1, 2), (1, 2, 3))
+        return DEFAULT_J_SETS
     out = []
     for text in values:
         try:
@@ -84,7 +84,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         _write_output("\n".join([CSV_HEADER, *report_csv_rows(report)]) + "\n", args.out)
     else:
         _write_output(format_table(report), args.out)
-    return 0
+    return 3 if report.violations else 0
 
 
 def _verify_corpus(args: argparse.Namespace) -> list[CorpusEntry]:
@@ -148,10 +148,8 @@ def _bench_entries(args: argparse.Namespace) -> list[CorpusEntry]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    entries = _bench_entries(args)
-    workers = int(os.environ.get("SWB_THREADS", "1") or "1")
-
-    def work(entry: CorpusEntry):
+    lines = [CSV_HEADER]
+    for entry in _bench_entries(args):
         report = build_report(
             entry,
             max_length=args.K,
@@ -160,16 +158,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             tol=args.tol,
             with_timing=not args.no_timing,
         )
-        return report_csv_rows(report)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(work, entries))
-    else:
-        blocks = [work(entry) for entry in entries]
-    lines = [CSV_HEADER]
-    for block in blocks:
-        lines.extend(block)
+        lines.extend(report_csv_rows(report))
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -49,14 +49,6 @@ class Graph:
     def degree(self, i: int) -> int:
         return len(self.neighbors[i])
 
-    def adjacency_matrix(self) -> list[list[int]]:
-        """Dense 0/1 adjacency matrix (symmetric, zero diagonal)."""
-        a = [[0] * self.n for _ in range(self.n)]
-        for u, v in self.edges:
-            a[u][v] = 1
-            a[v][u] = 1
-        return a
-
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 

@@ -164,6 +164,10 @@ def hamburger_check(m: MomentSequence, order: int, tol: float = PSD_TOL) -> bool
 def stieltjes_feasible(m: MomentSequence, index_set: Iterable[int], u: float,
                        tol: float = PSD_TOL) -> bool:
     """Support-interval condition: both u*H_J - S_J and u*H_J + S_J are PSD."""
-    pair = hankel_pair(m, index_set)
+    return _support_feasible(hankel_pair(m, index_set), u, tol)
+
+
+def _support_feasible(pair: HankelPair, u: float, tol: float) -> bool:
+    """The support-interval test on a prebuilt pair; u is in unscaled units."""
     t = u / pair.scale
     return is_psd(t * pair.h - pair.s, tol) and is_psd(t * pair.h + pair.s, tol)

@@ -11,6 +11,7 @@ import numpy as np
 
 from .bounds_lower import (
     BoundResult,
+    _det_blocks,
     baseline_lower_bounds,
     det_ratio_lower_bound,
     local_triangle_lower_bound,
@@ -600,21 +601,19 @@ def _verify_sandwich(out: VerificationOutcome, prep: PreparedGraph, tol: float,
                      s_max: int, k_max: int,
                      j_sets: Sequence[tuple[int, ...]],
                      sdp_orders: Sequence[int]) -> None:
-    name = prep.entry.name
     rho = prep.summary.rho
-    rows = sweep_bounds(prep, s_max, k_max, j_sets, sdp_orders, vertex_mode="all")
-    for r, _ in rows:
+    bounds = [r for r, _ in sweep_bounds(prep, s_max, k_max, j_sets, sdp_orders,
+                                         vertex_mode="all")]
+    for r in bounds:
         if not r.applicable or not math.isfinite(r.value):
             continue
         out.checks += 1
         if r.kind == "lower":
             out.worst_lower_margin = max(out.worst_lower_margin, r.value - rho)
-            if r.value > rho + tol:
-                out.fail(f"{name}: lower {r.name} {r.params} = {r.value!r} > rho {rho!r}")
         else:
             out.worst_upper_margin = max(out.worst_upper_margin, rho - r.value)
-            if r.value < rho - tol:
-                out.fail(f"{name}: upper {r.name} {r.params} = {r.value!r} < rho {rho!r}")
+    for message in find_violations(bounds, rho, tol):
+        out.fail(f"{prep.entry.name}: {message}")
 
 
 def _verify_dominance(out: VerificationOutcome, prep: PreparedGraph,
@@ -650,7 +649,7 @@ def _verify_dominance(out: VerificationOutcome, prep: PreparedGraph,
                 quad = quadratic_root_lower_bound(m, s, k)
                 if not quad.applicable:
                     continue
-                det_h, _, det_f = _det_blocks_for(m, s, k)
+                det_h, _, det_f = _det_blocks(m, s, k)
                 floor = (abs(det_f) / (2 * det_h)) ** (1.0 / k)
                 out.check(quad.value >= floor - 1e-9,
                           f"{name}: quadratic root below its vertex value ({m.kind}, s={s}, k={k})")
@@ -684,11 +683,6 @@ def _verify_dominance(out: VerificationOutcome, prep: PreparedGraph,
             reference = ((1.0 - 1.0 / prep.omega) * prep.walks_seq[2 * k]) ** (1.0 / (2 * k + 1))
             out.check(even.value <= reference + 1e-9,
                       f"{name}: fundamental-weight bound above clique hierarchy (k={k})")
-
-
-def _det_blocks_for(m: MomentSequence, s: int, k: int) -> tuple[int, int, int]:
-    m0, m1, m2, m3 = m[2 * s], m[2 * s + k], m[2 * s + 2 * k], m[2 * s + 3 * k]
-    return m0 * m2 - m1 * m1, m1 * m3 - m2 * m2, m1 * m2 - m3 * m0
 
 
 def corrupted_sequence(length: int) -> MomentSequence:

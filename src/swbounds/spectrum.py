@@ -1,4 +1,4 @@
-"""Dense symmetric eigensolver (cyclic Jacobi) and spectral weights.
+"""Adjacency eigendecomposition (numpy's LAPACK) and spectral weights.
 
 This is the exact oracle the bound machinery is tested against: adjacency
 eigenvalues, the spectral radius, the leading eigenvector, and the weights
@@ -7,16 +7,12 @@ obtained from squared eigenvector sums.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph
 from .walks import all_rooted_closed_counts, closed_walk_counts, walk_counts
-
-JACOBI_REL_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -36,63 +32,9 @@ class SpectralSummary:
     vertex_weights: np.ndarray
 
 
-def jacobi_eigh(matrix: np.ndarray,
-                rel_tol: float = JACOBI_REL_TOL,
-                max_sweeps: int = JACOBI_MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormal eigenvectors of a symmetric matrix.
-
-    Cyclic Jacobi sweeps rotate away off-diagonal entries until the
-    off-diagonal Frobenius norm drops below rel_tol times the matrix norm.
-    Returns (eigenvalues descending, eigenvector columns in the same order).
-    """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    n = a.shape[0]
-    u = np.eye(n)
-    if n > 1:
-        norm = float(np.linalg.norm(a))
-        if norm > 0.0:
-            stop = rel_tol * norm
-            diag_mask = ~np.eye(n, dtype=bool)
-            for _ in range(max_sweeps):
-                off = float(np.linalg.norm(a[diag_mask]))
-                if off < stop:
-                    break
-                for p in range(n - 1):
-                    for q in range(p + 1, n):
-                        apq = a[p, q]
-                        if apq == 0.0:
-                            continue
-                        theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                        t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                        c = 1.0 / math.sqrt(t * t + 1.0)
-                        s = t * c
-                        col_p = a[:, p].copy()
-                        col_q = a[:, q].copy()
-                        a[:, p] = c * col_p - s * col_q
-                        a[:, q] = s * col_p + c * col_q
-                        row_p = a[p, :].copy()
-                        row_q = a[q, :].copy()
-                        a[p, :] = c * row_p - s * row_q
-                        a[q, :] = s * row_p + c * row_q
-                        a[p, q] = 0.0
-                        a[q, p] = 0.0
-                        vec_p = u[:, p].copy()
-                        vec_q = u[:, q].copy()
-                        u[:, p] = c * vec_p - s * vec_q
-                        u[:, q] = s * vec_p + c * vec_q
-            else:
-                raise ArithmeticError("Jacobi sweeps did not converge")
-    values = np.diag(a).copy()
-    order = np.argsort(-values, kind="stable")
-    return values[order], u[:, order]
-
-
 def symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of a symmetric matrix."""
-    values, _ = jacobi_eigh(matrix)
-    return values
+    return np.linalg.eigvalsh(matrix)[::-1]
 
 
 def adjacency_array(g: Graph) -> np.ndarray:
@@ -109,7 +51,9 @@ def eigen_decompose(g: Graph) -> SpectralSummary:
     Each eigenvector column is sign-normalized so its largest-magnitude entry
     is positive, which makes the reported weights deterministic.
     """
-    values, vectors = jacobi_eigh(adjacency_array(g))
+    values, vectors = np.linalg.eigh(adjacency_array(g))
+    order = np.argsort(-values, kind="stable")
+    values, vectors = values[order], vectors[:, order]
     for l in range(g.n):
         pivot = int(np.argmax(np.abs(vectors[:, l])))
         if vectors[pivot, l] < 0.0:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from swbounds.bounds_lower import BoundResult
 from swbounds.cli import main
 from swbounds.graph import complete_graph, parse_edge_list, serialize_edge_list
 from swbounds.report import (
@@ -102,15 +103,13 @@ class TestCommands:
         for row in rows:
             assert abs(float(row[11])) < 1e-9
 
-    def test_bench_threads_env_matches_serial(self, tmp_path, monkeypatch):
-        args = ["bench", "--families", "cycle", "--min", "3", "--max", "7",
-                "--K", "8", "--no-timing"]
-        serial = tmp_path / "serial.csv"
-        threaded = tmp_path / "threaded.csv"
-        assert main(args + ["--out", str(serial)]) == 0
-        monkeypatch.setenv("SWB_THREADS", "4")
-        assert main(args + ["--out", str(threaded)]) == 0
-        assert serial.read_text() == threaded.read_text()
+    def test_bounds_violation_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr("swbounds.report.triangle_edge_lower_bound",
+                            lambda g: BoundResult("triangle_edge", "lower", 100.0, {}))
+        assert main(["bounds", "--gen", "complete:3", "--K", "8"]) == 3
+        out = capsys.readouterr().out
+        assert "VIOLATIONS:" in out
+        assert "triangle_edge" in out
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.edges"

@@ -7,7 +7,6 @@ from swbounds.graph import complete_graph, cycle_graph, path_graph, star_graph
 from swbounds.spectrum import (
     adjacency_array,
     eigen_decompose,
-    jacobi_eigh,
     spectral_weights,
     symmetric_eigenvalues,
     verify_moment_identities,
@@ -58,7 +57,7 @@ class TestJacobi:
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            jacobi_eigh(np.ones((2, 3)))
+            symmetric_eigenvalues(np.ones((2, 3)))
 
     def test_leading_eigenvector_nonnegative(self):
         summary = eigen_decompose(star_graph(5))
