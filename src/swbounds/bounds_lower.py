@@ -1,8 +1,10 @@
 """Lower bounds on the spectral radius from walk-count moment sequences.
 
 The closed-form bounds work on exact integer moments (2x2 determinants in
-big-int arithmetic, rooted only at the final step); the semidefinite bound
-bisects on the support parameter of the Stieltjes feasibility conditions.
+big-int arithmetic, rooted only at the final step). The semidefinite bound is
+the largest |eigenvalue| of the pencil (S_n, H_n), the smallest u with both
+u*H_n - S_n and u*H_n + S_n PSD; which Hankel block is positive definite is
+decided on exact integer determinants.
 """
 
 from __future__ import annotations
@@ -10,12 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .graph import Graph, degrees, triangle_counts
-from .moments import PSD_TOL, _support_feasible, hamburger_check, hankel_pair
-from .walks import KIND_WALKS, MomentSequence
+import numpy as np
 
-SINGULAR_REL_TOL = 1e-12
-SDP_DEFAULT_TOL = 1e-8
+from .graph import Graph, degrees, triangle_counts
+from .moments import exact_determinant, hamburger_check, hankel_pair, hankel_pair_exact
+from .spectrum import symmetric_eigenvalues
+from .walks import KIND_WALKS, MomentSequence
 
 
 @dataclass(frozen=True)
@@ -83,21 +85,19 @@ def _require_det_range(m: MomentSequence, s: int, k: int) -> None:
         raise ValueError(f"need m_{2 * s + 3 * k}, have up to m_{m.max_index}")
 
 
-def _is_singular(det_h: int, m: MomentSequence, s: int, k: int) -> bool:
-    return abs(det_h) <= SINGULAR_REL_TOL * max(1, m[2 * s] * m[2 * s + 2 * k])
-
-
 def det_ratio_lower_bound(m: MomentSequence, s: int, k: int) -> BoundResult:
     """Determinant-ratio bound: rho**(2k) >= det(S block) / det(H block).
 
     Vacuous (det S <= 0) cases return 0 flagged trivial, since rho >= 0
-    always holds; a singular H block makes the bound inapplicable.
+    always holds; an H block whose exact determinant is not positive makes
+    the bound inapplicable.
     """
     _require_det_range(m, s, k)
     params = _measure_params(m, s=s, k=k)
     det_h, det_s, _ = _det_blocks(m, s, k)
-    if _is_singular(det_h, m, s, k):
-        return _not_applicable("det_ratio", "lower", "singular Hankel block", params)
+    if det_h <= 0:
+        reason = "singular Hankel block" if det_h == 0 else "Hankel block not PSD"
+        return _not_applicable("det_ratio", "lower", reason, params)
     if det_s <= 0:
         return BoundResult("det_ratio", "lower", 0.0, params, trivial=True,
                            reason="non-positive shifted determinant")
@@ -117,7 +117,7 @@ def quadratic_root_lower_bound(m: MomentSequence, s: int, k: int) -> BoundResult
     _require_det_range(m, s, k)
     params = _measure_params(m, s=s, k=k)
     det_h, det_s, det_f = _det_blocks(m, s, k)
-    if det_h <= 0 or _is_singular(det_h, m, s, k):
+    if det_h <= 0:
         return _not_applicable("quadratic_root", "lower",
                                "Hankel block not positive definite", params)
     disc = det_f * det_f - 4 * det_h * det_s
@@ -164,44 +164,40 @@ def local_triangle_lower_bound(g: Graph) -> BoundResult:
                        {"vertex": best_vertex, "sqrt_max_degree": sqrt_delta})
 
 
-def sdp_lower_bound(m: MomentSequence, order: int, upper_seed: float,
-                    tol: float = SDP_DEFAULT_TOL, psd_tol: float = PSD_TOL) -> BoundResult:
-    """Minimal u with u*H_order +/- S_order both PSD, found by bisection.
+def sdp_lower_bound(m: MomentSequence, order: int) -> BoundResult:
+    """Minimal u with u*H_order +/- S_order both PSD, in closed form.
 
-    Feasibility is monotone in u, so bisection between the best moment-ratio
-    seed and `upper_seed` (any value known to dominate the spectral radius,
-    typically the max degree) converges to the optimum; the feasible upper
-    endpoint is returned.
+    The blocks use positions 1..order+1. For positive definite H that u is
+    the largest |lambda| of the pencil (S, H): with H = L L^T it is the
+    spectral radius of L^-1 S L^-T. A PSD block with a zero leading minor
+    det H_r means the measure has at most r atoms, and then the largest order
+    r <= order with det H_r > 0 (decided on exact integers) already gives the
+    optimum. The moment-ratio seeds m_{2s+1}/m_{2s} are folded in with max.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
     if 2 * order + 1 > m.max_index:
         raise ValueError(f"need m_{2 * order + 1}, have up to m_{m.max_index}")
     params = _measure_params(m, n=order)
-    if not hamburger_check(m, order, psd_tol):
+    if not hamburger_check(m, order):
         return _not_applicable("sdp", "lower", "Hankel matrix not PSD", params)
 
-    pair = hankel_pair(m, range(1, order + 2))
-    lo = 0.0
-    for s in range(order + 1):
-        if m[2 * s] > 0:
-            lo = max(lo, m[2 * s + 1] / m[2 * s])
-    hi = float(upper_seed)
-    if hi < lo:
-        hi = lo
-    if _support_feasible(pair, lo, psd_tol):
-        return BoundResult("sdp", "lower", lo, params)
-    if not _support_feasible(pair, hi, psd_tol):
-        hi = float(upper_seed) + 1.0
-        if not _support_feasible(pair, hi, psd_tol):
-            raise ArithmeticError("support bisection infeasible at the widened seed")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _support_feasible(pair, mid, psd_tol):
-            hi = mid
-        else:
-            lo = mid
-    return BoundResult("sdp", "lower", hi, params)
+    value = max((m[2 * s + 1] / m[2 * s] for s in range(order + 1) if m[2 * s] > 0),
+                default=0.0)
+    for r in range(order, -1, -1):
+        positions = range(1, r + 2)
+        if exact_determinant(hankel_pair_exact(m, positions)[0]) <= 0:
+            continue
+        pair = hankel_pair(m, positions)
+        try:
+            chol = np.linalg.cholesky(pair.h)
+        except np.linalg.LinAlgError:
+            continue  # definite but too ill-conditioned for floats: a lower order still bounds
+        whitened = np.linalg.solve(chol, np.linalg.solve(chol, pair.s).T)
+        radius = float(np.max(np.abs(symmetric_eigenvalues(whitened))))
+        value = max(value, pair.scale * radius)
+        break
+    return BoundResult("sdp", "lower", value, params)
 
 
 def baseline_lower_bounds(g: Graph, m_w: MomentSequence,

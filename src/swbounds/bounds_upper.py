@@ -18,12 +18,11 @@ import numpy as np
 
 from .bounds_lower import BoundResult, _measure_params, _not_applicable
 from .graph import Graph, degrees, is_bipartite, is_connected
-from .moments import hankel_matrix
-from .spectrum import SpectralSummary, symmetric_eigenvalues
+from .moments import exact_determinant, hankel_matrix, hankel_pair_exact
+from .spectrum import SpectralSummary
 from .walks import KIND_CLOSED, KIND_CLOSED_AT, KIND_WALKS, MomentSequence
 
 MIN_ATOM_WEIGHT = 1e-12
-PD_TOL = 1e-9
 
 _ROOT_BISECT_TOL = 1e-10
 _ROOT_FLOOR = 1e-12
@@ -182,15 +181,16 @@ def eigvec_degree_upper_bound(g: Graph, summary: SpectralSummary) -> BoundResult
     x is the leading eigenvector of a connected graph, so every entry is
     positive; vertices with an entry below 1e-12 are skipped and counted.
     Also sanity-checks the equivalent eigenvector-entry inequality
-    x_i <= 1 / sqrt(1 + rho^2/d_i).
+    x_i <= 1 / sqrt(1 + rho^2/d_i). The reported vertex is the lowest index
+    within 1e-12 relative of the minimum, so vertices that tie up to rounding
+    on symmetric graphs do not make the label depend on the eigensolver.
     """
     if not is_connected(g):
         return _not_applicable("eigvec_degree", "upper", "graph is not connected", {})
     d, _ = degrees(g)
     x = summary.eigenvectors[:, 0]
     rho = summary.rho
-    best = math.inf
-    best_vertex = -1
+    values: dict[int, float] = {}
     skipped = 0
     rearranged_ok = True
     for i in range(g.n):
@@ -198,15 +198,14 @@ def eigvec_degree_upper_bound(g: Graph, summary: SpectralSummary) -> BoundResult
         if xi <= 1e-12:
             skipped += 1
             continue
-        value = math.sqrt(max(0.0, (1.0 / (xi * xi) - 1.0)) * d[i])
-        if value < best:
-            best = value
-            best_vertex = i
+        values[i] = math.sqrt(max(0.0, (1.0 / (xi * xi) - 1.0)) * d[i])
         if d[i] > 0 and xi > 1.0 / math.sqrt(1.0 + rho * rho / d[i]) + 1e-9:
             rearranged_ok = False
-    if best_vertex < 0:
+    if not values:
         return _not_applicable("eigvec_degree", "upper", "all eigenvector entries vanish",
                                {"skipped": skipped})
+    best = min(values.values())
+    best_vertex = next(i for i, v in values.items() if v <= best * (1.0 + 1e-12))
     return BoundResult("eigvec_degree", "upper", best,
                        {"vertex": best_vertex, "skipped": skipped,
                         "rearranged_ok": rearranged_ok},
@@ -239,14 +238,14 @@ def bipartite_upper_bound(m: MomentSequence, weight: AtomWeight, k: int, g: Grap
 
 def hankel_root_upper_bound(m: MomentSequence, weight: AtomWeight,
                             index_set: Iterable[int],
-                            scan_hint: Optional[float] = None,
-                            pd_tol: float = PD_TOL) -> BoundResult:
+                            scan_hint: Optional[float] = None) -> BoundResult:
     """Largest root of det(H_J - alpha_1 * R_J(r)) as an upper bound.
 
     R_J(r) has entries r**(j_a + j_b - 2). The polynomial's leading
     coefficient is -alpha_1 det(H_{J'}) with J' = J minus its largest index,
-    so requiring H_{J'} positive definite guarantees a negative tail; the
-    largest real root is then located by a descending scan plus bisection.
+    so requiring det(H_{J'}) > 0, decided on the exact integer moments,
+    guarantees a negative tail; the largest real root is then located by a
+    descending scan plus bisection.
     `scan_hint` seeds the scan (any value near a known upper bound helps,
     e.g. max degree + 1) but correctness does not depend on it.
     """
@@ -258,9 +257,7 @@ def hankel_root_upper_bound(m: MomentSequence, weight: AtomWeight,
     if weight.alpha1 <= MIN_ATOM_WEIGHT:
         return _not_applicable("hankel_root", "upper", "vanishing leading-atom weight", params)
     h, sigma = hankel_matrix(m, indices)
-    leading_block = h[:-1, :-1]
-    scale = max(1.0, float(np.max(np.abs(leading_block))))
-    if float(symmetric_eigenvalues(leading_block)[-1]) <= pd_tol * scale:
+    if exact_determinant(hankel_pair_exact(m, indices[:-1])[0]) <= 0:
         return _not_applicable("hankel_root", "upper",
                                "leading Hankel block not positive definite", params)
     exponents = np.array([j - 1 for j in indices], dtype=float)

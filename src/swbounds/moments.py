@@ -37,12 +37,19 @@ class HankelPair:
     scale: int
 
 
-def _validated_indices(index_set: Iterable[int]) -> tuple[int, ...]:
+def _validated_indices(m: MomentSequence, index_set: Iterable[int],
+                       top_offset: int) -> tuple[int, ...]:
+    """Sorted 1-based J, checked to need no moment beyond m_{2*max(J) - 2 + top_offset}."""
     indices = tuple(sorted(set(int(j) for j in index_set)))
     if not indices:
         raise MomentError("empty index set")
     if indices[0] < 1:
         raise MomentError("indices are 1-based and must be >= 1")
+    top = 2 * indices[-1] - 2 + top_offset
+    if top > m.max_index:
+        raise MomentError(
+            f"insufficient moments: need m_0..m_{top}, have up to m_{m.max_index}"
+        )
     return indices
 
 
@@ -62,25 +69,22 @@ def _scaled_entry(value: int, index: int, shift: int) -> float:
     return value / (1 << (shift * index))
 
 
+def _float_block(m: MomentSequence, indices: tuple[int, ...], offset: int,
+                 shift: int) -> np.ndarray:
+    """Entry (a, b) is m[j_a + j_b - 2 + offset] / 2**(shift * that index)."""
+    return np.array([[_scaled_entry(m[ja + jb - 2 + offset], ja + jb - 2 + offset, shift)
+                      for jb in indices] for ja in indices])
+
+
 def hankel_matrix(m: MomentSequence, index_set: Iterable[int]) -> tuple[np.ndarray, int]:
     """The plain Hankel block H_J alone (needs moments through 2*max(J) - 2).
 
     Returns (matrix, scale) with the same geometric scaling convention as
     hankel_pair.
     """
-    indices = _validated_indices(index_set)
-    top = 2 * indices[-1] - 2
-    if top > m.max_index:
-        raise MomentError(
-            f"insufficient moments: need m_0..m_{top}, have up to m_{m.max_index}"
-        )
-    shift = _scale_exponent(m.values, top)
-    size = len(indices)
-    h = np.empty((size, size))
-    for a, ja in enumerate(indices):
-        for b, jb in enumerate(indices):
-            h[a, b] = _scaled_entry(m[ja + jb - 2], ja + jb - 2, shift)
-    return h, 1 << shift
+    indices = _validated_indices(m, index_set, 0)
+    shift = _scale_exponent(m.values, 2 * indices[-1] - 2)
+    return _float_block(m, indices, 0, shift), 1 << shift
 
 
 def hankel_pair(m: MomentSequence, index_set: Iterable[int]) -> HankelPair:
@@ -88,34 +92,42 @@ def hankel_pair(m: MomentSequence, index_set: Iterable[int]) -> HankelPair:
 
     Needs moments through 2*max(J) - 1 (the bottom-right entry of S_J).
     """
-    indices = _validated_indices(index_set)
-    top = 2 * indices[-1] - 1
-    if top > m.max_index:
-        raise MomentError(
-            f"insufficient moments: need m_0..m_{top}, have up to m_{m.max_index}"
-        )
-    shift = _scale_exponent(m.values, top)
-    size = len(indices)
-    h = np.empty((size, size))
-    s = np.empty((size, size))
-    for a, ja in enumerate(indices):
-        for b, jb in enumerate(indices):
-            h[a, b] = _scaled_entry(m[ja + jb - 2], ja + jb - 2, shift)
-            s[a, b] = _scaled_entry(m[ja + jb - 1], ja + jb - 1, shift)
-    return HankelPair(indices=indices, h=h, s=s, scale=1 << shift)
+    indices = _validated_indices(m, index_set, 1)
+    shift = _scale_exponent(m.values, 2 * indices[-1] - 1)
+    return HankelPair(indices=indices, h=_float_block(m, indices, 0, shift),
+                      s=_float_block(m, indices, 1, shift), scale=1 << shift)
 
 
 def hankel_pair_exact(m: MomentSequence, index_set: Iterable[int]) -> tuple[list[list[int]], list[list[int]]]:
     """Integer-valued H_J and S_J (no scaling, no rounding)."""
-    indices = _validated_indices(index_set)
-    top = 2 * indices[-1] - 1
-    if top > m.max_index:
-        raise MomentError(
-            f"insufficient moments: need m_0..m_{top}, have up to m_{m.max_index}"
-        )
+    indices = _validated_indices(m, index_set, 1)
     h = [[m[ja + jb - 2] for jb in indices] for ja in indices]
     s = [[m[ja + jb - 1] for jb in indices] for ja in indices]
     return h, s
+
+
+def exact_determinant(matrix: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss fraction-free elimination.
+
+    Every division is exact, so the result is the true determinant with no
+    rounding; the empty matrix has determinant 1.
+    """
+    a = [list(row) for row in matrix]
+    size = len(a)
+    sign = 1
+    previous = 1
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, size) if a[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // previous
+        previous = a[k][k]
+    return sign * a[-1][-1] if size else 1
 
 
 def shifted_subsequence(m: MomentSequence, q: int, k: int, count: int) -> tuple[int, ...]:
@@ -164,10 +176,6 @@ def hamburger_check(m: MomentSequence, order: int, tol: float = PSD_TOL) -> bool
 def stieltjes_feasible(m: MomentSequence, index_set: Iterable[int], u: float,
                        tol: float = PSD_TOL) -> bool:
     """Support-interval condition: both u*H_J - S_J and u*H_J + S_J are PSD."""
-    return _support_feasible(hankel_pair(m, index_set), u, tol)
-
-
-def _support_feasible(pair: HankelPair, u: float, tol: float) -> bool:
-    """The support-interval test on a prebuilt pair; u is in unscaled units."""
+    pair = hankel_pair(m, index_set)
     t = u / pair.scale
     return is_psd(t * pair.h - pair.s, tol) and is_psd(t * pair.h + pair.s, tol)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -184,7 +184,7 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = 3, k_max: int = 4,
     g = prep.entry.graph
     horizon = prep.walks_seq.max_index
     summary = prep.summary
-    seed = float(prep.max_degree)
+    scan_hint = prep.max_degree + 1.0
     rows: list[tuple[BoundResult, float]] = []
 
     def timed(fn, *args) -> tuple[BoundResult, float]:
@@ -236,7 +236,7 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = 3, k_max: int = 4,
 
         for order in sdp_orders:
             if 2 * order + 1 <= horizon:
-                emit_for_each(sdp_lower_bound, alone, order, seed)
+                emit_for_each(sdp_lower_bound, alone, order)
 
         for k in range(1, k_max + 1):
             if 2 * k <= horizon:
@@ -249,7 +249,7 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = 3, k_max: int = 4,
 
         for j_set in j_sets:
             if 2 * max(j_set) - 1 <= horizon:
-                emit_for_each(hankel_root_upper_bound, weighted, j_set, seed + 1.0)
+                emit_for_each(hankel_root_upper_bound, weighted, j_set, scan_hint)
 
     if "walks" in measures and prep.omega is not None:
         for k in range(0, k_max + 1):
@@ -323,32 +323,18 @@ def build_report(entry: CorpusEntry, max_length: int = DEFAULT_MAX_LENGTH,
     )
 
 
+def _field_values(obj) -> dict:
+    """Shallow {field: value} of a dataclass, in declaration order."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def report_to_dict(report: Report) -> dict:
     return {
-        "graph": {
-            "name": report.graph.name,
-            "family": report.graph.family,
-            "n": report.graph.n,
-            "e": report.graph.e,
-            "max_degree": report.graph.max_degree,
-            "triangles": report.graph.triangles,
-            "clique": report.graph.clique,
-            "bipartite": report.graph.bipartite,
-            "connected": report.graph.connected,
-        },
+        "graph": _field_values(report.graph),
         "rho_exact": report.rho,
         "bounds": [
-            {
-                "name": r.name,
-                "kind": r.kind,
-                "value": None if not math.isfinite(r.value) else r.value,
-                "params": r.params,
-                "applicable": r.applicable,
-                "reason": r.reason,
-                "trivial": r.trivial,
-                "oracle_assisted": r.oracle_assisted,
-                "ms": ms,
-            }
+            {**_field_values(r), "value": r.value if math.isfinite(r.value) else None,
+             "ms": ms}
             for r, ms in zip(report.bounds, report.bound_ms)
         ],
         "violations": list(report.violations),
@@ -357,27 +343,16 @@ def report_to_dict(report: Report) -> dict:
 
 
 def report_from_dict(obj: dict) -> Report:
-    g = obj["graph"]
-    info = GraphInfo(
-        name=g["name"], family=g["family"], n=g["n"], e=g["e"],
-        max_degree=g["max_degree"], triangles=g["triangles"], clique=g["clique"],
-        bipartite=g["bipartite"], connected=g["connected"],
+    bounds = tuple(
+        BoundResult(**{**{f.name: b[f.name] for f in fields(BoundResult)},
+                       "value": math.nan if b["value"] is None else float(b["value"])})
+        for b in obj["bounds"]
     )
-    bounds = []
-    bound_ms = []
-    for b in obj["bounds"]:
-        bounds.append(BoundResult(
-            name=b["name"], kind=b["kind"],
-            value=math.nan if b["value"] is None else float(b["value"]),
-            params=b["params"], applicable=b["applicable"], reason=b["reason"],
-            trivial=b["trivial"], oracle_assisted=b["oracle_assisted"],
-        ))
-        bound_ms.append(float(b["ms"]))
     return Report(
-        graph=info,
+        graph=GraphInfo(**{f.name: obj["graph"][f.name] for f in fields(GraphInfo)}),
         rho=float(obj["rho_exact"]),
-        bounds=tuple(bounds),
-        bound_ms=tuple(bound_ms),
+        bounds=bounds,
+        bound_ms=tuple(float(b["ms"]) for b in obj["bounds"]),
         violations=tuple(obj["violations"]),
         stage_ms=dict(obj["timing_ms"]),
     )
@@ -658,7 +633,7 @@ def _verify_dominance(out: VerificationOutcome, prep: PreparedGraph,
             for order in sorted(sdp_orders):
                 if 2 * order + 1 > horizon:
                     continue
-                res = sdp_lower_bound(m, order, float(prep.max_degree))
+                res = sdp_lower_bound(m, order)
                 if res.applicable:
                     values.append((order, res.value))
             for (o1, v1), (o2, v2) in zip(values, values[1:]):

@@ -11,7 +11,14 @@ from swbounds.bounds_lower import (
     sdp_lower_bound,
     triangle_edge_lower_bound,
 )
-from swbounds.graph import complete_graph, cycle_graph, path_graph, star_graph
+from swbounds.graph import (
+    complete_bipartite_graph,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    star_graph,
+)
+from swbounds.report import corrupted_sequence, find_violations
 from swbounds.spectrum import eigen_decompose
 from swbounds.walks import closed_walk_counts, closed_walk_counts_at, walk_counts
 
@@ -65,6 +72,12 @@ class TestDetRatio:
         res = det_ratio_lower_bound(m, 1, 1)
         if res.applicable and not res.trivial:
             assert res.value <= eigen_decompose(g).rho + 1e-9
+
+    def test_negative_hankel_determinant_inapplicable(self):
+        # m = (1, 2, 1, ...) is no moment sequence: det H = 1*1 - 2*2 = -3
+        res = det_ratio_lower_bound(corrupted_sequence(12), 0, 1)
+        assert not res.applicable and math.isnan(res.value)
+        assert find_violations([res], 1.0) == []
 
 
 class TestQuadraticRoot:
@@ -140,39 +153,56 @@ class TestLocalTriangle:
 
 class TestSdp:
     def test_k3_binding(self):
-        res = sdp_lower_bound(closed_walk_counts(K3, 3), 1, 2.0)
+        res = sdp_lower_bound(closed_walk_counts(K3, 3), 1)
         assert res.value == pytest.approx(2.0, abs=1e-6)
 
     def test_p3(self):
-        res = sdp_lower_bound(closed_walk_counts(P3, 3), 1, 2.0)
+        res = sdp_lower_bound(closed_walk_counts(P3, 3), 1)
         assert res.value == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-6)
 
     def test_p2_order_zero(self):
-        res = sdp_lower_bound(closed_walk_counts(path_graph(2), 1), 0, 1.0)
+        res = sdp_lower_bound(closed_walk_counts(path_graph(2), 1), 0)
         assert res.value == 0.0
 
     def test_monotone_in_order(self):
         m = closed_walk_counts(path_graph(7), 12)
-        values = [sdp_lower_bound(m, order, 2.0).value for order in (0, 1, 2)]
+        values = [sdp_lower_bound(m, order).value for order in (0, 1, 2)]
         assert values[0] <= values[1] + 1e-7 and values[1] <= values[2] + 1e-7
 
     def test_subsumes_ratio_seeds(self):
         m = walk_counts(path_graph(6), 12)
-        res = sdp_lower_bound(m, 2, 2.0)
+        res = sdp_lower_bound(m, 2)
         for s in range(3):
             assert res.value >= ratio_lower_bound(m, s, 1).value - 1e-7
 
     def test_insufficient_moments(self):
         with pytest.raises(ValueError):
-            sdp_lower_bound(closed_walk_counts(K3, 3), 2, 2.0)
+            sdp_lower_bound(closed_walk_counts(K3, 3), 2)
 
     def test_rescaled_moments_stay_calibrated(self):
         # big-count regime: Hankel assembly rescales, the bound must not
         g = complete_graph(12)
         m = walk_counts(g, 24)
         assert m[22] > 2**53
-        res = sdp_lower_bound(m, 11, 11.0)
+        res = sdp_lower_bound(m, 11)
         assert res.value == pytest.approx(11.0, abs=1e-6)
+
+    def test_never_above_rho(self):
+        g = complete_bipartite_graph(2, 3)
+        rho = eigen_decompose(g).rho
+        assert sdp_lower_bound(walk_counts(g, 6), 1).value <= rho * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_two_atoms_exact(self, n):
+        # closed walks on K_n sit on {n-1, -1}: H_2 is singular, order 1 is optimal
+        res = sdp_lower_bound(closed_walk_counts(complete_graph(n), 6), 2)
+        assert res.value == pytest.approx(n - 1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("g", [cycle_graph(6), complete_graph(4)])
+    def test_one_atom_exact(self, g):
+        # walks on a d-regular graph put all their mass on d
+        res = sdp_lower_bound(walk_counts(g, 6), 2)
+        assert res.value == pytest.approx(g.degree(0), rel=1e-12)
 
 
 class TestBaselines:

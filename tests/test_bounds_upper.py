@@ -116,6 +116,13 @@ class TestEigvecDegree:
         res = eigvec_degree_upper_bound(g, eigen_decompose(g))
         assert not res.applicable
 
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_vertex_transitive_reports_vertex_zero(self, n):
+        # every vertex ties up to rounding; the label must not depend on it
+        for g in (cycle_graph(n), complete_graph(n)):
+            res = eigvec_degree_upper_bound(g, eigen_decompose(g))
+            assert res.params["vertex"] == 0
+
 
 class TestBipartiteHalving:
     def test_c4_exact(self):
@@ -183,6 +190,13 @@ class TestHankelRoot:
         res = hankel_root_upper_bound(m, weight, (11, 12), 12.0)
         assert not res.applicable
         assert "degenerate" in res.reason
+
+    def test_singular_leading_block_inapplicable(self):
+        # walks on K_4 sit on one atom, so det H_{(1,2)} is exactly 0
+        g = complete_graph(4)
+        m = walk_counts(g, 6)
+        res = hankel_root_upper_bound(m, atom_weight_for(m, eigen_decompose(g)), (1, 2, 3))
+        assert not res.applicable and "leading Hankel block" in res.reason
 
     def test_vanishing_bulk_flagged_at_small_scale_too(self):
         # same degeneracy without any rescaling: exact zeros, no sign change

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from swbounds.graph import Graph, complete_graph, path_graph
 from swbounds.moments import (
     MomentError,
+    exact_determinant,
     hamburger_check,
     hankel_matrix,
     hankel_pair,
@@ -80,6 +81,26 @@ class TestHankelPair:
         assert h.tolist() == [[3.0, 0.0], [0.0, 6.0]] and scale == 1
         with pytest.raises(MomentError):
             hankel_pair(m, (1, 2))
+
+
+class TestExactDeterminant:
+    def test_small_cases(self):
+        assert exact_determinant([]) == 1
+        assert exact_determinant([[7]]) == 7
+        assert exact_determinant([[1, 2], [2, 1]]) == -3
+        # zero pivot forces a row swap
+        assert exact_determinant([[0, 1, 2], [1, 0, 3], [4, -3, 8]]) == -2
+
+    def test_singular_hankel_is_exactly_zero(self):
+        # walks on a regular graph have one atom: every 2x2 block is singular
+        h, _ = hankel_pair_exact(walk_counts(complete_graph(12), 24), (1, 2, 3))
+        assert exact_determinant(h) == 0
+
+    @given(st.lists(st.integers(-50, 50), min_size=16, max_size=16))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_float_determinant(self, entries):
+        rows = [entries[i:i + 4] for i in range(0, 16, 4)]
+        assert exact_determinant(rows) == round(np.linalg.det(np.array(rows, dtype=float)))
 
 
 class TestShiftedSubsequence:
