@@ -77,6 +77,7 @@ from .spectrum import (
 from .walks import (
     MomentSequence,
     all_rooted_closed_counts,
+    closed_from_rooted,
     closed_walk_counts,
     closed_walk_counts_at,
     enumerate_walks_bruteforce,

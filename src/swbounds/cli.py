@@ -122,24 +122,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+# Bench families (one-size `graph.generate` specs) and their smallest size.
+BENCH_MIN_SIZES = {"path": 1, "cycle": 3, "complete": 2, "star": 1}
+
+
 def _bench_entries(args: argparse.Namespace) -> list[CorpusEntry]:
-    builders = {
-        "path": ("path", lambda n: f"path:{n}", 1),
-        "cycle": ("cycle", lambda n: f"cycle:{n}", 3),
-        "complete": ("complete", lambda n: f"complete:{n}", 2),
-        "star": ("star", lambda n: f"star:{n}", 1),
-    }
     entries: list[CorpusEntry] = []
     for family in args.families.split(","):
         family = family.strip()
         if not family:
             continue
-        if family not in builders:
+        if family not in BENCH_MIN_SIZES:
             raise GraphError(f"unknown bench family {family!r}")
-        name, spec_of, min_size = builders[family]
-        for n in range(max(args.min, min_size), args.max + 1):
-            spec = spec_of(n)
-            entries.append(CorpusEntry(spec.replace(":", "_"), name, generate(spec)))
+        for n in range(max(args.min, BENCH_MIN_SIZES[family]), args.max + 1):
+            entries.append(CorpusEntry(f"{family}_{n}", family, generate(f"{family}:{n}")))
     if args.er_count > 0:
         entries.extend(er_corpus(args.er_count, args.er_n, args.er_p, args.seed))
     if not entries:

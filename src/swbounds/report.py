@@ -62,7 +62,7 @@ from .walks import (
     KIND_WALKS,
     MomentSequence,
     all_rooted_closed_counts,
-    closed_walk_counts,
+    closed_from_rooted,
     enumerate_walks_bruteforce,
     walk_counts,
 )
@@ -126,11 +126,12 @@ def prepare_graph(entry: CorpusEntry, max_length: int = DEFAULT_MAX_LENGTH,
     _, max_degree = degrees(g)
     total_triangles, _ = triangle_counts(g)
     flag, _ = is_bipartite(g)
+    rooted = tuple(all_rooted_closed_counts(g, max_length))
     return PreparedGraph(
         entry=entry,
         walks_seq=walk_counts(g, max_length),
-        closed_seq=closed_walk_counts(g, max_length),
-        rooted_seqs=tuple(all_rooted_closed_counts(g, max_length)),
+        closed_seq=closed_from_rooted(rooted),
+        rooted_seqs=rooted,
         summary=eigen_decompose(g),
         omega=omega,
         max_degree=max_degree,

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swbounds import report, spectrum, walks
 from swbounds.graph import Graph, complete_graph, cycle_graph, degrees, is_bipartite, path_graph, star_graph, triangle_counts
 from swbounds.walks import (
     MomentSequence,
@@ -13,8 +15,8 @@ from swbounds.walks import (
 )
 
 
-def random_small_graph():
-    return st.integers(2, 6).flatmap(
+def random_small_graph(min_n=2, max_n=6):
+    return st.integers(min_n, max_n).flatmap(
         lambda n: st.builds(
             Graph,
             st.just(n),
@@ -142,3 +144,122 @@ class TestMomentSequenceType:
             MomentSequence("open_walks", (1,))
         with pytest.raises(ValueError, match="vertex"):
             MomentSequence("closed_walks", (1,), vertex=0)
+
+
+def reference_counts(g, max_length):
+    """(w, φ, [φ^(i)]) from plain Python-int powers of the adjacency matrix."""
+    n = g.n
+    a = [[int(j in g.neighbors[i]) for j in range(n)] for i in range(n)]
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    w, phi, rooted = [], [], [[] for _ in range(n)]
+    for _ in range(max_length + 1):
+        w.append(sum(map(sum, p)))
+        phi.append(sum(p[i][i] for i in range(n)))
+        for i in range(n):
+            rooted[i].append(p[i][i])
+        p = [[sum(p[i][l] * a[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+    return tuple(w), tuple(phi), [tuple(r) for r in rooted]
+
+
+def counts(g, max_length):
+    """(w, φ, [φ^(i)]) from the library, every value checked to be a Python int."""
+    w = walk_counts(g, max_length).values
+    phi = closed_walk_counts(g, max_length).values
+    rooted = [seq.values for seq in all_rooted_closed_counts(g, max_length)]
+    for values in (w, phi, *rooted):
+        assert all(type(v) is int for v in values)
+    return w, phi, rooted
+
+
+class TestExactTable:
+    """The matrix-power table against a plain Python-int iteration."""
+
+    @given(random_small_graph(1, 10), st.integers(0, 14))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_python_int_reference(self, g, K):
+        assert counts(g, K) == reference_counts(g, K)
+
+    @pytest.mark.parametrize("g", [Graph(5, [(0, 1)]), Graph(1), star_graph(3)],
+                             ids=["isolated", "n1", "star3"])
+    @pytest.mark.parametrize("K", [0, 1, 6])
+    def test_edge_cases(self, g, K):
+        assert counts(g, K) == reference_counts(g, K)
+
+    def test_star_60_crosses_int64_in_products(self):
+        # 60**11 > 2**63: the products for k = 11, 12 are formed in Python ints
+        leaves, K = 60, 12
+        w, phi, rooted = counts(star_graph(leaves), K)
+        center = tuple(leaves ** (k // 2) if k % 2 == 0 else 0 for k in range(K + 1))
+        leaf = tuple(1 if k == 0 else leaves ** (k // 2 - 1) if k % 2 == 0 else 0
+                     for k in range(K + 1))
+        assert rooted[0] == center
+        assert all(r == leaf for r in rooted[1:])
+        assert phi == tuple(c + leaves * l for c, l in zip(center, leaf))
+        assert w == reference_counts(star_graph(leaves), K)[0]
+
+    @pytest.mark.parametrize("K", [30, 40])
+    def test_complete_20_crosses_int64_in_values(self, K):
+        # phi_k = 19**k + 19*(-1)**k passes 2**63 at k = 15; at K = 40 the
+        # entries of the powers A^16..A^20 themselves pass it
+        n = 20
+        w, phi, rooted = counts(complete_graph(n), K)
+        closed = tuple((n - 1) ** k + (n - 1) * (-1) ** k for k in range(K + 1))
+        assert phi == closed
+        assert max(closed) > 2 ** 63
+        assert all(r == tuple(c // n for c in closed) for r in rooted)
+        assert w == tuple(n * (n - 1) ** k for k in range(K + 1))
+
+    def test_star_200_powers_in_python_ints(self):
+        # 200**9 > 2**63, so the powers A^9..A^12 themselves leave int64
+        leaves, K = 200, 24
+        g = star_graph(leaves)
+        _, phi, rooted = counts(g, K)
+        center = tuple(leaves ** (k // 2) if k % 2 == 0 else 0 for k in range(K + 1))
+        assert rooted[0] == center == closed_walk_counts_at(g, 0, K).values
+        assert rooted[7] == closed_walk_counts_at(g, 7, K).values
+        assert phi == tuple(c + sum(r[k] for r in rooted[1:]) for k, c in enumerate(center))
+        assert phi[K] == 2 * leaves ** (K // 2)
+
+    def test_chunked_steps_agree(self, monkeypatch):
+        g = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (0, 5), (6, 7), (2, 7), (1, 6)])
+        whole = counts(g, 14)
+        for limit in (1, 40):
+            monkeypatch.setattr(walks, "_GATHER_LIMIT", limit)
+            assert counts(g, 14) == whole == reference_counts(g, 14)
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            all_rooted_closed_counts(path_graph(3), -1)
+
+
+class TestSingleTablePass:
+    """Closed and rooted counts of one graph share one table pass."""
+
+    @pytest.fixture
+    def table_calls(self, monkeypatch):
+        calls = []
+        table = walks._rooted_closed_table
+
+        def counting(*args):
+            calls.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(walks, "_rooted_closed_table", counting)
+        return calls
+
+    def test_prepare_graph(self, table_calls):
+        entry = report.CorpusEntry("c5", "cycle", cycle_graph(5))
+        prep = report.prepare_graph(entry, 8)
+        assert len(table_calls) == 1
+        assert prep.closed_seq == closed_walk_counts(cycle_graph(5), 8)
+
+    def test_verify_moment_identities(self, table_calls):
+        assert spectrum.verify_moment_identities(complete_graph(4), 8)["passed"]
+        assert len(table_calls) == 1
+
+
+class TestMomentSequenceValues:
+    @pytest.mark.parametrize("bad", [np.int64(3), 3.0])
+    def test_rejects_non_int(self, bad):
+        with pytest.raises(ValueError, match="Python ints"):
+            MomentSequence("closed_walks", (1, 0, bad))
