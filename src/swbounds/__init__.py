@@ -67,6 +67,7 @@ from .report import (
     standard_corpus,
     sweep_bounds,
 )
+from .roots import largest_real_root
 from .spectrum import (
     SpectralSummary,
     eigen_decompose,

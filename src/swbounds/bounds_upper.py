@@ -6,27 +6,29 @@ a walk measure and applies positivity of the remaining Hankel blocks. For
 closed walks alpha_1 = 1 needs no spectral data; the walks and per-vertex
 variants take their weight from the eigensolver and are flagged
 oracle-assisted.
+
+The Hankel, Stieltjes and clique root bounds are the largest real roots of
+polynomials with exact integer coefficients (the weight enters as the exact
+ratio of its float), certified from above by `roots.largest_real_root`: the
+polynomial is provably negative beyond the reported value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .bounds_lower import BoundResult, _measure_params, _not_applicable
 from .graph import Graph, degrees, is_bipartite, is_connected
-from .moments import exact_determinant, hankel_matrix, hankel_pair_exact
+from .moments import _validated_indices, exact_determinant
+from .roots import largest_real_root
 from .spectrum import SpectralSummary
 from .walks import KIND_CLOSED, KIND_CLOSED_AT, KIND_WALKS, MomentSequence
 
 MIN_ATOM_WEIGHT = 1e-12
-
-_ROOT_BISECT_TOL = 1e-10
-_ROOT_FLOOR = 1e-12
-_DET_NOISE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,66 +74,6 @@ def _ratio_root(num: int, den: float, inv_exp: float) -> float:
     if num.bit_length() <= 1020:
         return (num / den) ** inv_exp
     return math.exp((math.log(num) - math.log(den)) * inv_exp)
-
-
-def _poly_tail(c_lin: int, c_const: int, lead: float, degree: int) -> Callable[[float], float]:
-    """q(r) = c_lin*r + c_const - lead*r**degree, rescaled into float range."""
-    shift = max(0, max(c_lin.bit_length(), c_const.bit_length()) - 900)
-    a1 = float(c_lin >> shift)
-    a0 = float(c_const >> shift)
-    lead_scaled = math.ldexp(lead, -shift)
-
-    def q(r: float) -> float:
-        return a1 * r + a0 - lead_scaled * r ** degree
-
-    return q
-
-
-def _bisect_largest(q: Callable[[float], float], lo: float, hi: float,
-                    tol: float = _ROOT_BISECT_TOL) -> float:
-    """Shrink [lo, hi] with q(lo) >= 0 > q(hi); return the upper endpoint."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if q(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def _largest_root(q: Callable[[float], float], start: float,
-                  certify: float = 0.0) -> Optional[float]:
-    """Largest real root of q, exploiting q < 0 strictly beyond that root.
-
-    Expands upward from `start` until the negative tail is reached, then
-    scans down geometrically: the first certified-positive value brackets the
-    largest root regardless of sign wiggles further down. With `certify` > 0
-    a bracket endpoint only counts when |q| clears that margin, so evaluation
-    noise around a touching root is flagged (None) instead of mislocated;
-    uncertain points are scanned past without moving the top anchor.
-    """
-    hi = max(start, 1.0)
-    anchored = False
-    for _ in range(600):
-        if q(hi) < -certify:
-            anchored = True
-            break
-        hi *= 1.5
-    if not anchored:
-        if certify > 0.0:
-            return None
-        raise ArithmeticError("polynomial never became negative during scan")
-    lo = hi / 1.5
-    while True:
-        value = q(lo)
-        if value > certify:
-            break
-        if value < -certify:
-            hi = lo
-        lo /= 1.5
-        if lo < _ROOT_FLOOR:
-            return None
-    return _bisect_largest(q, lo, hi)
 
 
 def even_moment_upper_bound(m: MomentSequence, weight: AtomWeight, k: int) -> BoundResult:
@@ -236,18 +178,38 @@ def bipartite_upper_bound(m: MomentSequence, weight: AtomWeight, k: int, g: Grap
                        oracle_assisted=_oracle_assisted(weight))
 
 
+def _adjugate(h: list[list[int]]) -> list[list[int]]:
+    """Exact adjugate of a symmetric integer matrix: hand cofactors up to 3x3,
+    Bareiss minors beyond."""
+    size = len(h)
+    if size == 2:
+        return [[h[1][1], -h[0][1]], [-h[0][1], h[0][0]]]
+    if size == 3:
+        (a, b, c), (_, d, e), (_, _, f) = h
+        return [[d * f - e * e, c * e - b * f, b * e - c * d],
+                [c * e - b * f, a * f - c * c, b * c - a * e],
+                [b * e - c * d, b * c - a * e, a * d - b * b]]
+    adj = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            minor = [row[:i] + row[i + 1:] for k, row in enumerate(h) if k != j]
+            adj[i][j] = adj[j][i] = (-1) ** (i + j) * exact_determinant(minor)
+    return adj
+
+
 def hankel_root_upper_bound(m: MomentSequence, weight: AtomWeight,
-                            index_set: Iterable[int],
-                            scan_hint: Optional[float] = None) -> BoundResult:
+                            index_set: Iterable[int]) -> BoundResult:
     """Largest root of det(H_J - alpha_1 * R_J(r)) as an upper bound.
 
-    R_J(r) has entries r**(j_a + j_b - 2). The polynomial's leading
-    coefficient is -alpha_1 det(H_{J'}) with J' = J minus its largest index,
-    so requiring det(H_{J'}) > 0, decided on the exact integer moments,
-    guarantees a negative tail; the largest real root is then located by a
-    descending scan plus bisection.
-    `scan_hint` seeds the scan (any value near a known upper bound helps,
-    e.g. max degree + 1) but correctness does not depend on it.
+    R_J(r) = v v^T with v = (r**(j-1) for j in J), so by the matrix
+    determinant lemma the determinant is det H_J - alpha_1 v^T adj(H_J) v,
+    which with alpha_1 = num/den times den is a polynomial in r with exact
+    integer coefficients. Its leading coefficient is -num det(H_{J'}) with
+    J' = J minus its largest index (the last diagonal entry of the
+    adjugate), so det(H_{J'}) > 0 guarantees a negative tail; the largest
+    real root is then certified by `largest_real_root`. When det H_J = 0
+    the polynomial is a negative multiple of a square and touches zero at
+    its top root, which is found as a simple root of the square's base.
     """
     indices = tuple(sorted(set(int(j) for j in index_set)))
     params = _measure_params(m, J=list(indices), alpha1=weight.alpha1)
@@ -256,31 +218,27 @@ def hankel_root_upper_bound(m: MomentSequence, weight: AtomWeight,
                                "needs at least two positions (constant polynomial)", params)
     if weight.alpha1 <= MIN_ATOM_WEIGHT:
         return _not_applicable("hankel_root", "upper", "vanishing leading-atom weight", params)
-    h, sigma = hankel_matrix(m, indices)
-    if exact_determinant(hankel_pair_exact(m, indices[:-1])[0]) <= 0:
+    _validated_indices(m, indices, 0)
+    h = [[m[ja + jb - 2] for jb in indices] for ja in indices]
+    adj = _adjugate(h)
+    if adj[-1][-1] <= 0:
         return _not_applicable("hankel_root", "upper",
                                "leading Hankel block not positive definite", params)
-    exponents = np.array([j - 1 for j in indices], dtype=float)
-    powers = exponents[:, None] + exponents[None, :]
-    alpha = weight.alpha1
-    size = len(indices)
-
-    # Work in the rescaled radius variable r/sigma, where the Hankel entries
-    # are m_k / sigma**k; the root transfers back by one multiplication.
-    # The determinant is normalized by the matrix scale so that rounding
-    # noise in near-singular cases (a measure whose bulk vanishes makes the
-    # polynomial a perfect square touching zero) stays comparable across r,
-    # and the certified scan flags such cases instead of misrooting them.
-    def q(scaled_r: float) -> float:
-        mat = h - alpha * scaled_r ** powers
-        scale_r = max(1.0, float(np.max(np.abs(mat))))
-        return float(np.linalg.det(mat)) / scale_r ** size
-
-    root = _largest_root(q, (scan_hint or 1.0) / sigma, certify=_DET_NOISE_TOL)
-    if root is None:
-        return _not_applicable("hankel_root", "upper", "degenerate: no positive root located",
-                               params)
-    return BoundResult("hankel_root", "upper", root * sigma, params,
+    det_h = sum(h[0][b] * adj[b][0] for b in range(len(indices)))
+    if det_h:
+        num, den = weight.alpha1.as_integer_ratio()
+        coeffs = [0] * (2 * indices[-1] - 1)
+        coeffs[0] = den * det_h
+        for a, ja in enumerate(indices):
+            for b, jb in enumerate(indices):
+                coeffs[ja + jb - 2] -= num * adj[a][b]
+    else:
+        # H_J has rank |J| - 1, so adj(H_J) has rank one and the polynomial
+        # is -num p(r)**2 / det(H_{J'}) with p = (last row of adj(H_J)) . v
+        coeffs = [0] * indices[-1]
+        for b, jb in enumerate(indices):
+            coeffs[jb - 1] = adj[-1][b]
+    return BoundResult("hankel_root", "upper", largest_real_root(coeffs), params,
                        oracle_assisted=_oracle_assisted(weight))
 
 
@@ -309,21 +267,19 @@ def stieltjes_root_upper_bound(m: MomentSequence, weight: AtomWeight, k: int) ->
     if m2k == 0:
         return _not_applicable("stieltjes_root", "upper",
                                "zero even moment with non-zero odd moment", params)
-    if k == 0:
-        slope = m[0] - 2.0 * alpha
-        if slope >= -1e-12:
-            return _not_applicable("stieltjes_root", "upper",
-                                   "degenerate linear case: non-negative leading coefficient",
-                                   params)
-        value = _ratio_root(m2k1, -slope, 1.0)
-        return BoundResult("stieltjes_root", "upper", value, params, oracle_assisted=assisted)
-    q = _poly_tail(m2k, m2k1, 2.0 * alpha, 2 * k + 1)
-    even = _ratio_root(m2k, alpha, 1.0 / (2 * k))
-    root = _largest_root(q, even + 1.0)
-    if root is None:
-        return _not_applicable("stieltjes_root", "upper", "degenerate: no positive root located",
+    num, den = alpha.as_integer_ratio()
+    coeffs = [0] * (2 * k + 2)
+    coeffs[0] = den * m2k1
+    coeffs[1] = den * m2k
+    coeffs[2 * k + 1] -= 2 * num  # for k = 0 it joins the linear term
+    if k == 0 and coeffs[1] >= 0:
+        return _not_applicable("stieltjes_root", "upper",
+                               "degenerate linear case: non-negative leading coefficient",
                                params)
-    assert root <= even * (1.0 + 1e-12) + 1e-9
+    root = largest_real_root(coeffs)
+    if k:
+        even = _ratio_root(m2k, alpha, 1.0 / (2 * k))
+        assert root <= even * (1.0 + 1e-12) + 1e-9
     return BoundResult("stieltjes_root", "upper", root, params, oracle_assisted=assisted)
 
 
@@ -348,13 +304,12 @@ def clique_root_upper_bound(m_w: MomentSequence, omega: int, k: int) -> BoundRes
     w2k1 = m_w[2 * k + 1]
     if w2k == 0 and w2k1 == 0:
         return BoundResult("clique_root", "upper", 0.0, params)
-    coeff = 2.0 * omega / (omega - 1.0)
-    q = _poly_tail(w2k, w2k1, coeff, 2 * k + 2)
+    coeffs = [0] * (2 * k + 3)
+    coeffs[0] = (omega - 1) * w2k1
+    coeffs[1] = (omega - 1) * w2k
+    coeffs[2 * k + 2] = -2 * omega
+    root = largest_real_root(coeffs)
     reference = _ratio_root(w2k, omega / (omega - 1.0), 1.0 / (2 * k + 1))
-    root = _largest_root(q, reference)
-    if root is None:
-        return _not_applicable("clique_root", "upper", "degenerate: no positive root located",
-                               params)
     assert root <= reference * (1.0 + 1e-12) + 1e-9
     return BoundResult("clique_root", "upper", root, params)
 

@@ -1,0 +1,228 @@
+"""Certified largest real root of a polynomial with exact integer coefficients.
+
+`largest_real_root` steps Newton down onto the root in floats, from a bound
+beyond it, and returns a float u only after an exact integer test has shown
+that the polynomial has no real root above u. The test is Descartes' rule on
+the Taylor coefficients at u; when that is inconclusive (complex roots with
+real part beyond u) a Sturm count decides. Where the Newton steps leave the
+concave region, bisection under the same test brackets the root instead.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Optional, Sequence
+
+# bits kept when the coefficients are converted to floats for Newton
+_FLOAT_BITS = 1000
+# a Newton step this small, relative to the iterate, is the last one
+_NEWTON_TOL = 2.0 ** -44
+# first step either side of a candidate, as a fraction of it; the bracket
+# around the root is narrowed to twice this
+_NUDGE = 2.0 ** -50
+
+
+def _newton_from_above(terms: list[tuple[int, float]]) -> Optional[float]:
+    """Newton steps down onto the largest root from a point beyond it.
+
+    Where only the positive terms count, t f_i r**i < -f_n r**n for all of
+    them past r = max_i (t f_i / -f_n)**(1/(n-i)), so no root lies beyond.
+    While the polynomial is concave the steps decrease onto the largest
+    root; None when they cross it by more than rounding or pass a local
+    maximum (a touching root, or complex roots further right).
+    """
+    n, lead = terms[-1]
+    lead = -lead
+    lower = terms[:-1]
+    positive = [(i, x) for i, x in lower if x > 0.0]
+    if not positive:
+        return None
+    scale = math.log(len(positive)) - math.log(lead)
+    r = max(math.exp((math.log(x) + scale) / (n - i)) for i, x in positive)
+    for _ in range(100):
+        top = lead * r ** (n - 1)
+        value = -top * r
+        slope = -n * top
+        for i, x in lower:
+            if i:
+                term = x * r ** (i - 1)
+                value += term * r
+                slope += i * term
+            else:
+                value += x
+        if slope >= 0.0:
+            return None
+        step = value / slope
+        if abs(step) <= _NEWTON_TOL * r:
+            return r - step
+        if step < 0.0:
+            return None
+        r -= step
+    return None
+
+
+class _Certifier:
+    """Exact test that an integer polynomial with negative leading coefficient
+    has no real root above a float u (so it is negative on (u, inf))."""
+
+    def __init__(self, c: list[int], terms: list[tuple[int, int]]) -> None:
+        self.c = c
+        self.degree = len(c) - 1
+        self.terms = terms
+        self.second = terms[-2][0]
+        self._sturm: Optional[list[list[int]]] = None
+
+    def __call__(self, u: float) -> bool:
+        p, q = u.as_integer_ratio()
+        e = q.bit_length() - 1
+        d = self.degree
+        # the k-th Taylor coefficient at u = p / 2**e, times 2**(e*(d-k)) > 0;
+        # for u >= 0 those above the second-highest term have the leading sign
+        top_k = self.second if p >= 0 else d - 1
+        at_root = False
+        for k in range(top_k + 1):
+            total = 0
+            for i, x in self.terms:
+                if i > k:
+                    total += x * math.comb(i, k) * p ** (i - k) << (e * (d - i))
+                elif i == k:
+                    total += x << (e * (d - i))
+            if k == 0:
+                if total > 0:
+                    return False  # positive at u, negative at infinity
+                at_root = total == 0
+            elif total > 0:
+                # Descartes is inconclusive; Sturm decides, except at a root of c
+                return not at_root and self._sturm_count(p, e) == 0
+        return True
+
+    def _sturm_count(self, p: int, e: int) -> int:
+        """Distinct real roots above p / 2**e (not itself a root)."""
+        if self._sturm is None:
+            self._sturm = _sturm_sequence(self.c)
+        at_u = [_sign_at(s, p, e) for s in self._sturm]
+        at_inf = [1 if s[-1] > 0 else -1 for s in self._sturm]
+        return _variations(at_u) - _variations(at_inf)
+
+
+def _sign_at(a: list[int], p: int, e: int) -> int:
+    """Sign of a(p / 2**e), by Horner on a(p/q) * q**deg."""
+    h = a[-1]
+    for j, x in enumerate(reversed(a[:-1]), start=1):
+        h = h * p + (x << (e * j))
+    return (h > 0) - (h < 0)
+
+
+def _variations(signs: list[int]) -> int:
+    nonzero = [s for s in signs if s]
+    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
+
+
+def _negated_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of -(a mod b), divided by its content."""
+    a = list(a)
+    db = len(b) - 1
+    scale = abs(b[-1])
+    sign = 1 if b[-1] > 0 else -1
+    while len(a) > db and a:
+        lead = a[-1]
+        shift = len(a) - 1 - db
+        a = [scale * x for x in a[:-1]]
+        for i in range(db):
+            a[shift + i] -= sign * lead * b[i]
+        while a and a[-1] == 0:
+            a.pop()
+    if not a:
+        return []
+    content = math.gcd(*a)
+    return [-x // content for x in a]
+
+
+def _sturm_sequence(c: list[int]) -> list[list[int]]:
+    seq = [c, [i * x for i, x in enumerate(c)][1:]]
+    while len(seq[-1]) > 1:
+        rem = _negated_remainder(seq[-2], seq[-1])
+        if not rem:
+            break
+        seq.append(rem)
+    return seq
+
+
+def _cauchy_bound(c: list[int]) -> float:
+    """Every root has modulus below 1 + max |c_i / c_n|, rounded up to a power of 2."""
+    lead = abs(c[-1])
+    ratio = max(-(-abs(x) // lead) for x in c[:-1])
+    return math.ldexp(1.0, (ratio + 1).bit_length())
+
+
+def largest_real_root(coeffs: Sequence[int]) -> float:
+    """Largest real root of sum(coeffs[i] * r**i), certified from above.
+
+    The coefficients are Python ints, lowest degree first. The returned
+    float u satisfies, exactly, that the polynomial has no real root in
+    (u, inf), so there it has the sign of its leading coefficient, and u
+    lies a few units in the last place above the largest real root, touching
+    roots included. Raises ValueError for a constant polynomial or one with
+    no real root.
+    """
+    c = list(coeffs)
+    while c and c[-1] == 0:
+        c.pop()
+    if len(c) < 2:
+        raise ValueError("need a non-constant polynomial")
+    if c[-1] > 0:
+        c = [-x for x in c]
+    zeros = next(i for i, x in enumerate(c) if x)
+    c = c[zeros:]
+    if len(c) == 1:
+        return 0.0
+    try:
+        top = _certified_top(c)
+    except ValueError:
+        if zeros:
+            return 0.0
+        raise
+    return max(top, 0.0) if zeros else top
+
+
+def _certified_top(c: list[int]) -> float:
+    """The search of largest_real_root on c with c[0] != 0 and c[-1] < 0.
+
+    It brackets the largest real root between an uncertified lo and a
+    certified hi, starting one nudge either side of the Newton estimate (or
+    from the Cauchy bound either side of zero without one), and bisects.
+    """
+    terms = [(i, x) for i, x in enumerate(c) if x]
+    certified = _Certifier(c, terms)
+    shift = max(0, max(abs(x).bit_length() for _, x in terms) - _FLOAT_BITS)
+    guess = _newton_from_above([(i, float(x >> shift)) for i, x in terms])
+    if guess is None:
+        bound = _cauchy_bound(c)
+        if certified(-bound):
+            raise ValueError("polynomial has no real root")
+        lo, hi = -bound, bound
+    else:
+        step = abs(guess) * _NUDGE or _NUDGE
+        lo, hi = guess - step, guess + step
+        if certified(hi):
+            if all(x > 0 for _, x in terms[:-1]):
+                # one sign change: concave beyond the only positive root, so
+                # the Newton steps came down onto it from above
+                return hi
+            while certified(lo):
+                if lo < -_cauchy_bound(c):
+                    raise ValueError("polynomial has no real root")
+                lo, hi, step = lo - 4.0 * step, lo, 4.0 * step
+        else:
+            lo, hi, step = hi, hi + 4.0 * step, 4.0 * step
+            while not certified(hi):
+                lo, hi, step = hi, hi + 4.0 * step, 4.0 * step
+    while hi - lo > 2.0 * _NUDGE * max(abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if certified(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

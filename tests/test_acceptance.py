@@ -171,7 +171,7 @@ def test_criterion_4_exactness_cases():
     sdp = sdp_lower_bound(closed_walk_counts(k3, 3), 1).value
     assert sdp == pytest.approx(2.0, abs=1e-6)
 
-    hankel = hankel_root_upper_bound(closed_walk_counts(k3, 2), UNIT, (1, 2), 3.0).value
+    hankel = hankel_root_upper_bound(closed_walk_counts(k3, 2), UNIT, (1, 2)).value
     assert hankel == pytest.approx(2.0, abs=1e-8)
     _line(4, True, "triangle-edge, local-triangle, SDP, and Hankel-root exact cases")
 

@@ -154,42 +154,44 @@ class TestBipartiteHalving:
 class TestHankelRoot:
     def test_k3_quadratic(self):
         # det [[2, -r], [-r, 6 - r^2]] = 12 - 3 r^2, largest root 2
-        res = hankel_root_upper_bound(closed_walk_counts(K3, 2), UNIT, (1, 2), 3.0)
+        res = hankel_root_upper_bound(closed_walk_counts(K3, 2), UNIT, (1, 2))
         assert res.value == pytest.approx(2.0, abs=1e-8)
 
     def test_p3_quadratic(self):
-        res = hankel_root_upper_bound(closed_walk_counts(P3, 2), UNIT, (1, 2), 3.0)
+        res = hankel_root_upper_bound(closed_walk_counts(P3, 2), UNIT, (1, 2))
         assert res.value == pytest.approx(math.sqrt(8.0 / 3.0), abs=1e-8)
 
     def test_singleton_degenerate(self):
-        res = hankel_root_upper_bound(closed_walk_counts(K3, 2), UNIT, (1,), 3.0)
+        res = hankel_root_upper_bound(closed_walk_counts(K3, 2), UNIT, (1,))
         assert not res.applicable
-
-    def test_scan_hint_is_only_a_hint(self):
-        m = closed_walk_counts(K3, 2)
-        low = hankel_root_upper_bound(m, UNIT, (1, 2), 0.01).value
-        high = hankel_root_upper_bound(m, UNIT, (1, 2), 1000.0).value
-        assert low == pytest.approx(high, abs=1e-8)
 
     def test_three_positions_sound(self):
         for g in (K3, C4, complete_graph(5), star_graph(5)):
             m = closed_walk_counts(g, 6)
-            res = hankel_root_upper_bound(m, UNIT, (1, 2, 3), 6.0)
+            res = hankel_root_upper_bound(m, UNIT, (1, 2, 3))
             if res.applicable:
                 assert res.value >= eigen_decompose(g).rho - 1e-8
 
+    @pytest.mark.parametrize("n, rho", [(4, (1 + math.sqrt(5)) / 2), (5, math.sqrt(3))])
+    def test_exact_when_the_bulk_has_one_atom_fewer_than_positions(self, n, rho):
+        # P_n has n simple eigenvalues: with J = 1..n the closed-walk bulk
+        # (n - 1 atoms) makes the determinant vanish at rho itself; |J| >= 4
+        # takes the adjugate from Bareiss minors
+        m = closed_walk_counts(path_graph(n), 2 * n)
+        res = hankel_root_upper_bound(m, UNIT, range(1, n + 1))
+        assert rho * (1 - 1e-15) <= res.value <= rho * (1 + 1e-12)
+
     def test_vanishing_bulk_is_flagged_not_misrooted(self):
         # walks on a regular graph put all mass on the top atom, so the
-        # polynomial is a perfect square touching zero at rho; with deep
-        # positions the rescaled determinant is pure rounding noise and must
-        # be flagged degenerate, never returned as a (false) small root
+        # polynomial is a perfect square touching zero at rho; even with deep
+        # positions and moments past 2**53 the touching root comes back as rho
         g = complete_graph(12)
         m = walk_counts(g, 24)
-        assert m[22] > 2**53  # forces the geometric rescale
+        assert m[22] > 2**53
         weight = atom_weight_for(m, eigen_decompose(g))
-        res = hankel_root_upper_bound(m, weight, (11, 12), 12.0)
-        assert not res.applicable
-        assert "degenerate" in res.reason
+        res = hankel_root_upper_bound(m, weight, (11, 12))
+        assert res.applicable
+        assert 11.0 <= res.value <= 11.0 * (1.0 + 1e-12)
 
     def test_singular_leading_block_inapplicable(self):
         # walks on K_4 sit on one atom, so det H_{(1,2)} is exactly 0
@@ -199,12 +201,13 @@ class TestHankelRoot:
         assert not res.applicable and "leading Hankel block" in res.reason
 
     def test_vanishing_bulk_flagged_at_small_scale_too(self):
-        # same degeneracy without any rescaling: exact zeros, no sign change
+        # same touching root without any rescaling
         g = cycle_graph(4)
         m = walk_counts(g, 8)
         weight = atom_weight_for(m, eigen_decompose(g))
-        res = hankel_root_upper_bound(m, weight, (3, 4), 3.0)
-        assert not res.applicable
+        res = hankel_root_upper_bound(m, weight, (3, 4))
+        assert res.applicable
+        assert 2.0 <= res.value <= 2.0 * (1.0 + 1e-12)
 
 
 class TestStieltjesRoot:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,12 +10,16 @@ from swbounds.graph import complete_graph, parse_edge_list, serialize_edge_list
 from swbounds.report import (
     CSV_HEADER,
     CorpusEntry,
+    VerificationOutcome,
+    _verify_walks,
     build_report,
+    prepare_graph,
     report_csv_rows,
     report_from_dict,
     report_to_dict,
     run_verification,
 )
+from swbounds.walks import MomentSequence
 
 
 @pytest.fixture
@@ -150,3 +155,60 @@ class TestVerificationEngine:
         outcome = run_verification(entries, max_length=8, inject_corruption=True)
         assert len(outcome.violations) == 1
         assert "Hankel" in outcome.violations[0]
+
+    def test_rooted_counts_checked_against_the_vector_iteration(self):
+        prep = prepare_graph(CorpusEntry("k4", "complete", complete_graph(4)), 8)
+        first = prep.rooted_seqs[0]
+        wrong = MomentSequence(first.kind, first.values[:-1] + (first.values[-1] + 1,),
+                               vertex=first.vertex)
+        out = VerificationOutcome()
+        _verify_walks(out, dataclasses.replace(prep, rooted_seqs=(wrong, *prep.rooted_seqs[1:])))
+        assert any("vector iteration" in v for v in out.violations)
+
+
+def _bounds_json(capsys, *argv) -> tuple[int, dict]:
+    code = main(["bounds", *argv, "--format", "json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+class TestRootFinding:
+    """Graphs on which the float root scan crashed or returned roots below rho."""
+
+    def test_hankel_root_not_below_rho(self, capsys):
+        code, doc = _bounds_json(capsys, "--gen", "erdos_renyi:16:0.5", "--seed", "912792483")
+        assert code == 0
+        rows = [b for b in doc["bounds"] if b["name"] == "hankel_root" and b["applicable"]]
+        assert rows
+        assert all(b["value"] >= doc["rho_exact"] for b in rows)
+
+    @pytest.mark.parametrize("spec, seed", [("erdos_renyi:16:0.5", "3"),
+                                            ("erdos_renyi:20:0.3", "4")])
+    @pytest.mark.parametrize("j_set", ["9,10", "1,2,3,4,5"])
+    def test_deep_and_wide_index_sets(self, capsys, spec, seed, j_set):
+        code, doc = _bounds_json(capsys, "--gen", spec, "--seed", seed, "--K", "20",
+                                 "--J", j_set)
+        assert code == 0 and doc["violations"] == []
+
+    def test_deep_k_max(self, capsys):
+        code, doc = _bounds_json(capsys, "--gen", "erdos_renyi:16:0.5", "--seed", "9",
+                                 "--K", "20", "--k-max", "9")
+        assert code == 0 and doc["violations"] == []
+
+    @pytest.mark.parametrize("argv", [
+        ("--gen", "star:60", "--omega", "2"),
+        ("--gen", "cycle:120", "--omega", "2"),
+        ("--gen", "erdos_renyi:30:0.3", "--seed", "1"),
+        ("--gen", "erdos_renyi:60:0.3", "--seed", "1"),
+        ("--gen", "erdos_renyi:120:0.3", "--seed", "1"),
+    ])
+    def test_ladder_graphs_keep_the_sandwich(self, capsys, argv):
+        code, doc = _bounds_json(capsys, *argv)
+        assert code == 0 and doc["violations"] == []
+        rho = doc["rho_exact"]
+        live = [b for b in doc["bounds"] if b["applicable"]]
+        assert any(b["name"] == "hankel_root" for b in live)
+        for b in live:
+            if b["kind"] == "lower":
+                assert b["value"] <= rho * (1 + 1e-12)
+            else:
+                assert b["value"] >= rho * (1 - 1e-12)
