@@ -1,10 +1,12 @@
 """Lower bounds on the spectral radius from walk-count moment sequences.
 
 The closed-form bounds work on exact integer moments (2x2 determinants in
-big-int arithmetic, rooted only at the final step). The semidefinite bound is
-the largest |eigenvalue| of the pencil (S_n, H_n), the smallest u with both
-u*H_n - S_n and u*H_n + S_n PSD; which Hankel block is positive definite is
-decided on exact integer determinants.
+big-int arithmetic, rooted only at the final step). The semidefinite bound,
+the smallest u with both u*H_n - S_n and u*H_n + S_n PSD, is the largest
+|zero| of the measure's orthogonal polynomial det(x*H_r - S_r), whose
+coefficients are exact integers. Each top zero is reported only after an
+exact sign test places it at or above the reported value, so the bound
+never exceeds rho; no float matrix or tolerance is involved.
 """
 
 from __future__ import annotations
@@ -12,11 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .graph import Graph, degrees, triangle_counts
-from .moments import exact_determinant, hamburger_check, hankel_pair, hankel_pair_exact
-from .spectrum import symmetric_eigenvalues
+from .moments import orthogonal_polynomial
+from .roots import largest_real_root_below
 from .walks import KIND_WALKS, MomentSequence
 
 
@@ -165,38 +165,29 @@ def local_triangle_lower_bound(g: Graph) -> BoundResult:
 
 
 def sdp_lower_bound(m: MomentSequence, order: int) -> BoundResult:
-    """Minimal u with u*H_order +/- S_order both PSD, in closed form.
+    """Minimal u with u*H_order +/- S_order both PSD, certified from below.
 
-    The blocks use positions 1..order+1. For positive definite H that u is
-    the largest |lambda| of the pencil (S, H): with H = L L^T it is the
-    spectral radius of L^-1 S L^-T. A PSD block with a zero leading minor
-    det H_r means the measure has at most r atoms, and then the largest order
-    r <= order with det H_r > 0 (decided on exact integers) already gives the
-    optimum. The moment-ratio seeds m_{2s+1}/m_{2s} are folded in with max.
+    The blocks use positions 1..order+1. With r + 1 the number of positive
+    leading minors of H_order (all of them when it is definite; fewer when
+    the measure has at most r + 1 atoms, and then order r already gives the
+    optimum), that u is the largest |zero| of the Gauss-node polynomial
+    c(x) = det(x*H_r - S_r), whose integer coefficients come from
+    `orthogonal_polynomial`. The value is the largest of 0 and the top
+    zeros of c(x) and (-1)**(r+1) c(-x), each certified from below by an
+    exact sign test, so it never exceeds that u, which is at most rho.
     """
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    if 2 * order + 1 > m.max_index:
-        raise ValueError(f"need m_{2 * order + 1}, have up to m_{m.max_index}")
     params = _measure_params(m, n=order)
-    if not hamburger_check(m, order):
+    c = orthogonal_polynomial(m, order)
+    if c is None:
         return _not_applicable("sdp", "lower", "Hankel matrix not PSD", params)
-
-    value = max((m[2 * s + 1] / m[2 * s] for s in range(order + 1) if m[2 * s] > 0),
-                default=0.0)
-    for r in range(order, -1, -1):
-        positions = range(1, r + 2)
-        if exact_determinant(hankel_pair_exact(m, positions)[0]) <= 0:
-            continue
-        pair = hankel_pair(m, positions)
-        try:
-            chol = np.linalg.cholesky(pair.h)
-        except np.linalg.LinAlgError:
-            continue  # definite but too ill-conditioned for floats: a lower order still bounds
-        whitened = np.linalg.solve(chol, np.linalg.solve(chol, pair.s).T)
-        radius = float(np.max(np.abs(symmetric_eigenvalues(whitened))))
-        value = max(value, pair.scale * radius)
-        break
+    degree = len(c) - 1
+    mirrored = [-x if (degree - j) % 2 else x for j, x in enumerate(c)]
+    value = 0.0
+    for poly in (c, mirrored):
+        # real zeros and a positive leading coefficient: by Descartes' rule
+        # a positive zero exists exactly when a lower coefficient is negative
+        if any(x < 0 for x in poly[:-1]):
+            value = max(value, largest_real_root_below(poly))
     return BoundResult("sdp", "lower", value, params)
 
 

@@ -154,12 +154,15 @@ def eigvec_degree_upper_bound(g: Graph, summary: SpectralSummary) -> BoundResult
                        oracle_assisted=True)
 
 
-def bipartite_upper_bound(m: MomentSequence, weight: AtomWeight, k: int, g: Graph) -> BoundResult:
+def bipartite_upper_bound(m: MomentSequence, weight: AtomWeight, k: int,
+                          g: Graph | bool) -> BoundResult:
     """Halved even-moment bound on bipartite graphs.
 
     Eigenvalues of a bipartite graph come in +/- pairs, so the even moments
     double-count the top atom: rho <= (m_{2k} / (2 alpha_1)) ** (1/2k).
-    Only closed-walk measures (total or rooted) qualify.
+    Only closed-walk measures (total or rooted) qualify. `g` is the graph,
+    or whether it is bipartite when the caller has decided that once per
+    graph already (as `report.prepare_graph` does).
     """
     if m.kind == KIND_WALKS:
         raise ValueError("the halved bound applies to closed-walk measures only")
@@ -168,7 +171,7 @@ def bipartite_upper_bound(m: MomentSequence, weight: AtomWeight, k: int, g: Grap
     if 2 * k > m.max_index:
         raise ValueError(f"need m_{2 * k}, have up to m_{m.max_index}")
     params = _measure_params(m, k=k, alpha1=weight.alpha1)
-    flag, _ = is_bipartite(g)
+    flag = g if isinstance(g, bool) else is_bipartite(g)[0]
     if not flag:
         return _not_applicable("bipartite_half", "upper", "graph is not bipartite", params)
     if weight.alpha1 <= MIN_ATOM_WEIGHT:

@@ -1,9 +1,17 @@
-"""Hankel machinery of the moment problem: pair assembly and feasibility tests."""
+"""Hankel machinery of the moment problem: pair assembly and feasibility tests.
+
+Every positivity question on walk-count Hankel blocks is decided exactly, by
+one fraction-free elimination on the integer matrices (`exact_psd`), and the
+same elimination yields the measure's orthogonal polynomial for the
+semidefinite bound. The float blocks (`hankel_pair`, `hankel_matrix`) and the
+spectral `is_psd` are on no bound's path; they remain for float callers, and
+`perfbench/tracing.py` wraps them by name.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -149,11 +157,62 @@ def shifted_subsequence(m: MomentSequence, q: int, k: int, count: int) -> tuple[
     return tuple(m[q + i * k] for i in range(count))
 
 
+def _eliminate(a: list[list[int]], size: int) -> Optional[int]:
+    """Fraction-free symmetric elimination of the leading size x size block of a.
+
+    Works in place on the upper triangle (a[i][j] with j >= i), pivoting in
+    natural order; columns of a past `size` are carried along like the
+    others. A negative pivot, or a zero pivot whose remaining row is nonzero,
+    means the block is not PSD, and the result is None. A zero pivot whose
+    row is zero drops that index, and the last nonzero pivot stays the
+    divisor (Sylvester's identity holds for any set of eliminated indices).
+    Otherwise the result is the number of positive leading principal minors:
+    the pivots before the first zero one. For i below that count, a[i][i] is
+    the (i+1)-th leading minor and a[i][j] the minor on rows 0..i and
+    columns 0..i-1, j, so those rows form the Bareiss triangular system.
+    """
+    previous = 1
+    leading = None
+    for k in range(size):
+        row = a[k]
+        pivot = row[k]
+        if pivot < 0:
+            return None
+        if pivot == 0:
+            if any(row[k + 1:size]):
+                return None
+            if leading is None:
+                leading = k
+            continue
+        for i in range(k + 1, size):
+            factor = row[i]
+            target = a[i]
+            for j in range(i, len(target)):
+                target[j] = (target[j] * pivot - factor * row[j]) // previous
+        previous = pivot
+    return size if leading is None else leading
+
+
+def exact_psd(matrix: Sequence[Sequence[int]]) -> Optional[int]:
+    """Exact positive-semidefiniteness test of a symmetric integer matrix.
+
+    Returns None when the matrix is not PSD, else the number of its leading
+    principal minors that are positive. For a PSD matrix the leading minors
+    are positive up to the first zero one and zero from there on, so the
+    matrix is positive definite exactly when the count is its size. Only the
+    upper triangle is read.
+    """
+    a = [list(row) for row in matrix]
+    return _eliminate(a, len(a))
+
+
 def is_psd(matrix: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """Spectral positive-semidefiniteness test with a relative tolerance.
+    """Spectral positive-semidefiniteness test of a float matrix, with a
+    relative tolerance.
 
     True iff the smallest eigenvalue is >= -tol * max(1, largest |entry|).
-    Input must be symmetric within the same tolerance.
+    Input must be symmetric within the same tolerance. Integer Hankel
+    blocks go through `exact_psd` instead.
     """
     a = np.asarray(matrix, dtype=float)
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
@@ -163,19 +222,61 @@ def is_psd(matrix: np.ndarray, tol: float = PSD_TOL) -> bool:
     return float(values[-1]) >= -tol * scale
 
 
-def hamburger_check(m: MomentSequence, order: int, tol: float = PSD_TOL) -> bool:
-    """Necessary moment-sequence condition: H_order is positive semidefinite."""
+def _require_order(m: MomentSequence, order: int, top: int) -> None:
     if order < 0:
         raise MomentError("order must be non-negative")
-    if 2 * order > m.max_index:
-        raise MomentError(f"insufficient moments for order {order}")
-    h, _ = hankel_matrix(m, range(1, order + 2))
-    return is_psd(h, tol)
+    if top > m.max_index:
+        raise MomentError(f"insufficient moments for order {order}: need m_{top}, "
+                          f"have up to m_{m.max_index}")
 
 
-def stieltjes_feasible(m: MomentSequence, index_set: Iterable[int], u: float,
-                       tol: float = PSD_TOL) -> bool:
-    """Support-interval condition: both u*H_J - S_J and u*H_J + S_J are PSD."""
-    pair = hankel_pair(m, index_set)
-    t = u / pair.scale
-    return is_psd(t * pair.h - pair.s, tol) and is_psd(t * pair.h + pair.s, tol)
+def hamburger_check(m: MomentSequence, order: int) -> bool:
+    """Necessary moment-sequence condition: H_order is positive semidefinite,
+    decided exactly."""
+    _require_order(m, order, 2 * order)
+    size = order + 1
+    return exact_psd([[m[i + j] for j in range(size)] for i in range(size)]) is not None
+
+
+def stieltjes_feasible(m: MomentSequence, index_set: Iterable[int], u: float) -> bool:
+    """Support-interval condition: both u*H_J - S_J and u*H_J + S_J are PSD.
+
+    Decided exactly: with u = p/q, the tests run on the integer matrices
+    p*H_J -/+ q*S_J.
+    """
+    h, s = hankel_pair_exact(m, index_set)
+    p, q = u.as_integer_ratio()
+    return all(exact_psd([[p * x + sign * q * y for x, y in zip(h_row, s_row)]
+                          for h_row, s_row in zip(h, s)]) is not None
+               for sign in (-1, 1))
+
+
+def orthogonal_polynomial(m: MomentSequence, order: int) -> Optional[list[int]]:
+    """The Gauss-node polynomial of H_order on exact integers, or None when
+    H_order is not PSD.
+
+    With r + 1 the number of positive leading principal minors of H_order,
+    the result holds the ascending coefficients of
+    c(x) = det(x*H_r - S_r) = det(H_r) * P_{r+1}(x), where P_{r+1} is the
+    monic degree-(r+1) orthogonal polynomial of the measure:
+    c(x) = det(H_r) x^(r+1) - sum_j det(H_r) y_j x^j with H_r y = b,
+    b = (m_{r+1}, ..., m_{2r+1}). Its zeros are real and simple. One
+    elimination of the top order + 1 rows of H_{order+1} both decides PSD and
+    triangularizes that system (their column r + 1 is b); back substitution
+    with exact divisions gives det(H_r) * y, whose entries are integers by
+    Cramer's rule. Needs moments through m_{2*order+1}.
+    """
+    _require_order(m, order, 2 * order + 1)
+    a = [[m[i + j] for j in range(order + 2)] for i in range(order + 1)]
+    size = _eliminate(a, order + 1)
+    if size is None:
+        return None
+    if size == 0:
+        return [1]
+    det = a[size - 1][size - 1]
+    scaled = [0] * size
+    for i in range(size - 1, -1, -1):
+        row = a[i]
+        total = det * row[size] - sum(row[j] * scaled[j] for j in range(i + 1, size))
+        scaled[i] = total // row[i]
+    return [-y for y in scaled] + [det]

@@ -6,6 +6,10 @@ that the polynomial has no real root above u. The test is Descartes' rule on
 the Taylor coefficients at u; when that is inconclusive (complex roots with
 real part beyond u) a Sturm count decides. Where the Newton steps leave the
 concave region, bisection under the same test brackets the root instead.
+
+`largest_real_root_below` is its sibling for lower bounds: it returns the
+Newton estimate, stepped down until one exact sign test shows that a real
+root lies at or above it.
 """
 
 from __future__ import annotations
@@ -155,6 +159,50 @@ def _cauchy_bound(c: list[int]) -> float:
     return math.ldexp(1.0, (ratio + 1).bit_length())
 
 
+def _normalized(coeffs: Sequence[int]) -> list[int]:
+    """The coefficients without trailing zeros, negated if need be so that
+    the leading one is negative."""
+    c = list(coeffs)
+    while c and c[-1] == 0:
+        c.pop()
+    if len(c) < 2:
+        raise ValueError("need a non-constant polynomial")
+    return [-x for x in c] if c[-1] > 0 else c
+
+
+def _newton_estimate(terms: list[tuple[int, int]]) -> Optional[float]:
+    """_newton_from_above on the nonzero terms, scaled into float range."""
+    shift = max(0, max(abs(x).bit_length() for _, x in terms) - _FLOAT_BITS)
+    return _newton_from_above([(i, float(x >> shift)) for i, x in terms])
+
+
+def largest_real_root_below(coeffs: Sequence[int]) -> float:
+    """Largest real root of sum(coeffs[i] * r**i), certified from below.
+
+    The returned float v satisfies, exactly, that the polynomial is zero at v
+    or has there the sign opposite to its leading coefficient, so it has a
+    real root in [v, inf) and v is at most the largest one. v starts at the
+    Newton estimate (or, without one, at `largest_real_root`) and steps down
+    by growing multiples of _NUDGE until that test holds; on a simple top
+    root it lies within a few units in the last place. At a root of even
+    multiplicity the sign does not change, so v falls to a lower root, and
+    ValueError is raised when no real root changes the sign (or, as in
+    `largest_real_root`, when there is no real root).
+    """
+    c = _normalized(coeffs)
+    v = _newton_estimate([(i, x) for i, x in enumerate(c) if x])
+    if v is None:
+        v = largest_real_root(c)
+    step = abs(v) * _NUDGE or _NUDGE
+    while math.isfinite(v):
+        p, q = v.as_integer_ratio()
+        if _sign_at(c, p, q.bit_length() - 1) >= 0:
+            return v
+        v -= step
+        step *= 2.0
+    raise ValueError("no real root where the polynomial changes sign")
+
+
 def largest_real_root(coeffs: Sequence[int]) -> float:
     """Largest real root of sum(coeffs[i] * r**i), certified from above.
 
@@ -165,13 +213,7 @@ def largest_real_root(coeffs: Sequence[int]) -> float:
     roots included. Raises ValueError for a constant polynomial or one with
     no real root.
     """
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    if len(c) < 2:
-        raise ValueError("need a non-constant polynomial")
-    if c[-1] > 0:
-        c = [-x for x in c]
+    c = _normalized(coeffs)
     zeros = next(i for i, x in enumerate(c) if x)
     c = c[zeros:]
     if len(c) == 1:
@@ -194,8 +236,7 @@ def _certified_top(c: list[int]) -> float:
     """
     terms = [(i, x) for i, x in enumerate(c) if x]
     certified = _Certifier(c, terms)
-    shift = max(0, max(abs(x).bit_length() for _, x in terms) - _FLOAT_BITS)
-    guess = _newton_from_above([(i, float(x >> shift)) for i, x in terms])
+    guess = _newton_estimate(terms)
     if guess is None:
         bound = _cauchy_bound(c)
         if certified(-bound):

@@ -8,11 +8,12 @@ obtained from squared eigenvector sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .graph import Graph
-from .walks import all_rooted_closed_counts, closed_from_rooted, walk_counts
+from .walks import MomentSequence, all_rooted_closed_counts, closed_from_rooted, walk_counts
 
 
 @dataclass(frozen=True)
@@ -76,26 +77,34 @@ def spectral_weights(summary: SpectralSummary) -> tuple[float, np.ndarray]:
 def verify_moment_identities(g: Graph, max_length: int, tol: float = 1e-8) -> dict:
     """Cross-check exact walk counts against eigenvalue power sums.
 
-    Compares, for k = 0..max_length, the closed/rooted/total walk counts with
+    Builds the eigendecomposition and the three walk-count sequences of g
+    for k = 0..max_length and hands them to `moment_identity_deviations`.
+    """
+    rooted = all_rooted_closed_counts(g, max_length)
+    return moment_identity_deviations(eigen_decompose(g), walk_counts(g, max_length),
+                                      closed_from_rooted(rooted), rooted, tol)
+
+
+def moment_identity_deviations(summary: SpectralSummary, total: MomentSequence,
+                               closed: MomentSequence, rooted: Sequence[MomentSequence],
+                               tol: float = 1e-8) -> dict:
+    """Compare walk counts with the weighted eigenvalue power sums of summary.
+
+    Compares, for k = 0..max index, the closed/rooted/total walk counts with
     the corresponding weighted eigenvalue power sums. Deviations are measured
     relative to the absolute-term magnitude of each sum (so cancellation to
     an exact zero does not blow up the metric). Failures are reported in the
     returned dict, never raised.
     """
-    summary = eigen_decompose(g)
     lam = summary.eigenvalues
     abs_lam = np.abs(lam)
     weights = summary.weight_sums
     vw = summary.vertex_weights
 
-    rooted = all_rooted_closed_counts(g, max_length)
-    closed = closed_from_rooted(rooted)
-    total = walk_counts(g, max_length)
-
     dev_closed = 0.0
     dev_total = 0.0
     dev_rooted = 0.0
-    for k in range(max_length + 1):
+    for k in range(total.max_index + 1):
         pk = lam ** k
         apk = abs_lam ** k
 

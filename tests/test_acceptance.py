@@ -294,10 +294,10 @@ def test_criterion_10_hamburger_validity(prepared_corpus):
         for m in (prep.walks_seq, prep.closed_seq, *prep.rooted_seqs):
             for order in range(m.max_index // 2 + 1):
                 checked += 1
-                assert hamburger_check(m, order, tol=1e-9), (
+                assert hamburger_check(m, order), (
                     f"{prep.entry.name} {m.kind}: Hankel order {order} not PSD"
                 )
-    _line(10, True, f"{checked} Hankel matrices PSD at 1e-9 relative")
+    _line(10, True, f"{checked} Hankel matrices PSD, decided exactly")
 
 
 def test_criterion_11_eigensolver_sanity():

@@ -18,7 +18,8 @@ from swbounds.graph import (
     path_graph,
     star_graph,
 )
-from swbounds.report import corrupted_sequence, find_violations
+from swbounds.moments import exact_psd, orthogonal_polynomial
+from swbounds.report import corrupted_sequence, er_corpus, family_corpus, find_violations, prepare_graph
 from swbounds.spectrum import eigen_decompose
 from swbounds.walks import closed_walk_counts, closed_walk_counts_at, walk_counts
 
@@ -203,6 +204,46 @@ class TestSdp:
         # walks on a d-regular graph put all their mass on d
         res = sdp_lower_bound(walk_counts(g, 6), 2)
         assert res.value == pytest.approx(g.degree(0), rel=1e-12)
+
+
+def _at_most_rho(g, v):
+    """Exactly v <= rho(A): with v = p/q, p*I - q*A is not positive definite."""
+    p, q = v.as_integer_ratio()
+    shifted = [[p if i == j else 0 for j in range(g.n)] for i in range(g.n)]
+    for a, b in g.edges:
+        shifted[a][b] = shifted[b][a] = -q
+    return exact_psd(shifted) != g.n
+
+
+class TestSdpExactSandwich:
+    def test_every_value_at_most_rho(self):
+        checked = 0
+        for entry in family_corpus(8) + er_corpus(10):
+            prep = prepare_graph(entry)
+            for m in (prep.walks_seq, prep.closed_seq, *prep.rooted_seqs):
+                for order in (0, 1, 2, 3):
+                    res = sdp_lower_bound(m, order)
+                    if res.applicable:
+                        checked += 1
+                        assert _at_most_rho(entry.graph, res.value), (entry.name, m.kind, order)
+        assert checked > 1000
+
+    def test_exact_check_sees_a_value_one_ulp_above_rho(self):
+        # K_4: rho = 3 is a float, so the next float up is strictly above it
+        assert _at_most_rho(complete_graph(4), 3.0)
+        assert not _at_most_rho(complete_graph(4), math.nextafter(3.0, 4.0))
+
+    @pytest.mark.parametrize("seed", [1748, 1814])
+    def test_order_eleven_on_ill_conditioned_hankel_blocks(self, seed):
+        # K = 24 walk counts whose order-11 Hankel blocks are exactly definite
+        # but too ill-conditioned for a float Cholesky factorisation
+        entry = next(e for e in er_corpus() if e.name == f"er_15_0.3_{seed}")
+        m = walk_counts(entry.graph, 24)
+        assert len(orthogonal_polynomial(m, 11)) == 13  # degree 12: no order dropped
+        res = sdp_lower_bound(m, 11)
+        assert res.applicable and res.params["n"] == 11
+        assert _at_most_rho(entry.graph, res.value)
+        assert res.value >= eigen_decompose(entry.graph).rho * (1 - 1e-13)
 
 
 class TestBaselines:

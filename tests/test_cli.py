@@ -6,7 +6,7 @@ import pytest
 
 from swbounds.bounds_lower import BoundResult
 from swbounds.cli import main
-from swbounds.graph import complete_graph, parse_edge_list, serialize_edge_list
+from swbounds.graph import complete_graph, cycle_graph, parse_edge_list, serialize_edge_list
 from swbounds.report import (
     CSV_HEADER,
     CorpusEntry,
@@ -164,6 +164,16 @@ class TestVerificationEngine:
         out = VerificationOutcome()
         _verify_walks(out, dataclasses.replace(prep, rooted_seqs=(wrong, *prep.rooted_seqs[1:])))
         assert any("vector iteration" in v for v in out.violations)
+
+
+class TestVertexReduction:
+    def test_vertex_transitive_tie_reports_the_lowest_vertex(self):
+        # every vertex of C_60 gives the same value up to the rounding of its
+        # eigenvector entry; the reported vertex must not depend on those bits
+        report = build_report(CorpusEntry("cycle_60", "cycle", cycle_graph(60)), omega=2)
+        rows = [r for r in report.bounds if r.name == "hankel_root"
+                and r.params["measure"] == "closed_walks_at" and r.params["J"] == [1, 2, 3]]
+        assert len(rows) == 1 and rows[0].params["vertex"] == 0
 
 
 def _bounds_json(capsys, *argv) -> tuple[int, dict]:

@@ -9,11 +9,13 @@ from swbounds.graph import Graph, complete_graph, path_graph
 from swbounds.moments import (
     MomentError,
     exact_determinant,
+    exact_psd,
     hamburger_check,
     hankel_matrix,
     hankel_pair,
     hankel_pair_exact,
     is_psd,
+    orthogonal_polynomial,
     shifted_subsequence,
     stieltjes_feasible,
 )
@@ -145,6 +147,68 @@ class TestPsd:
         assert not is_psd(np.array([[1.0, 0.0], [0.0, -1e-3]]))
 
 
+class TestExactPsd:
+    def test_definite_counts_every_leading_minor(self):
+        assert exact_psd([[2, 1, 0], [1, 2, 1], [0, 1, 2]]) == 3
+        assert exact_psd([[7]]) == 1
+        assert exact_psd([]) == 0
+
+    def test_semidefinite_stops_the_count_at_the_first_zero_minor(self):
+        # rank one: every leading minor past the first is zero
+        assert exact_psd([[1, 2, 3], [2, 4, 6], [3, 6, 9]]) == 1
+        assert exact_psd([[0, 0], [0, 0]]) == 0
+
+    def test_negative_pivot(self):
+        assert exact_psd([[-1]]) is None
+        # leading pivot fine, Schur complement 1 - 4 < 0
+        assert exact_psd([[1, 2], [2, 1]]) is None
+
+    def test_zero_pivot_with_nonzero_row_is_not_psd(self):
+        assert exact_psd([[0, 1], [1, 5]]) is None
+        assert exact_psd([[1, 1, 1], [1, 1, 2], [1, 2, 9]]) is None
+
+    def test_zero_row_is_skipped(self):
+        # index 1 drops out; the rest, [[4, 2], [2, 3]], is definite
+        assert exact_psd([[4, 0, 2], [0, 0, 0], [2, 0, 3]]) == 1
+        # ... and an indefinite rest is still caught after the skip
+        assert exact_psd([[4, 0, 2], [0, 0, 0], [2, 0, 0]]) is None
+
+    def test_entries_beyond_float_range(self):
+        big = 2 ** 200 + 1
+        # det = big * (big + 1) - big**2 = big > 0, far below float resolution
+        assert exact_psd([[big, big], [big, big + 1]]) == 2
+        assert exact_psd([[big, big], [big, big - 1]]) is None
+        assert exact_psd([[big, big], [big, big]]) == 1
+
+    @given(st.lists(st.integers(-6, 6), min_size=9, max_size=9))
+    @settings(max_examples=60, deadline=None)
+    def test_gram_matrices_are_psd_with_rank_many_positive_minors(self, entries):
+        rows = [entries[i:i + 3] for i in range(0, 9, 3)]
+        gram = [[sum(a * b for a, b in zip(u, v)) for v in rows] for u in rows]
+        count = exact_psd(gram)
+        assert count is not None
+        minors = [exact_determinant([r[:k] for r in gram[:k]]) for k in range(1, 4)]
+        assert count == next((k for k, d in enumerate(minors) if d == 0), 3)
+
+
+class TestOrthogonalPolynomial:
+    def test_k3_closed_walks(self):
+        # atoms 2 (weight 1) and -1 (weight 2): 18 (x - 2)(x + 1)
+        assert orthogonal_polynomial(closed_walk_counts(complete_graph(3), 3), 1) == [-36, -18, 18]
+
+    def test_degree_drops_with_the_atom_count(self):
+        # walks on K_4 sit on the single atom 3: 4 x - 12 at every order
+        m = walk_counts(complete_graph(4), 7)
+        assert orthogonal_polynomial(m, 3) == [-12, 4]
+
+    def test_not_psd(self):
+        assert orthogonal_polynomial(seq(1, 2, 1, 0), 1) is None
+
+    def test_insufficient(self):
+        with pytest.raises(MomentError):
+            orthogonal_polynomial(seq(3, 0, 6), 1)
+
+
 class TestHamburger:
     def test_k3_order1(self):
         assert hamburger_check(closed_walk_counts(complete_graph(3), 3), 1)
@@ -180,3 +244,9 @@ class TestStieltjesFeasibility:
         g = complete_graph(4)
         m = closed_walk_counts(g, 12)
         assert not stieltjes_feasible(m, (1, 2), 1.0)  # rho = 3
+
+    def test_exact_at_the_support_edge(self):
+        # closed walks on K_4 sit on {3, -1}: feasible from u = 3 on, exactly
+        m = closed_walk_counts(complete_graph(4), 12)
+        assert stieltjes_feasible(m, (1, 2, 3), 3.0)
+        assert not stieltjes_feasible(m, (1, 2, 3), 3.0 - 2.0 ** -50)

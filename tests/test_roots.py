@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swbounds import roots
-from swbounds.roots import largest_real_root
+from swbounds.roots import largest_real_root, largest_real_root_below
 
 
 def _product(*factors):
@@ -115,3 +115,67 @@ def test_integer_roots_with_complex_factors(real_roots, repeat_top, quadratics, 
     u = largest_real_root(coeffs)
     _assert_certified(coeffs, u)
     assert top <= u <= top + 1e-12 * max(1, abs(top))
+
+
+def _assert_certified_below(coeffs, v):
+    # zero at v, or the sign opposite to the leading coefficient: a real root
+    # lies in [v, inf)
+    assert _value(coeffs, v) * coeffs[-1] <= 0
+
+
+@pytest.mark.parametrize("name", ["simple", "complex_beyond", "one_sign_change", "zero_roots"])
+def test_known_simple_roots_from_below(name):
+    coeffs, root = CASES[name]
+    v = largest_real_root_below(coeffs)
+    _assert_certified_below(coeffs, v)
+    assert abs(v - root) <= 1e-12 * max(1.0, root)
+    v_flipped = largest_real_root_below([-c for c in coeffs])
+    _assert_certified_below([-c for c in coeffs], v_flipped)
+
+
+def test_below_steps_down_from_an_estimate_above_the_root(monkeypatch):
+    # -(r - 1/3)(r + 1): the estimate one nudge above 1/3 fails the sign test
+    coeffs = _product([-1, 3], [1, 1], [-1])
+    monkeypatch.setattr(roots, "_newton_estimate", lambda terms: 1.0 / 3.0 + 1e-9)
+    v = largest_real_root_below(coeffs)
+    _assert_certified_below(coeffs, v)
+    assert v <= Fraction(1, 3) and 1.0 / 3.0 - v < 1e-8
+
+
+def test_below_without_a_newton_estimate_falls_back(monkeypatch):
+    coeffs, root = CASES["simple"]
+    monkeypatch.setattr(roots, "_newton_estimate", lambda terms: None)
+    v = largest_real_root_below(coeffs)
+    _assert_certified_below(coeffs, v)
+    assert abs(v - root) <= 1e-12 * root
+
+
+def test_below_needs_a_sign_change():
+    with pytest.raises(ValueError, match="changes sign"):
+        largest_real_root_below(_product([-3, 1], [-3, 1], [-1]))
+    with pytest.raises(ValueError, match="no real root"):
+        largest_real_root_below([-1, 0, -1])
+
+
+def test_below_beyond_float_range():
+    coeffs = [c * 10 ** 400 for c in _product([-3, 1], [1, 1], [-1])]
+    v = largest_real_root_below(coeffs)
+    _assert_certified_below(coeffs, v)
+    assert abs(v - 3.0) <= 1e-12 * 3.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    real_roots=st.lists(st.integers(-40, 40), min_size=1, max_size=5, unique=True),
+    denominator=st.integers(1, 7),
+    quadratics=st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 30)), max_size=2),
+)
+def test_simple_rational_roots_from_below(real_roots, denominator, quadratics):
+    # roots r / denominator, mostly not floats, so the sign test decides
+    factors = [[-r, denominator] for r in real_roots]
+    factors += [[a * a + b * b, -2 * a, 1] for a, b in quadratics]
+    coeffs = _product(*factors)
+    top = Fraction(max(real_roots), denominator)
+    v = largest_real_root_below(coeffs)
+    _assert_certified_below(coeffs, v)
+    assert v <= top and float(top) - v <= 1e-12 * max(1, abs(float(top)))
