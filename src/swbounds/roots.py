@@ -7,9 +7,9 @@ the Taylor coefficients at u; when that is inconclusive (complex roots with
 real part beyond u) a Sturm count decides. Where the Newton steps leave the
 concave region, bisection under the same test brackets the root instead.
 
-`largest_real_root_below` is its sibling for lower bounds: it returns the
-Newton estimate, stepped down until one exact sign test shows that a real
-root lies at or above it.
+`largest_real_root_below` is its sibling for lower bounds: from the Newton
+estimate it brackets a sign change by exact sign tests and bisects, and
+returns the end at which the sign shows that a real root lies at or above it.
 """
 
 from __future__ import annotations
@@ -181,26 +181,45 @@ def largest_real_root_below(coeffs: Sequence[int]) -> float:
 
     The returned float v satisfies, exactly, that the polynomial is zero at v
     or has there the sign opposite to its leading coefficient, so it has a
-    real root in [v, inf) and v is at most the largest one. v starts at the
-    Newton estimate (or, without one, at `largest_real_root`) and steps down
-    by growing multiples of _NUDGE until that test holds; on a simple top
-    root it lies within a few units in the last place. At a root of even
-    multiplicity the sign does not change, so v falls to a lower root, and
-    ValueError is raised when no real root changes the sign (or, as in
-    `largest_real_root`, when there is no real root).
+    real root in [v, inf) and v is at most the largest one. The float Newton
+    estimate (or, without one, `largest_real_root`) can be off by far more
+    than rounding where nearby roots make the float evaluation cancel, so it
+    only seeds the search: steps of growing multiples of _NUDGE, up or down
+    from it, bracket a sign change between a certified lo and an
+    uncertified hi, and exact bisection narrows it to within a few units in
+    the last place. At a root of even multiplicity the sign does not change,
+    so v falls to a lower root, and ValueError is raised when no real root
+    changes the sign (or, as in `largest_real_root`, when there is no real
+    root).
     """
     c = _normalized(coeffs)
     v = _newton_estimate([(i, x) for i, x in enumerate(c) if x])
     if v is None:
         v = largest_real_root(c)
+
+    def certified(u: float) -> bool:
+        p, q = u.as_integer_ratio()
+        return _sign_at(c, p, q.bit_length() - 1) >= 0
+
     step = abs(v) * _NUDGE or _NUDGE
-    while math.isfinite(v):
-        p, q = v.as_integer_ratio()
-        if _sign_at(c, p, q.bit_length() - 1) >= 0:
-            return v
-        v -= step
-        step *= 2.0
-    raise ValueError("no real root where the polynomial changes sign")
+    lo = hi = v
+    if certified(v):
+        while certified(hi):
+            lo, hi, step = hi, hi + step, 2.0 * step
+    else:
+        while not certified(lo):
+            lo, hi, step = lo - step, lo, 2.0 * step
+            if not math.isfinite(lo):
+                raise ValueError("no real root where the polynomial changes sign")
+    while hi - lo > 2.0 * _NUDGE * max(abs(lo), abs(hi), 1.0):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if certified(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def largest_real_root(coeffs: Sequence[int]) -> float:
