@@ -53,7 +53,6 @@ from .moments import (
     hankel_pair,
     hankel_pair_exact,
     is_psd,
-    shifted_subsequence,
     stieltjes_feasible,
 )
 from .report import (
@@ -71,7 +70,6 @@ from .roots import largest_real_root
 from .spectrum import (
     SpectralSummary,
     eigen_decompose,
-    spectral_weights,
     symmetric_eigenvalues,
     verify_moment_identities,
 )

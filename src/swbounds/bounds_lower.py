@@ -191,10 +191,8 @@ def sdp_lower_bound(m: MomentSequence, order: int) -> BoundResult:
     return BoundResult("sdp", "lower", value, params)
 
 
-def baseline_lower_bounds(g: Graph, m_w: MomentSequence,
-                          sr_pairs: tuple[tuple[int, int], ...] = ()) -> list[BoundResult]:
-    """Classical comparison bounds: the four walk-ratio forms, optional
-    (s, r) walk ratios, and sqrt(max degree)."""
+def baseline_lower_bounds(g: Graph, m_w: MomentSequence) -> list[BoundResult]:
+    """Classical comparison bounds: the four walk-ratio forms and sqrt(max degree)."""
     if m_w.kind != KIND_WALKS:
         raise ValueError("baselines need the total-walk sequence")
     if m_w.max_index < 6:
@@ -210,12 +208,6 @@ def baseline_lower_bounds(g: Graph, m_w: MomentSequence,
     out.append(ratio("baseline_sqrt_w2_w0", m_w[2], m_w[0], 2))
     out.append(ratio("baseline_sqrt_w4_w2", m_w[4], m_w[2], 2))
     out.append(ratio("baseline_sqrt_w6_w4", m_w[6], m_w[4], 2))
-    for s, r in sr_pairs:
-        if s < 0 or r < 1 or 2 * s + r > m_w.max_index:
-            raise ValueError(f"walk-ratio pair ({s}, {r}) out of range")
-        res = ratio("baseline_walk_ratio", m_w[2 * s + r], m_w[2 * s], r)
-        out.append(BoundResult(res.name, res.kind, res.value, {"s": s, "r": r},
-                               res.applicable, res.reason))
     _, max_degree = degrees(g)
     out.append(BoundResult("baseline_sqrt_max_degree", "lower",
                            math.sqrt(max_degree), {}))

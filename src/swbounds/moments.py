@@ -138,25 +138,6 @@ def exact_determinant(matrix: Sequence[Sequence[int]]) -> int:
     return sign * a[-1][-1] if size else 1
 
 
-def shifted_subsequence(m: MomentSequence, q: int, k: int, count: int) -> tuple[int, ...]:
-    """Strided slice (m_q, m_{q+k}, ..., m_{q+(count-1)k}).
-
-    These are the moments of the measure obtained by weighting atoms with
-    their q-th power and raising atom positions to the k-th power; q must be
-    even so the reweighting stays non-negative.
-    """
-    if q < 0 or q % 2 != 0:
-        raise MomentError(f"offset q must be even and non-negative, got {q}")
-    if k < 1:
-        raise MomentError("stride k must be >= 1")
-    if count < 1:
-        raise MomentError("count must be >= 1")
-    top = q + (count - 1) * k
-    if top > m.max_index:
-        raise MomentError(f"range exceeded: need m_{top}, have up to m_{m.max_index}")
-    return tuple(m[q + i * k] for i in range(count))
-
-
 def _eliminate(a: list[list[int]], size: int) -> Optional[int]:
     """Fraction-free symmetric elimination of the leading size x size block of a.
 

@@ -583,7 +583,8 @@ def _verify_moment_machinery(out: VerificationOutcome, prep: PreparedGraph,
 def _verify_sandwich(out: VerificationOutcome, prep: PreparedGraph, tol: float,
                      s_max: int, k_max: int,
                      j_sets: Sequence[tuple[int, ...]],
-                     sdp_orders: Sequence[int]) -> None:
+                     sdp_orders: Sequence[int]) -> list[BoundResult]:
+    """Check every swept bound against rho; return the rows for the other checks."""
     rho = prep.summary.rho
     bounds = [r for r, _ in sweep_bounds(prep, s_max, k_max, j_sets, sdp_orders,
                                          vertex_mode="all")]
@@ -597,75 +598,63 @@ def _verify_sandwich(out: VerificationOutcome, prep: PreparedGraph, tol: float,
             out.worst_upper_margin = max(out.worst_upper_margin, rho - r.value)
     for message in find_violations(bounds, rho, tol):
         out.fail(f"{prep.entry.name}: {message}")
+    return bounds
+
+
+# k <= 3 keeps `swb verify`'s check count comparable across versions; the
+# even-moment orderings also hold at k = 4 on the default corpus
+_EVEN_MOMENT_CHECK_K = 3
+_BELOW_EVEN_MOMENT = {
+    "two_point": "two-point bound",
+    "stieltjes_root": "odd-moment root",
+    "bipartite_half": "halved bound",
+}
 
 
 def _verify_dominance(out: VerificationOutcome, prep: PreparedGraph,
-                      k_max: int, sdp_orders: Sequence[int]) -> None:
+                      rows: Sequence[BoundResult]) -> None:
+    """Check the orderings of the bound hierarchy on one sweep's rows.
+
+    Per sequence: the two-point, Stieltjes and halved bounds lie below the
+    even-moment bound, which on walks lies below the clique hierarchy; each
+    quadratic root is at least its vertex value; and `sdp` does not decrease
+    with the order and is at least the ratio seeds m_{2s+1}/m_{2s} its
+    blocks contain. Only applicable rows are compared, and no bound is
+    evaluated again.
+    """
     name = prep.entry.name
-    summary = prep.summary
-    horizon = prep.closed_seq.max_index
+    index: dict = {}
+    for r in rows:
+        p = r.params
+        if r.applicable:
+            index.setdefault((p.get("measure"), p.get("vertex")), {})[
+                (r.name, p.get("s"), p.get("k"), p.get("n"))] = r
+    hierarchy = prep.connected and prep.omega is not None and prep.omega >= 2
     for m in [prep.walks_seq, prep.closed_seq, *prep.rooted_seqs]:
-        weight = atom_weight_for(m, summary)
-        for k in range(1, min(k_max, 3) + 1):
-            if 2 * k + 1 > horizon:
-                continue
-            even = even_moment_upper_bound(m, weight, k)
-            if not even.applicable:
-                continue
-            two = two_point_upper_bound(m, weight, k)
-            if two.applicable:
-                out.check(two.value <= even.value + 1e-9,
-                          f"{name}: two-point bound above even-moment bound ({m.kind}, k={k})")
-            stj = stieltjes_root_upper_bound(m, weight, k)
-            if stj.applicable:
-                out.check(stj.value <= even.value + 1e-9,
-                          f"{name}: odd-moment root above even-moment bound ({m.kind}, k={k})")
-            if m.kind != KIND_WALKS and prep.bipartite:
-                half = bipartite_upper_bound(m, weight, k, prep.bipartite)
-                if half.applicable:
-                    out.check(half.value <= even.value + 1e-9,
-                              f"{name}: halved bound above even-moment bound ({m.kind}, k={k})")
-        for s in range(0, 4):
-            for k in range(1, k_max + 1):
-                if 2 * s + 3 * k > horizon:
-                    continue
-                quad = quadratic_root_lower_bound(m, s, k)
-                if not quad.applicable:
-                    continue
+        found = index.get((m.kind, m.vertex), {})
+        sdp = sorted((n, r.value) for (bound, _, _, n), r in found.items() if bound == "sdp")
+        for (o1, v1), (o2, v2) in zip(sdp, sdp[1:]):
+            out.check(v2 >= v1 - 1e-6,
+                      f"{name}: support bound decreased from order {o1} to {o2} ({m.kind})")
+        for (bound, s, k, _), r in found.items():
+            if bound == "even_moment" and k <= _EVEN_MOMENT_CHECK_K:
+                for other, label in _BELOW_EVEN_MOMENT.items():
+                    below = found.get((other, None, k, None))
+                    if below is not None:
+                        out.check(below.value <= r.value + 1e-9,
+                                  f"{name}: {label} above even-moment bound ({m.kind}, k={k})")
+                if hierarchy and m.kind == KIND_WALKS:
+                    reference = ((1.0 - 1.0 / prep.omega) * m[2 * k]) ** (1.0 / (2 * k + 1))
+                    out.check(r.value <= reference + 1e-9,
+                              f"{name}: fundamental-weight bound above clique hierarchy (k={k})")
+            elif bound == "quadratic_root":
                 det_h, _, det_f = _det_blocks(m, s, k)
                 floor = (abs(det_f) / (2 * det_h)) ** (1.0 / k)
-                out.check(quad.value >= floor - 1e-9,
+                out.check(r.value >= floor - 1e-9,
                           f"{name}: quadratic root below its vertex value ({m.kind}, s={s}, k={k})")
-        if len(sdp_orders) > 1:
-            values = []
-            for order in sorted(sdp_orders):
-                if 2 * order + 1 > horizon:
-                    continue
-                res = sdp_lower_bound(m, order)
-                if res.applicable:
-                    values.append((order, res.value))
-            for (o1, v1), (o2, v2) in zip(values, values[1:]):
-                out.check(v2 >= v1 - 1e-6,
-                          f"{name}: support bound decreased from order {o1} to {o2} ({m.kind})")
-            if values:
-                top_order, top_value = values[-1]
-                for s in range(top_order + 1):
-                    if m[2 * s] > 0:
-                        ratio = ratio_lower_bound(m, s, 1)
-                        out.check(top_value >= ratio.value - 1e-6,
-                                  f"{name}: support bound below ratio seed ({m.kind}, s={s})")
-
-    if prep.connected and prep.omega is not None and prep.omega >= 2:
-        weight = atom_weight_for(prep.walks_seq, summary)
-        for k in range(1, min(k_max, 3) + 1):
-            if 2 * k > horizon:
-                continue
-            even = even_moment_upper_bound(prep.walks_seq, weight, k)
-            if not even.applicable:
-                continue
-            reference = ((1.0 - 1.0 / prep.omega) * prep.walks_seq[2 * k]) ** (1.0 / (2 * k + 1))
-            out.check(even.value <= reference + 1e-9,
-                      f"{name}: fundamental-weight bound above clique hierarchy (k={k})")
+            elif bound == "ratio" and k == 1 and sdp and s <= sdp[-1][0]:
+                out.check(sdp[-1][1] >= r.value - 1e-6,
+                          f"{name}: support bound below ratio seed ({m.kind}, s={s})")
 
 
 def corrupted_sequence(length: int) -> MomentSequence:
@@ -688,8 +677,8 @@ def run_verification(entries: Sequence[CorpusEntry], max_length: int = DEFAULT_M
         _verify_walks(out, prep)
         _verify_spectrum(out, prep)
         _verify_moment_machinery(out, prep, tol, j_sets)
-        _verify_sandwich(out, prep, tol, s_max, k_max, j_sets, sdp_orders)
-        _verify_dominance(out, prep, k_max, sdp_orders)
+        rows = _verify_sandwich(out, prep, tol, s_max, k_max, j_sets, sdp_orders)
+        _verify_dominance(out, prep, rows)
         if len(out.violations) > before:
             out.offenders.append(entry)
     if inject_corruption:

@@ -21,8 +21,9 @@ from typing import Optional, Sequence
 _FLOAT_BITS = 1000
 # a Newton step this small, relative to the iterate, is the last one
 _NEWTON_TOL = 2.0 ** -44
-# first step either side of a candidate, as a fraction of it; the bracket
-# around the root is narrowed to twice this
+# first step either side of a candidate of `largest_real_root`, as a fraction
+# of it, whose bracket is narrowed to twice this; the first step from 0
+# in `largest_real_root_below`
 _NUDGE = 2.0 ** -50
 
 
@@ -184,13 +185,14 @@ def largest_real_root_below(coeffs: Sequence[int]) -> float:
     real root in [v, inf) and v is at most the largest one. The float Newton
     estimate (or, without one, `largest_real_root`) can be off by far more
     than rounding where nearby roots make the float evaluation cancel, so it
-    only seeds the search: steps of growing multiples of _NUDGE, up or down
-    from it, bracket a sign change between a certified lo and an
-    uncertified hi, and exact bisection narrows it to within a few units in
-    the last place. At a root of even multiplicity the sign does not change,
-    so v falls to a lower root, and ValueError is raised when no real root
-    changes the sign (or, as in `largest_real_root`, when there is no real
-    root).
+    only seeds the search: steps up or down from it, starting at one unit in
+    the last place and doubling, bracket a sign change between a certified
+    lo and an uncertified hi, and exact bisection narrows it until the two
+    are adjacent floats. So v is the largest float at or below that root,
+    and it does not decrease as the root rises. At a root of even
+    multiplicity the sign does not change, so v falls to a lower root, and
+    ValueError is raised when no real root changes the sign (or, as in
+    `largest_real_root`, when there is no real root).
     """
     c = _normalized(coeffs)
     v = _newton_estimate([(i, x) for i, x in enumerate(c) if x])
@@ -201,7 +203,7 @@ def largest_real_root_below(coeffs: Sequence[int]) -> float:
         p, q = u.as_integer_ratio()
         return _sign_at(c, p, q.bit_length() - 1) >= 0
 
-    step = abs(v) * _NUDGE or _NUDGE
+    step = math.ulp(v) if v else _NUDGE
     lo = hi = v
     if certified(v):
         while certified(hi):
@@ -211,7 +213,7 @@ def largest_real_root_below(coeffs: Sequence[int]) -> float:
             lo, hi, step = lo - step, lo, 2.0 * step
             if not math.isfinite(lo):
                 raise ValueError("no real root where the polynomial changes sign")
-    while hi - lo > 2.0 * _NUDGE * max(abs(lo), abs(hi), 1.0):
+    while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break

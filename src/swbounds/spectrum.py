@@ -69,11 +69,6 @@ def eigen_decompose(g: Graph) -> SpectralSummary:
     )
 
 
-def spectral_weights(summary: SpectralSummary) -> tuple[float, np.ndarray]:
-    """Leading-atom weights: the squared eigenvector-sum and per-vertex squares."""
-    return float(summary.weight_sums[0]), summary.vertex_weights[:, 0].copy()
-
-
 def verify_moment_identities(g: Graph, max_length: int, tol: float = 1e-8) -> dict:
     """Cross-check exact walk counts against eigenvalue power sums.
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from swbounds import report
 from swbounds.bounds_lower import BoundResult
 from swbounds.cli import main
 from swbounds.graph import complete_graph, cycle_graph, parse_edge_list, serialize_edge_list
@@ -11,15 +12,18 @@ from swbounds.report import (
     CSV_HEADER,
     CorpusEntry,
     VerificationOutcome,
+    _verify_dominance,
     _verify_walks,
     build_report,
+    er_corpus,
     prepare_graph,
     report_csv_rows,
     report_from_dict,
     report_to_dict,
     run_verification,
+    sweep_bounds,
 )
-from swbounds.walks import MomentSequence
+from swbounds.walks import KIND_CLOSED, MomentSequence
 
 
 @pytest.fixture
@@ -164,6 +168,48 @@ class TestVerificationEngine:
         out = VerificationOutcome()
         _verify_walks(out, dataclasses.replace(prep, rooted_seqs=(wrong, *prep.rooted_seqs[1:])))
         assert any("vector iteration" in v for v in out.violations)
+
+    def test_dominance_sees_a_two_point_row_above_its_even_moment_row(self):
+        prep = prepare_graph(CorpusEntry("k4", "complete", complete_graph(4)), 8)
+        rows = [r for r, _ in sweep_bounds(prep, vertex_mode="all")]
+        clean = VerificationOutcome()
+        _verify_dominance(clean, prep, rows)
+        assert clean.checks > 0 and clean.violations == []
+
+        def closed_k1(r, name):
+            return r.name == name and r.params["measure"] == KIND_CLOSED and r.params["k"] == 1
+
+        even = next(r for r in rows if closed_k1(r, "even_moment"))
+        assert any(closed_k1(r, "two_point") and r.applicable for r in rows)
+        raised = [dataclasses.replace(r, value=even.value + 1.0) if closed_k1(r, "two_point")
+                  else r for r in rows]
+        out = VerificationOutcome()
+        _verify_dominance(out, prep, raised)
+        assert out.checks == clean.checks
+        assert out.violations == [
+            "k4: two-point bound above even-moment bound (closed_walks, k=1)"]
+
+    def test_each_bound_is_evaluated_once_per_row(self, monkeypatch):
+        calls = {}
+
+        def counted(name):
+            fn = getattr(report, name)
+
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+            monkeypatch.setattr(report, name, wrapper)
+
+        counted("stieltjes_root_upper_bound")
+        counted("sdp_lower_bound")
+        entries = [CorpusEntry("k4", "complete", complete_graph(4)), er_corpus(1)[0]]
+        outcome = run_verification(entries)
+        assert outcome.violations == []
+        # walks, closed and one rooted sequence per vertex; at K = 12 the
+        # sweep takes k = 1..4 (k_max) and SDP orders 0, 1 and 2
+        sequences = sum(2 + entry.graph.n for entry in entries)
+        assert calls == {"stieltjes_root_upper_bound": 4 * sequences,
+                         "sdp_lower_bound": 3 * sequences}
 
 
 class TestVertexReduction:

@@ -16,7 +16,6 @@ from swbounds.moments import (
     hankel_pair_exact,
     is_psd,
     orthogonal_polynomial,
-    shifted_subsequence,
     stieltjes_feasible,
 )
 from swbounds.spectrum import eigen_decompose
@@ -103,26 +102,6 @@ class TestExactDeterminant:
     def test_matches_float_determinant(self, entries):
         rows = [entries[i:i + 4] for i in range(0, 16, 4)]
         assert exact_determinant(rows) == round(np.linalg.det(np.array(rows, dtype=float)))
-
-
-class TestShiftedSubsequence:
-    def test_stride_two(self):
-        assert shifted_subsequence(closed_walk_counts(complete_graph(3), 3), 0, 2, 2) == (3, 6)
-
-    def test_offset(self):
-        assert shifted_subsequence(walk_counts(path_graph(3), 2), 2, 1, 1) == (6,)
-
-    def test_identity_stride(self):
-        m = closed_walk_counts(path_graph(3), 3)
-        assert shifted_subsequence(m, 0, 1, 4) == (3, 0, 4, 0)
-
-    def test_odd_offset_rejected(self):
-        with pytest.raises(MomentError, match="even"):
-            shifted_subsequence(seq(1, 2, 3), 1, 1, 1)
-
-    def test_range_exceeded(self):
-        with pytest.raises(MomentError, match="range"):
-            shifted_subsequence(seq(1, 2, 3), 0, 2, 3)
 
 
 class TestPsd:

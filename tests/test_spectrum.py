@@ -7,7 +7,6 @@ from swbounds.graph import complete_graph, cycle_graph, path_graph, star_graph
 from swbounds.spectrum import (
     adjacency_array,
     eigen_decompose,
-    spectral_weights,
     symmetric_eigenvalues,
     verify_moment_identities,
 )
@@ -66,19 +65,19 @@ class TestJacobi:
 
 class TestWeights:
     def test_k3_fundamental_weight(self):
-        c1, _ = spectral_weights(eigen_decompose(complete_graph(3)))
-        assert c1 == pytest.approx(3.0, abs=1e-10)
+        summary = eigen_decompose(complete_graph(3))
+        assert summary.weight_sums[0] == pytest.approx(3.0, abs=1e-10)
 
     def test_star_vertex_weights(self):
         # hub weight solves a = 2b with a^2 + 4 b^2 = 1
-        _, per_vertex = spectral_weights(eigen_decompose(star_graph(4)))
+        per_vertex = eigen_decompose(star_graph(4)).vertex_weights[:, 0]
         assert per_vertex[0] == pytest.approx(0.5, abs=1e-10)
         assert np.allclose(per_vertex[1:], 0.125, atol=1e-10)
 
     def test_c4_uniform_weights(self):
-        c1, per_vertex = spectral_weights(eigen_decompose(cycle_graph(4)))
-        assert c1 == pytest.approx(4.0, abs=1e-10)
-        assert np.allclose(per_vertex, 0.25, atol=1e-10)
+        summary = eigen_decompose(cycle_graph(4))
+        assert summary.weight_sums[0] == pytest.approx(4.0, abs=1e-10)
+        assert np.allclose(summary.vertex_weights[:, 0], 0.25, atol=1e-10)
 
     def test_vertex_weights_sum_to_one(self):
         summary = eigen_decompose(cycle_graph(5))
