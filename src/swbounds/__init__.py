@@ -66,7 +66,7 @@ from .report import (
     standard_corpus,
     sweep_bounds,
 )
-from .roots import largest_real_root
+from .roots import largest_real_root_bracket
 from .spectrum import (
     SpectralSummary,
     eigen_decompose,

@@ -4,9 +4,10 @@ The closed-form bounds work on exact integer moments (2x2 determinants in
 big-int arithmetic, rooted only at the final step). The semidefinite bound,
 the smallest u with both u*H_n - S_n and u*H_n + S_n PSD, is the largest
 |zero| of the measure's orthogonal polynomial det(x*H_r - S_r), whose
-coefficients are exact integers. Each top zero is reported only after an
-exact sign test places it at or above the reported value, so the bound
-never exceeds rho; no float matrix or tolerance is involved.
+coefficients are exact integers. Each top zero is reported as the lower
+end of its certified bracket, at which an exact Descartes/Sturm test finds
+a real root at or above it, so the bound never exceeds rho; no float matrix
+or tolerance is involved.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .graph import Graph, degrees, triangle_counts
 from .moments import orthogonal_polynomial
-from .roots import largest_real_root_below
+from .roots import largest_real_root_bracket
 from .walks import KIND_WALKS, MomentSequence
 
 
@@ -173,8 +174,9 @@ def sdp_lower_bound(m: MomentSequence, order: int) -> BoundResult:
     optimum), that u is the largest |zero| of the Gauss-node polynomial
     c(x) = det(x*H_r - S_r), whose integer coefficients come from
     `orthogonal_polynomial`. The value is the largest of 0 and the top
-    zeros of c(x) and (-1)**(r+1) c(-x), each certified from below by an
-    exact sign test, so it never exceeds that u, which is at most rho.
+    zeros of c(x) and (-1)**(r+1) c(-x), each the lower end of its bracket
+    from `largest_real_root_bracket`, so it never exceeds that u, which is
+    at most rho.
     """
     params = _measure_params(m, n=order)
     c = orthogonal_polynomial(m, order)
@@ -187,7 +189,7 @@ def sdp_lower_bound(m: MomentSequence, order: int) -> BoundResult:
         # real zeros and a positive leading coefficient: by Descartes' rule
         # a positive zero exists exactly when a lower coefficient is negative
         if any(x < 0 for x in poly[:-1]):
-            value = max(value, largest_real_root_below(poly))
+            value = max(value, largest_real_root_bracket(poly)[0])
     return BoundResult("sdp", "lower", value, params)
 
 

@@ -9,8 +9,9 @@ oracle-assisted.
 
 The Hankel, Stieltjes and clique root bounds are the largest real roots of
 polynomials with exact integer coefficients (the weight enters as the exact
-ratio of its float), certified from above by `roots.largest_real_root`: the
-polynomial is provably negative beyond the reported value.
+ratio of its float). Each is the upper end of the bracket from
+`roots.largest_real_root_bracket`: the polynomial is provably negative
+beyond the reported value.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .bounds_lower import BoundResult, _measure_params, _not_applicable
 from .graph import Graph, degrees, is_bipartite, is_connected
 from .moments import _validated_indices, exact_determinant
-from .roots import largest_real_root
+from .roots import largest_real_root_bracket
 from .spectrum import SpectralSummary
 from .walks import KIND_CLOSED, KIND_CLOSED_AT, KIND_WALKS, MomentSequence
 
@@ -210,9 +211,10 @@ def hankel_root_upper_bound(m: MomentSequence, weight: AtomWeight,
     integer coefficients. Its leading coefficient is -num det(H_{J'}) with
     J' = J minus its largest index (the last diagonal entry of the
     adjugate), so det(H_{J'}) > 0 guarantees a negative tail; the largest
-    real root is then certified by `largest_real_root`. When det H_J = 0
-    the polynomial is a negative multiple of a square and touches zero at
-    its top root, which is found as a simple root of the square's base.
+    real root is then bracketed by `largest_real_root_bracket`. When
+    det H_J = 0 the polynomial is a negative multiple of a square and
+    touches zero at its top root, which is found as a simple root of the
+    square's base.
     """
     indices = tuple(sorted(set(int(j) for j in index_set)))
     params = _measure_params(m, J=list(indices), alpha1=weight.alpha1)
@@ -241,7 +243,7 @@ def hankel_root_upper_bound(m: MomentSequence, weight: AtomWeight,
         coeffs = [0] * indices[-1]
         for b, jb in enumerate(indices):
             coeffs[jb - 1] = adj[-1][b]
-    return BoundResult("hankel_root", "upper", largest_real_root(coeffs), params,
+    return BoundResult("hankel_root", "upper", largest_real_root_bracket(coeffs)[1], params,
                        oracle_assisted=_oracle_assisted(weight))
 
 
@@ -279,7 +281,7 @@ def stieltjes_root_upper_bound(m: MomentSequence, weight: AtomWeight, k: int) ->
         return _not_applicable("stieltjes_root", "upper",
                                "degenerate linear case: non-negative leading coefficient",
                                params)
-    root = largest_real_root(coeffs)
+    root = largest_real_root_bracket(coeffs)[1]
     if k:
         even = _ratio_root(m2k, alpha, 1.0 / (2 * k))
         assert root <= even * (1.0 + 1e-12) + 1e-9
@@ -311,7 +313,7 @@ def clique_root_upper_bound(m_w: MomentSequence, omega: int, k: int) -> BoundRes
     coeffs[0] = (omega - 1) * w2k1
     coeffs[1] = (omega - 1) * w2k
     coeffs[2 * k + 2] = -2 * omega
-    root = largest_real_root(coeffs)
+    root = largest_real_root_bracket(coeffs)[1]
     reference = _ratio_root(w2k, omega / (omega - 1.0), 1.0 / (2 * k + 1))
     assert root <= reference * (1.0 + 1e-12) + 1e-9
     return BoundResult("clique_root", "upper", root, params)

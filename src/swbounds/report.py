@@ -601,9 +601,6 @@ def _verify_sandwich(out: VerificationOutcome, prep: PreparedGraph, tol: float,
     return bounds
 
 
-# k <= 3 keeps `swb verify`'s check count comparable across versions; the
-# even-moment orderings also hold at k = 4 on the default corpus
-_EVEN_MOMENT_CHECK_K = 3
 _BELOW_EVEN_MOMENT = {
     "two_point": "two-point bound",
     "stieltjes_root": "odd-moment root",
@@ -634,10 +631,10 @@ def _verify_dominance(out: VerificationOutcome, prep: PreparedGraph,
         found = index.get((m.kind, m.vertex), {})
         sdp = sorted((n, r.value) for (bound, _, _, n), r in found.items() if bound == "sdp")
         for (o1, v1), (o2, v2) in zip(sdp, sdp[1:]):
-            out.check(v2 >= v1 - 1e-6,
+            out.check(v2 >= v1,
                       f"{name}: support bound decreased from order {o1} to {o2} ({m.kind})")
         for (bound, s, k, _), r in found.items():
-            if bound == "even_moment" and k <= _EVEN_MOMENT_CHECK_K:
+            if bound == "even_moment":
                 for other, label in _BELOW_EVEN_MOMENT.items():
                     below = found.get((other, None, k, None))
                     if below is not None:

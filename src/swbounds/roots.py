@@ -1,15 +1,12 @@
-"""Certified largest real root of a polynomial with exact integer coefficients.
+"""Certified bracket around the largest real root of an integer polynomial.
 
-`largest_real_root` steps Newton down onto the root in floats, from a bound
-beyond it, and returns a float u only after an exact integer test has shown
-that the polynomial has no real root above u. The test is Descartes' rule on
-the Taylor coefficients at u; when that is inconclusive (complex roots with
-real part beyond u) a Sturm count decides. Where the Newton steps leave the
-concave region, bisection under the same test brackets the root instead.
-
-`largest_real_root_below` is its sibling for lower bounds: from the Newton
-estimate it brackets a sign change by exact sign tests and bisects, and
-returns the end at which the sign shows that a real root lies at or above it.
+`largest_real_root_bracket` returns two floats lo <= hi, adjacent or equal,
+with the largest real root between them. One exact integer test decides
+every step: "no real root in (u, inf)", by Descartes' rule on the Taylor
+coefficients at u, with a Sturm count where that is inconclusive (complex
+roots with real part beyond u). Newton steps down onto the root in floats
+only seed the search. Upper bounds take hi, which passed the test; lower
+bounds take lo, which failed it, so a real root lies in [lo, inf).
 """
 
 from __future__ import annotations
@@ -21,10 +18,6 @@ from typing import Optional, Sequence
 _FLOAT_BITS = 1000
 # a Newton step this small, relative to the iterate, is the last one
 _NEWTON_TOL = 2.0 ** -44
-# first step either side of a candidate of `largest_real_root`, as a fraction
-# of it, whose bracket is narrowed to twice this; the first step from 0
-# in `largest_real_root_below`
-_NUDGE = 2.0 ** -50
 
 
 def _newton_from_above(terms: list[tuple[int, float]]) -> Optional[float]:
@@ -68,13 +61,15 @@ def _newton_from_above(terms: list[tuple[int, float]]) -> Optional[float]:
 
 class _Certifier:
     """Exact test that an integer polynomial with negative leading coefficient
-    has no real root above a float u (so it is negative on (u, inf))."""
+    has no real root above a float u (so it is negative on (u, inf)).
+    `root` is the last u that passed while being a root itself."""
 
     def __init__(self, c: list[int], terms: list[tuple[int, int]]) -> None:
         self.c = c
         self.degree = len(c) - 1
         self.terms = terms
         self.second = terms[-2][0]
+        self.root: Optional[float] = None
         self._sturm: Optional[list[list[int]]] = None
 
     def __call__(self, u: float) -> bool:
@@ -99,6 +94,8 @@ class _Certifier:
             elif total > 0:
                 # Descartes is inconclusive; Sturm decides, except at a root of c
                 return not at_root and self._sturm_count(p, e) == 0
+        if at_root:
+            self.root = u
         return True
 
     def _sturm_count(self, p: int, e: int) -> int:
@@ -177,109 +174,53 @@ def _newton_estimate(terms: list[tuple[int, int]]) -> Optional[float]:
     return _newton_from_above([(i, float(x >> shift)) for i, x in terms])
 
 
-def largest_real_root_below(coeffs: Sequence[int]) -> float:
-    """Largest real root of sum(coeffs[i] * r**i), certified from below.
+def largest_real_root_bracket(coeffs: Sequence[int]) -> tuple[float, float]:
+    """Floats lo <= hi around the largest real root of sum(coeffs[i] * r**i).
 
-    The returned float v satisfies, exactly, that the polynomial is zero at v
-    or has there the sign opposite to its leading coefficient, so it has a
-    real root in [v, inf) and v is at most the largest one. The float Newton
-    estimate (or, without one, `largest_real_root`) can be off by far more
-    than rounding where nearby roots make the float evaluation cancel, so it
-    only seeds the search: steps up or down from it, starting at one unit in
-    the last place and doubling, bracket a sign change between a certified
-    lo and an uncertified hi, and exact bisection narrows it until the two
-    are adjacent floats. So v is the largest float at or below that root,
-    and it does not decrease as the root rises. At a root of even
-    multiplicity the sign does not change, so v falls to a lower root, and
-    ValueError is raised when no real root changes the sign (or, as in
-    `largest_real_root`, when there is no real root).
-    """
-    c = _normalized(coeffs)
-    v = _newton_estimate([(i, x) for i, x in enumerate(c) if x])
-    if v is None:
-        v = largest_real_root(c)
-
-    def certified(u: float) -> bool:
-        p, q = u.as_integer_ratio()
-        return _sign_at(c, p, q.bit_length() - 1) >= 0
-
-    step = math.ulp(v) if v else _NUDGE
-    lo = hi = v
-    if certified(v):
-        while certified(hi):
-            lo, hi, step = hi, hi + step, 2.0 * step
-    else:
-        while not certified(lo):
-            lo, hi, step = lo - step, lo, 2.0 * step
-            if not math.isfinite(lo):
-                raise ValueError("no real root where the polynomial changes sign")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if certified(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def largest_real_root(coeffs: Sequence[int]) -> float:
-    """Largest real root of sum(coeffs[i] * r**i), certified from above.
-
-    The coefficients are Python ints, lowest degree first. The returned
-    float u satisfies, exactly, that the polynomial has no real root in
-    (u, inf), so there it has the sign of its leading coefficient, and u
-    lies a few units in the last place above the largest real root, touching
-    roots included. Raises ValueError for a constant polynomial or one with
-    no real root.
+    The coefficients are Python ints, lowest degree first. Exactly, the
+    polynomial has no real root in (hi, inf), so there it has the sign of
+    its leading coefficient, and it has one in [lo, inf); touching roots
+    count. lo is the largest float at or below the root, so it does not
+    decrease as the root rises. hi is the next float, or lo itself when it
+    passed the test while being the root, as the float top root of a
+    real-rooted polynomial does. From the Newton estimate, steps of one
+    unit in the last place, doubling, go up or down until the test passes
+    at hi and fails at lo; without an estimate the Cauchy bound either side
+    of zero brackets the root. Bisection then narrows the bracket to
+    adjacent floats. Raises ValueError for a constant polynomial or one
+    with no real root.
     """
     c = _normalized(coeffs)
     zeros = next(i for i, x in enumerate(c) if x)
     c = c[zeros:]
     if len(c) == 1:
-        return 0.0
-    try:
-        top = _certified_top(c)
-    except ValueError:
-        if zeros:
-            return 0.0
-        raise
-    return max(top, 0.0) if zeros else top
-
-
-def _certified_top(c: list[int]) -> float:
-    """The search of largest_real_root on c with c[0] != 0 and c[-1] < 0.
-
-    It brackets the largest real root between an uncertified lo and a
-    certified hi, starting one nudge either side of the Newton estimate (or
-    from the Cauchy bound either side of zero without one), and bisects.
-    """
+        return 0.0, 0.0
     terms = [(i, x) for i, x in enumerate(c) if x]
     certified = _Certifier(c, terms)
-    guess = _newton_estimate(terms)
-    if guess is None:
-        bound = _cauchy_bound(c)
-        if certified(-bound):
+    if zeros and certified(0.0):
+        # no root of the rest lies above the roots at zero
+        return 0.0, 0.0
+    seed = _newton_estimate(terms)
+    if seed is None:
+        hi = _cauchy_bound(c)
+        lo = -hi
+        if certified(lo):
             raise ValueError("polynomial has no real root")
-        lo, hi = -bound, bound
     else:
-        step = abs(guess) * _NUDGE or _NUDGE
-        lo, hi = guess - step, guess + step
-        if certified(hi):
-            if all(x > 0 for _, x in terms[:-1]):
-                # one sign change: concave beyond the only positive root, so
-                # the Newton steps came down onto it from above
-                return hi
+        step = math.ulp(seed)
+        if certified(seed):
+            lo, hi = seed - step, seed
             while certified(lo):
                 if lo < -_cauchy_bound(c):
                     raise ValueError("polynomial has no real root")
-                lo, hi, step = lo - 4.0 * step, lo, 4.0 * step
+                step *= 2.0
+                lo, hi = lo - step, lo
         else:
-            lo, hi, step = hi, hi + 4.0 * step, 4.0 * step
+            lo, hi = seed, seed + step
             while not certified(hi):
-                lo, hi, step = hi, hi + 4.0 * step, 4.0 * step
-    while hi - lo > 2.0 * _NUDGE * max(abs(lo), abs(hi)):
+                step *= 2.0
+                lo, hi = hi, hi + step
+    while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
@@ -287,4 +228,4 @@ def _certified_top(c: list[int]) -> float:
             hi = mid
         else:
             lo = mid
-    return hi
+    return (hi if certified.root == hi else lo), hi

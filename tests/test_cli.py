@@ -189,6 +189,22 @@ class TestVerificationEngine:
         assert out.violations == [
             "k4: two-point bound above even-moment bound (closed_walks, k=1)"]
 
+    def test_dominance_sees_an_sdp_row_one_ulp_below_the_previous_order(self):
+        prep = prepare_graph(CorpusEntry("k4", "complete", complete_graph(4)), 8)
+        rows = [r for r, _ in sweep_bounds(prep, vertex_mode="all")]
+
+        def closed_sdp(r, n):
+            return r.name == "sdp" and r.params["measure"] == KIND_CLOSED and r.params["n"] == n
+
+        previous = next(r for r in rows if closed_sdp(r, 1))
+        assert any(closed_sdp(r, 2) and r.applicable for r in rows)
+        lowered = [dataclasses.replace(r, value=math.nextafter(previous.value, -math.inf))
+                   if closed_sdp(r, 2) else r for r in rows]
+        out = VerificationOutcome()
+        _verify_dominance(out, prep, lowered)
+        assert out.violations == [
+            "k4: support bound decreased from order 1 to 2 (closed_walks)"]
+
     def test_each_bound_is_evaluated_once_per_row(self, monkeypatch):
         calls = {}
 
