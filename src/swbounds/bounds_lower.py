@@ -193,23 +193,24 @@ def sdp_lower_bound(m: MomentSequence, order: int) -> BoundResult:
     return BoundResult("sdp", "lower", value, params)
 
 
+# The classical walk-ratio baselines (w_top / w_bottom) ** (1 / root).
+_WALK_RATIO_BASELINES = (("baseline_w1_w0", 1, 0, 1), ("baseline_sqrt_w2_w0", 2, 0, 2),
+                         ("baseline_sqrt_w4_w2", 4, 2, 2), ("baseline_sqrt_w6_w4", 6, 4, 2))
+
+
 def baseline_lower_bounds(g: Graph, m_w: MomentSequence) -> list[BoundResult]:
-    """Classical comparison bounds: the four walk-ratio forms and sqrt(max degree)."""
+    """Classical comparison bounds: the four walk-ratio forms, each only when
+    its top walk count is within the horizon, and sqrt(max degree)."""
     if m_w.kind != KIND_WALKS:
         raise ValueError("baselines need the total-walk sequence")
-    if m_w.max_index < 6:
-        raise ValueError("need walk counts through w_6")
     out: list[BoundResult] = []
-
-    def ratio(name: str, num: int, den: int, root: int) -> BoundResult:
-        if den == 0:
-            return _not_applicable(name, "lower", "zero denominator", {})
-        return BoundResult(name, "lower", (num / den) ** (1.0 / root), {})
-
-    out.append(ratio("baseline_w1_w0", m_w[1], m_w[0], 1))
-    out.append(ratio("baseline_sqrt_w2_w0", m_w[2], m_w[0], 2))
-    out.append(ratio("baseline_sqrt_w4_w2", m_w[4], m_w[2], 2))
-    out.append(ratio("baseline_sqrt_w6_w4", m_w[6], m_w[4], 2))
+    for name, top, bottom, root in _WALK_RATIO_BASELINES:
+        if top > m_w.max_index:
+            continue
+        if m_w[bottom] == 0:
+            out.append(_not_applicable(name, "lower", "zero denominator", {}))
+        else:
+            out.append(BoundResult(name, "lower", (m_w[top] / m_w[bottom]) ** (1.0 / root), {}))
     _, max_degree = degrees(g)
     out.append(BoundResult("baseline_sqrt_max_degree", "lower",
                            math.sqrt(max_degree), {}))

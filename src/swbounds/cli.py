@@ -3,8 +3,8 @@
 Subcommands: bounds (full report for one graph), verify (invariant suite over
 a corpus), bench (tightness CSV over family sweeps), gen (emit an edge list).
 Exit codes: 0 ok, 1 parse/input error, 2 numerical failure, 3 verification
-violation (from verify, or from the sandwich check that bounds runs on its
-own report).
+violation (from verify, or from the sandwich check that bounds and bench run
+on their own reports).
 """
 
 from __future__ import annotations
@@ -19,6 +19,11 @@ from .graph import GraphError, generate, parse_edge_list, serialize_edge_list
 from .report import (
     CSV_HEADER,
     DEFAULT_J_SETS,
+    DEFAULT_K_MAX,
+    DEFAULT_S_MAX,
+    DEFAULT_SEED,
+    DEFAULT_TOL,
+    MEASURES,
     CorpusEntry,
     build_report,
     er_corpus,
@@ -29,8 +34,6 @@ from .report import (
     run_verification,
 )
 from .walks import DEFAULT_MAX_LENGTH
-
-DEFAULT_TOL = 1e-7
 
 
 def _write_output(text: str, path: Optional[str]) -> None:
@@ -100,12 +103,7 @@ def _verify_corpus(args: argparse.Namespace) -> list[CorpusEntry]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     entries = _verify_corpus(args)
-    outcome = run_verification(
-        entries,
-        max_length=args.K,
-        tol=args.tol,
-        inject_corruption=args.inject_corruption,
-    )
+    outcome = run_verification(entries, max_length=args.K, tol=args.tol)
     print(f"graphs checked: {len(entries)}")
     print(f"checks run:     {outcome.checks}")
     print(f"violations:     {len(outcome.violations)}")
@@ -145,6 +143,7 @@ def _bench_entries(args: argparse.Namespace) -> list[CorpusEntry]:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     lines = [CSV_HEADER]
+    violations = []
     for entry in _bench_entries(args):
         report = build_report(
             entry,
@@ -155,8 +154,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
             with_timing=not args.no_timing,
         )
         lines.extend(report_csv_rows(report))
+        violations.extend(f"{entry.name}: {v}" for v in report.violations)
     _write_output("\n".join(lines) + "\n", args.out)
-    return 0
+    for line in violations:
+        print(f"VIOLATION: {line}", file=sys.stderr)
+    return 3 if violations else 0
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -178,12 +180,11 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--gen", help="generator spec, e.g. star:4 or erdos_renyi:10:0.5")
     bounds.add_argument("--K", type=int, default=DEFAULT_MAX_LENGTH,
                         help="moment horizon (default 12)")
-    bounds.add_argument("--measures", nargs="+", default=["walks", "closed", "vertex"],
-                        choices=["walks", "closed", "vertex"])
+    bounds.add_argument("--measures", nargs="+", default=list(MEASURES), choices=MEASURES)
     bounds.add_argument("--J", action="append",
                         help="index set like 1,2,3 (repeatable; default 1,2 and 1,2,3)")
-    bounds.add_argument("--s-max", type=int, default=3)
-    bounds.add_argument("--k-max", type=int, default=4)
+    bounds.add_argument("--s-max", type=int, default=DEFAULT_S_MAX)
+    bounds.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
     bounds.add_argument("--format", choices=["table", "json", "csv"], default="table")
     bounds.add_argument("--seed", type=int, default=0, help="seed for random generators")
     bounds.add_argument("--tol", type=float, default=DEFAULT_TOL,
@@ -203,13 +204,11 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--er-count", type=int, default=100)
     verify.add_argument("--er-n", type=int, default=15)
     verify.add_argument("--er-p", type=float, default=0.3)
-    verify.add_argument("--seed", type=int, default=1729)
+    verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     verify.add_argument("--K", type=int, default=DEFAULT_MAX_LENGTH)
     verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     verify.add_argument("--dump-dir", default=".",
                         help="where to write offending graphs on violation")
-    verify.add_argument("--inject-corruption", action="store_true",
-                        help=argparse.SUPPRESS)
     verify.set_defaults(func=cmd_verify)
 
     bench = sub.add_parser("bench", help="tightness CSV over family sweeps")
@@ -219,10 +218,10 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--er-count", type=int, default=0)
     bench.add_argument("--er-n", type=int, default=15)
     bench.add_argument("--er-p", type=float, default=0.3)
-    bench.add_argument("--seed", type=int, default=1729)
+    bench.add_argument("--seed", type=int, default=DEFAULT_SEED)
     bench.add_argument("--K", type=int, default=DEFAULT_MAX_LENGTH)
-    bench.add_argument("--s-max", type=int, default=3)
-    bench.add_argument("--k-max", type=int, default=4)
+    bench.add_argument("--s-max", type=int, default=DEFAULT_S_MAX)
+    bench.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
     bench.add_argument("--tol", type=float, default=DEFAULT_TOL)
     bench.add_argument("--no-timing", action="store_true")
     bench.add_argument("--out", default=None)

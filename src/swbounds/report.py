@@ -57,7 +57,6 @@ from .spectrum import (
 )
 from .walks import (
     DEFAULT_MAX_LENGTH,
-    KIND_CLOSED,
     KIND_CLOSED_AT,
     KIND_WALKS,
     MomentSequence,
@@ -69,7 +68,17 @@ from .walks import (
 )
 
 DEFAULT_SEED = 1729
+# The default bound grid of `sweep_bounds`: moment shifts s <= DEFAULT_S_MAX,
+# strides k <= DEFAULT_K_MAX, the Hankel index sets J and the SDP orders of a
+# report. `swb verify` sweeps the same grid with the SDP orders VERIFY_SDP_ORDERS.
+DEFAULT_S_MAX = 3
+DEFAULT_K_MAX = 4
 DEFAULT_J_SETS: tuple[tuple[int, ...], ...] = ((1, 2), (1, 2, 3))
+DEFAULT_SDP_ORDERS = (1, 2)
+VERIFY_SDP_ORDERS = (0, 1, 2)
+MEASURES = ("walks", "closed", "vertex")
+# Sandwich-check margin; compared against rho, never added to a bound.
+DEFAULT_TOL = 1e-7
 CSV_HEADER = "graph,family,n,e,bound,measure,s,k,J,value,rho,gap,applicable,oracle_assisted,ms"
 
 
@@ -148,13 +157,12 @@ def _sort_key(r: BoundResult):
         r.kind,
         r.name,
         str(p.get("measure", "")),
-        p.get("vertex", -1) if p.get("vertex") is not None else -1,
+        p.get("vertex", -1),
         p.get("s", -1),
         p.get("k", -1),
         p.get("n", -1),
         str(p.get("J", "")),
         p.get("omega", -1),
-        p.get("r", -1),
     )
 
 
@@ -176,57 +184,54 @@ def _reduce_vertex_results(results: list[BoundResult], kind: str) -> BoundResult
     return results[0]
 
 
-def sweep_bounds(prep: PreparedGraph, s_max: int = 3, k_max: int = 4,
+def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = DEFAULT_K_MAX,
                  j_sets: Sequence[tuple[int, ...]] = DEFAULT_J_SETS,
-                 sdp_orders: Sequence[int] = (1, 2),
-                 measures: Sequence[str] = ("walks", "closed", "vertex"),
+                 sdp_orders: Sequence[int] = DEFAULT_SDP_ORDERS,
+                 measures: Sequence[str] = MEASURES,
                  vertex_mode: str = "aggregate") -> list[tuple[BoundResult, float]]:
     """Evaluate every applicable bound for one graph.
 
-    Parameter combinations that need moments beyond the computed horizon are
-    skipped. With vertex_mode="aggregate" the rooted-measure bounds are
-    reduced to the best vertex per parameter choice; "all" keeps every vertex
-    (what the soundness checks want). Returns (result, milliseconds) pairs in
-    a deterministic order.
+    This is the one place that decides which (bound, parameters) rows exist:
+    a combination that needs moments beyond the computed horizon is skipped.
+    With vertex_mode="aggregate" the rooted-measure bounds are reduced to the
+    best vertex per parameter choice; "all" keeps every vertex (what the
+    soundness checks want). Returns (result, milliseconds) pairs in a
+    deterministic order.
     """
     g = prep.entry.graph
     horizon = prep.walks_seq.max_index
     summary = prep.summary
     rows: list[tuple[BoundResult, float]] = []
 
-    def timed(fn, *args) -> tuple[BoundResult, float]:
+    def emit(fn, *args) -> None:
+        """One timed call; the rows of a list result share its time."""
         t0 = time.perf_counter()
         res = fn(*args)
-        return res, (time.perf_counter() - t0) * 1000.0
+        ms = (time.perf_counter() - t0) * 1000.0
+        batch = res if isinstance(res, list) else [res]
+        rows.extend((r, ms / len(batch)) for r in batch)
 
-    def emit(fn, *args) -> None:
-        rows.append(timed(fn, *args))
+    def emit_each(fn, heads, *args) -> None:
+        """One timed call per sequence; a rooted batch keeps its best vertex
+        unless vertex_mode is "all"."""
+        group = []
+        for head in heads:
+            t0 = time.perf_counter()
+            res = fn(*head, *args)
+            group.append((res, (time.perf_counter() - t0) * 1000.0))
+        if len(group) > 1 and vertex_mode != "all":
+            best = _reduce_vertex_results([r for r, _ in group], group[0][0].kind)
+            group = [(best, sum(ms for _, ms in group))]
+        rows.extend(group)
 
-    def emit_group(group: list[tuple[BoundResult, float]]) -> None:
-        if len(group) == 1 or vertex_mode == "all":
-            rows.extend(group)
-            return
-        best = _reduce_vertex_results([r for r, _ in group], group[0][0].kind)
-        rows.append((best, sum(ms for _, ms in group)))
-
-    def emit_for_each(fn, pairs, *args) -> None:
-        emit_group([timed(fn, *head, *args) for head in pairs])
-
-    sequences: list[list[MomentSequence]] = []
-    if "walks" in measures:
-        sequences.append([prep.walks_seq])
-    if "closed" in measures:
-        sequences.append([prep.closed_seq])
-    if "vertex" in measures:
-        sequences.append(list(prep.rooted_seqs))
+    by_measure = {"walks": [prep.walks_seq], "closed": [prep.closed_seq],
+                  "vertex": list(prep.rooted_seqs)}
+    sequences = [by_measure[m] for m in MEASURES if m in measures]
 
     emit(triangle_edge_lower_bound, g)
     emit(local_triangle_lower_bound, g)
     if "walks" in measures:
-        t0 = time.perf_counter()
-        baselines = baseline_lower_bounds(g, prep.walks_seq)
-        ms = (time.perf_counter() - t0) * 1000.0 / max(1, len(baselines))
-        rows.extend((b, ms) for b in baselines)
+        emit(baseline_lower_bounds, g, prep.walks_seq)
 
     for seqs in sequences:
         weights = [atom_weight_for(s, summary) for s in seqs]
@@ -236,37 +241,34 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = 3, k_max: int = 4,
         for s in range(s_max + 1):
             for k in range(1, k_max + 1):
                 if 2 * s + k <= horizon:
-                    emit_for_each(ratio_lower_bound, alone, s, k)
+                    emit_each(ratio_lower_bound, alone, s, k)
                 if 2 * s + 3 * k <= horizon:
-                    emit_for_each(det_ratio_lower_bound, alone, s, k)
-                    emit_for_each(quadratic_root_lower_bound, alone, s, k)
+                    emit_each(det_ratio_lower_bound, alone, s, k)
+                    emit_each(quadratic_root_lower_bound, alone, s, k)
 
         for order in sdp_orders:
             if 2 * order + 1 <= horizon:
-                emit_for_each(sdp_lower_bound, alone, order)
+                emit_each(sdp_lower_bound, alone, order)
 
         for k in range(1, k_max + 1):
             if 2 * k <= horizon:
-                emit_for_each(even_moment_upper_bound, weighted, k)
-                emit_for_each(two_point_upper_bound, weighted, k)
+                emit_each(even_moment_upper_bound, weighted, k)
+                emit_each(two_point_upper_bound, weighted, k)
                 if seqs[0].kind != KIND_WALKS:
-                    emit_for_each(bipartite_upper_bound, weighted, k, prep.bipartite)
+                    emit_each(bipartite_upper_bound, weighted, k, prep.bipartite)
             if 2 * k + 1 <= horizon:
-                emit_for_each(stieltjes_root_upper_bound, weighted, k)
+                emit_each(stieltjes_root_upper_bound, weighted, k)
 
         for j_set in j_sets:
             if 2 * max(j_set) - 1 <= horizon:
-                emit_for_each(hankel_root_upper_bound, weighted, j_set)
+                emit_each(hankel_root_upper_bound, weighted, j_set)
 
     if "walks" in measures and prep.omega is not None:
         for k in range(0, k_max + 1):
             if 2 * k + 1 <= horizon:
                 emit(clique_root_upper_bound, prep.walks_seq, prep.omega, k)
         ks = tuple(k for k in range(1, k_max + 1) if k <= horizon)
-        t0 = time.perf_counter()
-        baselines = baseline_upper_bounds(g, prep.walks_seq, summary, prep.omega, ks)
-        ms = (time.perf_counter() - t0) * 1000.0 / max(1, len(baselines))
-        rows.extend((b, ms) for b in baselines)
+        emit(baseline_upper_bounds, g, prep.walks_seq, summary, prep.omega, ks)
 
     emit(eigvec_degree_upper_bound, g, summary)
 
@@ -274,7 +276,7 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = 3, k_max: int = 4,
     return rows
 
 
-def find_violations(bounds: Iterable[BoundResult], rho: float, tol: float = 1e-7) -> list[str]:
+def find_violations(bounds: Iterable[BoundResult], rho: float, tol: float = DEFAULT_TOL) -> list[str]:
     """Sandwich check: applicable lower bounds below rho+tol, uppers above rho-tol."""
     out = []
     for r in bounds:
@@ -288,10 +290,9 @@ def find_violations(bounds: Iterable[BoundResult], rho: float, tol: float = 1e-7
 
 
 def build_report(entry: CorpusEntry, max_length: int = DEFAULT_MAX_LENGTH,
-                 measures: Sequence[str] = ("walks", "closed", "vertex"),
-                 s_max: int = 3, k_max: int = 4,
-                 j_sets: Sequence[tuple[int, ...]] = DEFAULT_J_SETS,
-                 sdp_orders: Sequence[int] = (1, 2), tol: float = 1e-7,
+                 measures: Sequence[str] = MEASURES,
+                 s_max: int = DEFAULT_S_MAX, k_max: int = DEFAULT_K_MAX,
+                 j_sets: Sequence[tuple[int, ...]] = DEFAULT_J_SETS, tol: float = DEFAULT_TOL,
                  omega: Optional[int] = None, vertex_mode: str = "aggregate",
                  with_timing: bool = True) -> Report:
     stage_ms: dict = {}
@@ -300,7 +301,8 @@ def build_report(entry: CorpusEntry, max_length: int = DEFAULT_MAX_LENGTH,
     stage_ms["prepare"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    rows = sweep_bounds(prep, s_max, k_max, j_sets, sdp_orders, measures, vertex_mode)
+    rows = sweep_bounds(prep, s_max, k_max, j_sets, measures=measures,
+                        vertex_mode=vertex_mode)
     stage_ms["bounds"] = (time.perf_counter() - t0) * 1000.0
 
     rho = float(prep.summary.rho)
@@ -309,25 +311,12 @@ def build_report(entry: CorpusEntry, max_length: int = DEFAULT_MAX_LENGTH,
     if not with_timing:
         stage_ms = {k: 0.0 for k in stage_ms}
         bound_ms = tuple(0.0 for _ in bound_ms)
-    info = GraphInfo(
-        name=entry.name,
-        family=entry.family,
-        n=prep.entry.graph.n,
-        e=prep.entry.graph.edge_count,
-        max_degree=prep.max_degree,
-        triangles=prep.triangles,
-        clique=prep.omega,
-        bipartite=prep.bipartite,
-        connected=prep.connected,
-    )
-    return Report(
-        graph=info,
-        rho=rho,
-        bounds=bounds,
-        bound_ms=bound_ms,
-        violations=tuple(find_violations(bounds, rho, tol)),
-        stage_ms=stage_ms,
-    )
+    info = GraphInfo(name=entry.name, family=entry.family, n=entry.graph.n,
+                     e=entry.graph.edge_count, max_degree=prep.max_degree,
+                     triangles=prep.triangles, clique=prep.omega,
+                     bipartite=prep.bipartite, connected=prep.connected)
+    return Report(info, rho, bounds, bound_ms, tuple(find_violations(bounds, rho, tol)),
+                  stage_ms)
 
 
 def _field_values(obj) -> dict:
@@ -349,26 +338,18 @@ def report_to_dict(report: Report) -> dict:
     }
 
 
-def report_from_dict(obj: dict) -> Report:
-    bounds = tuple(
-        BoundResult(**{**{f.name: b[f.name] for f in fields(BoundResult)},
-                       "value": math.nan if b["value"] is None else float(b["value"])})
-        for b in obj["bounds"]
-    )
-    return Report(
-        graph=GraphInfo(**{f.name: obj["graph"][f.name] for f in fields(GraphInfo)}),
-        rho=float(obj["rho_exact"]),
-        bounds=bounds,
-        bound_ms=tuple(float(b["ms"]) for b in obj["bounds"]),
-        violations=tuple(obj["violations"]),
-        stage_ms=dict(obj["timing_ms"]),
-    )
-
-
 def _csv_quote(value: str) -> str:
     if any(ch in value for ch in ',"\n'):
         return '"' + value.replace('"', '""') + '"'
     return value
+
+
+def _gap(r: BoundResult, rho: float) -> Optional[float]:
+    """How far an applicable, finite bound sits on its side of rho (None
+    for the others); negative means the bound crosses rho."""
+    if not r.applicable or not math.isfinite(r.value):
+        return None
+    return rho - r.value if r.kind == "lower" else r.value - rho
 
 
 def report_csv_rows(report: Report) -> list[str]:
@@ -384,13 +365,7 @@ def report_csv_rows(report: Report) -> list[str]:
             j_text = "+".join(str(j) for j in range(1, p["n"] + 2))
         else:
             j_text = ""
-        k_text = p.get("k", p.get("r", ""))
-        value_text = repr(r.value) if r.applicable and math.isfinite(r.value) else ""
-        if r.applicable and math.isfinite(r.value):
-            gap = report.rho - r.value if r.kind == "lower" else r.value - report.rho
-            gap_text = repr(gap)
-        else:
-            gap_text = ""
+        gap = _gap(r, report.rho)
         rows.append(",".join([
             _csv_quote(report.graph.name),
             _csv_quote(report.graph.family),
@@ -399,11 +374,11 @@ def report_csv_rows(report: Report) -> list[str]:
             r.name,
             measure,
             str(p.get("s", "")),
-            str(k_text),
+            str(p.get("k", "")),
             j_text,
-            value_text,
+            "" if gap is None else repr(r.value),
             repr(report.rho),
-            gap_text,
+            "" if gap is None else repr(gap),
             "true" if r.applicable else "false",
             "true" if r.oracle_assisted else "false",
             f"{ms:.3f}",
@@ -423,8 +398,8 @@ def format_table(report: Report) -> str:
     lines.append(f"rho_exact = {report.rho:.12g}")
     lines.append(f"{'kind':<6} {'bound':<26} {'value':>16} {'gap':>12}  params")
     for r in report.bounds:
-        if r.applicable and math.isfinite(r.value):
-            gap = report.rho - r.value if r.kind == "lower" else r.value - report.rho
+        gap = _gap(r, report.rho)
+        if gap is not None:
             value_text = f"{r.value:16.10f}"
             gap_text = f"{gap:12.3e}"
         else:
@@ -471,9 +446,9 @@ def er_corpus(count: int = 100, n: int = 15, p: float = 0.3,
     ]
 
 
-def standard_corpus(max_n: int = 12, er_count: int = 100, er_n: int = 15,
-                    er_p: float = 0.3, seed: int = DEFAULT_SEED) -> list[CorpusEntry]:
-    return family_corpus(max_n) + er_corpus(er_count, er_n, er_p, seed)
+def standard_corpus() -> list[CorpusEntry]:
+    """The default `swb verify` corpus: families up to 12 vertices and 100 G(15, 0.3)."""
+    return family_corpus() + er_corpus()
 
 
 @dataclass
@@ -512,12 +487,16 @@ def _verify_walks(out: VerificationOutcome, prep: PreparedGraph) -> None:
     d, _ = degrees(g)
     _, per_triangles = triangle_counts(g)
     horizon = phi.max_index
-    out.check(phi[1] == 0, f"{name}: closed walks of length 1 exist")
-    out.check(phi[2] == 2 * g.edge_count, f"{name}: phi_2 != 2e")
-    out.check(phi[3] == 6 * prep.triangles, f"{name}: phi_3 != 6T")
+    identities = ((1, 0, "closed walks of length 1 exist"),
+                  (2, 2 * g.edge_count, "phi_2 != 2e"),
+                  (3, 6 * prep.triangles, "phi_3 != 6T"))
+    for k, value, what in identities[:horizon]:
+        out.check(phi[k] == value, f"{name}: {what}")
     for i, rooted in enumerate(prep.rooted_seqs):
-        out.check(rooted[2] == d[i], f"{name}: phi_2({i}) != degree")
-        out.check(rooted[3] == 2 * per_triangles[i], f"{name}: phi_3({i}) != 2 T_i")
+        if horizon >= 2:
+            out.check(rooted[2] == d[i], f"{name}: phi_2({i}) != degree")
+        if horizon >= 3:
+            out.check(rooted[3] == 2 * per_triangles[i], f"{name}: phi_3({i}) != 2 T_i")
     out.check(closed_walk_counts_at(g, 0, horizon) == prep.rooted_seqs[0],
               f"{name}: rooted counts at vertex 0 differ from the vector iteration")
     for k in range(horizon + 1):
@@ -525,7 +504,7 @@ def _verify_walks(out: VerificationOutcome, prep: PreparedGraph) -> None:
         if prep.bipartite and k % 2 == 1:
             out.check(phi[k] == 0, f"{name}: odd closed walks on a bipartite graph (k={k})")
     if g.n <= 6:
-        for k in range(0, 7):
+        for k in range(min(6, horizon) + 1):
             bw, bphi, bper = enumerate_walks_bruteforce(g, k)
             out.check(bw == w[k], f"{name}: brute-force w_{k} mismatch")
             out.check(bphi == phi[k], f"{name}: brute-force phi_{k} mismatch")
@@ -562,11 +541,11 @@ def _verify_spectrum(out: VerificationOutcome, prep: PreparedGraph) -> None:
 
 
 def _verify_moment_machinery(out: VerificationOutcome, prep: PreparedGraph,
-                             tol: float, j_sets: Sequence[tuple[int, ...]]) -> None:
+                             tol: float) -> None:
     name = prep.entry.name
     horizon = prep.closed_seq.max_index
     rho = prep.summary.rho
-    tested_sets = list(j_sets)
+    tested_sets = list(DEFAULT_J_SETS)
     full = tuple(range(1, horizon // 2 + 1))
     if full and full not in tested_sets:
         tested_sets.append(full)
@@ -580,13 +559,11 @@ def _verify_moment_machinery(out: VerificationOutcome, prep: PreparedGraph,
                           f"{name}: support conditions fail for {m.kind} at J={j_set}")
 
 
-def _verify_sandwich(out: VerificationOutcome, prep: PreparedGraph, tol: float,
-                     s_max: int, k_max: int,
-                     j_sets: Sequence[tuple[int, ...]],
-                     sdp_orders: Sequence[int]) -> list[BoundResult]:
-    """Check every swept bound against rho; return the rows for the other checks."""
+def _verify_sandwich(out: VerificationOutcome, prep: PreparedGraph,
+                     tol: float) -> list[BoundResult]:
+    """Check every swept bound (every vertex kept) against rho; return the rows."""
     rho = prep.summary.rho
-    bounds = [r for r, _ in sweep_bounds(prep, s_max, k_max, j_sets, sdp_orders,
+    bounds = [r for r, _ in sweep_bounds(prep, sdp_orders=VERIFY_SDP_ORDERS,
                                          vertex_mode="all")]
     for r in bounds:
         if not r.applicable or not math.isfinite(r.value):
@@ -654,17 +631,8 @@ def _verify_dominance(out: VerificationOutcome, prep: PreparedGraph,
                           f"{name}: support bound below ratio seed ({m.kind}, s={s})")
 
 
-def corrupted_sequence(length: int) -> MomentSequence:
-    """A non-negative sequence that is not a moment sequence (negative control)."""
-    values = tuple(1 if i % 2 == 0 else 2 for i in range(length + 1))
-    return MomentSequence(KIND_CLOSED, values)
-
-
 def run_verification(entries: Sequence[CorpusEntry], max_length: int = DEFAULT_MAX_LENGTH,
-                     tol: float = 1e-7, s_max: int = 3, k_max: int = 4,
-                     j_sets: Sequence[tuple[int, ...]] = DEFAULT_J_SETS,
-                     sdp_orders: Sequence[int] = (0, 1, 2),
-                     inject_corruption: bool = False) -> VerificationOutcome:
+                     tol: float = DEFAULT_TOL) -> VerificationOutcome:
     """Run every module invariant over a corpus; collect violations."""
     out = VerificationOutcome()
     for entry in entries:
@@ -673,14 +641,9 @@ def run_verification(entries: Sequence[CorpusEntry], max_length: int = DEFAULT_M
         _verify_structure(out, prep)
         _verify_walks(out, prep)
         _verify_spectrum(out, prep)
-        _verify_moment_machinery(out, prep, tol, j_sets)
-        rows = _verify_sandwich(out, prep, tol, s_max, k_max, j_sets, sdp_orders)
+        _verify_moment_machinery(out, prep, tol)
+        rows = _verify_sandwich(out, prep, tol)
         _verify_dominance(out, prep, rows)
         if len(out.violations) > before:
             out.offenders.append(entry)
-    if inject_corruption:
-        # negative control: feed a non-moment sequence through the same check
-        bad = corrupted_sequence(max_length)
-        out.check(hamburger_check(bad, 1),
-                  "injected sequence: Hankel matrix not PSD")
     return out

@@ -66,20 +66,6 @@ class MomentSequence:
     def __len__(self) -> int:
         return len(self.values)
 
-    def to_json(self) -> dict:
-        out: dict = {"kind": self.kind, "values": [str(v) for v in self.values]}
-        if self.vertex is not None:
-            out["vertex"] = self.vertex
-        return out
-
-    @staticmethod
-    def from_json(obj: dict) -> "MomentSequence":
-        return MomentSequence(
-            kind=obj["kind"],
-            values=tuple(int(v) for v in obj["values"]),
-            vertex=obj.get("vertex"),
-        )
-
 
 def _apply_adjacency(g: Graph, v: list[int]) -> list[int]:
     return [sum(v[j] for j in nb) for nb in g.neighbors]

@@ -19,9 +19,15 @@ from swbounds.graph import (
     star_graph,
 )
 from swbounds.moments import exact_psd, orthogonal_polynomial
-from swbounds.report import corrupted_sequence, er_corpus, family_corpus, find_violations, prepare_graph
+from swbounds.report import er_corpus, family_corpus, find_violations, prepare_graph
 from swbounds.spectrum import eigen_decompose
-from swbounds.walks import closed_walk_counts, closed_walk_counts_at, walk_counts
+from swbounds.walks import (
+    KIND_CLOSED,
+    MomentSequence,
+    closed_walk_counts,
+    closed_walk_counts_at,
+    walk_counts,
+)
 
 K3 = complete_graph(3)
 P3 = path_graph(3)
@@ -76,7 +82,8 @@ class TestDetRatio:
 
     def test_negative_hankel_determinant_inapplicable(self):
         # m = (1, 2, 1, ...) is no moment sequence: det H = 1*1 - 2*2 = -3
-        res = det_ratio_lower_bound(corrupted_sequence(12), 0, 1)
+        m = MomentSequence(KIND_CLOSED, tuple(1 if i % 2 == 0 else 2 for i in range(13)))
+        res = det_ratio_lower_bound(m, 0, 1)
         assert not res.applicable and math.isnan(res.value)
         assert find_violations([res], 1.0) == []
 

@@ -13,13 +13,12 @@ from swbounds.report import (
     CorpusEntry,
     VerificationOutcome,
     _verify_dominance,
+    _verify_moment_machinery,
     _verify_walks,
     build_report,
     er_corpus,
     prepare_graph,
     report_csv_rows,
-    report_from_dict,
-    report_to_dict,
     run_verification,
     sweep_bounds,
 )
@@ -34,12 +33,6 @@ def k3_file(tmp_path):
 
 
 class TestReportSerialization:
-    def test_json_round_trip(self):
-        report = build_report(CorpusEntry("k3", "complete", complete_graph(3)))
-        payload = json.dumps(report_to_dict(report))
-        again = report_from_dict(json.loads(payload))
-        assert again == report
-
     def test_no_violations_on_k3(self):
         report = build_report(CorpusEntry("k3", "complete", complete_graph(3)))
         assert report.violations == ()
@@ -138,11 +131,35 @@ class TestCommands:
 
     def test_verify_negative_control(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        code = main(["verify", "--families-max", "3", "--er-count", "0",
-                     "--K", "8", "--inject-corruption"])
+        monkeypatch.setattr("swbounds.report.triangle_edge_lower_bound",
+                            lambda g: BoundResult("triangle_edge", "lower", 100.0, {}))
+        code = main(["verify", "--families-max", "3", "--er-count", "0", "--K", "8"])
         out = capsys.readouterr().out
         assert code == 3
-        assert "VIOLATION" in out
+        assert "VIOLATION: path_1: lower bound triangle_edge" in out
+        assert (tmp_path / "violation_path_1.edges").exists()
+
+    def test_bench_violation_exit_code(self, capsys):
+        # with tol = -1 every lower bound within 1 below rho counts as a violation
+        code = main(["bench", "--families", "path", "--min", "4", "--max", "4",
+                     "--K", "8", "--no-timing", "--tol", "-1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out.splitlines()[0] == CSV_HEADER
+        assert "VIOLATION: path_4: lower bound" in captured.err
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_bounds_at_a_short_horizon(self, capsys, k):
+        code, doc = _bounds_json(capsys, "--gen", "star:4", "--K", str(k))
+        assert code == 0 and doc["violations"] == []
+        baselines = {b["name"] for b in doc["bounds"] if b["name"].startswith("baseline_sqrt_w")}
+        assert baselines == {f"baseline_sqrt_w{2 * j}_w{2 * j - 2}"
+                             for j in (1, 2, 3) if 2 * j <= k}
+
+    def test_verify_at_a_short_horizon(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "--families-max", "6", "--er-count", "3", "--K", "3"]) == 0
+        assert "violations:     0" in capsys.readouterr().out
 
 
 class TestVerificationEngine:
@@ -155,10 +172,15 @@ class TestVerificationEngine:
         assert outcome.worst_upper_margin <= 1e-7
 
     def test_corruption_is_detected(self):
-        entries = [CorpusEntry("k3", "complete", complete_graph(3))]
-        outcome = run_verification(entries, max_length=8, inject_corruption=True)
-        assert len(outcome.violations) == 1
-        assert "Hankel" in outcome.violations[0]
+        # 1, 2, 1, 2, ... is no moment sequence: det [[1, 2], [2, 1]] = -3
+        prep = prepare_graph(CorpusEntry("k3", "complete", complete_graph(3)), 8)
+        bad = MomentSequence(KIND_CLOSED, tuple(1 if i % 2 == 0 else 2 for i in range(9)))
+        clean = VerificationOutcome()
+        _verify_moment_machinery(clean, prep, 1e-7)
+        assert clean.violations == []
+        out = VerificationOutcome()
+        _verify_moment_machinery(out, dataclasses.replace(prep, closed_seq=bad), 1e-7)
+        assert "k3: Hankel matrix of closed_walks not PSD at order 1" in out.violations
 
     def test_rooted_counts_checked_against_the_vector_iteration(self):
         prep = prepare_graph(CorpusEntry("k4", "complete", complete_graph(4)), 8)

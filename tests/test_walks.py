@@ -129,16 +129,6 @@ class TestStructuralIdentities:
 
 
 class TestMomentSequenceType:
-    def test_json_round_trip(self):
-        m = closed_walk_counts_at(path_graph(3), 1, 4)
-        again = MomentSequence.from_json(m.to_json())
-        assert again == m
-
-    def test_json_uses_decimal_strings(self):
-        payload = walk_counts(complete_graph(3), 2).to_json()
-        assert payload["values"] == ["3", "6", "12"]
-        assert "vertex" not in payload
-
     def test_kind_validation(self):
         with pytest.raises(ValueError, match="unknown moment kind"):
             MomentSequence("open_walks", (1,))
