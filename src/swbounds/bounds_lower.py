@@ -21,13 +21,19 @@ from .roots import largest_real_root_bracket
 from .walks import KIND_WALKS, MomentSequence
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BoundResult:
     """One evaluated bound: a named value with its parameters and status.
 
     `applicable` is False when a precondition failed (reason says why);
     `trivial` marks vacuous results reported as 0 so sweeps stay total.
     `oracle_assisted` flags bounds whose inputs came from an eigensolver.
+
+    A sweep builds one record per evaluated row, and the per-vertex
+    reduction drops most of them, so the record is slotted and not frozen:
+    a frozen `__init__` costs several times the arithmetic of a closed-form
+    bound. Callers treat it as read-only and derive variants with
+    `dataclasses.replace`.
     """
 
     name: str
@@ -63,16 +69,18 @@ def ratio_lower_bound(m: MomentSequence, s: int, k: int) -> BoundResult:
         raise ValueError("need s >= 0 and k >= 1")
     if 2 * s + k > m.max_index:
         raise ValueError(f"need m_{2 * s + k}, have up to m_{m.max_index}")
+    v = m.values
     params = _measure_params(m, s=s, k=k)
-    if m[2 * s] == 0:
+    if v[2 * s] == 0:
         return _not_applicable("ratio", "lower", "zero even moment m_{2s}", params)
-    value = (m[2 * s + k] / m[2 * s]) ** (1.0 / k)
+    value = (v[2 * s + k] / v[2 * s]) ** (1.0 / k)
     return BoundResult("ratio", "lower", value, params)
 
 
 def _det_blocks(m: MomentSequence, s: int, k: int) -> tuple[int, int, int]:
     """Exact determinants (det H, det S, det F) of the strided 2x2 blocks."""
-    m0, m1, m2, m3 = (m[2 * s], m[2 * s + k], m[2 * s + 2 * k], m[2 * s + 3 * k])
+    v = m.values
+    m0, m1, m2, m3 = (v[2 * s], v[2 * s + k], v[2 * s + 2 * k], v[2 * s + 3 * k])
     det_h = m0 * m2 - m1 * m1
     det_s = m1 * m3 - m2 * m2
     det_f = m1 * m2 - m3 * m0
@@ -203,14 +211,15 @@ def baseline_lower_bounds(g: Graph, m_w: MomentSequence) -> list[BoundResult]:
     its top walk count is within the horizon, and sqrt(max degree)."""
     if m_w.kind != KIND_WALKS:
         raise ValueError("baselines need the total-walk sequence")
+    w = m_w.values
     out: list[BoundResult] = []
     for name, top, bottom, root in _WALK_RATIO_BASELINES:
         if top > m_w.max_index:
             continue
-        if m_w[bottom] == 0:
+        if w[bottom] == 0:
             out.append(_not_applicable(name, "lower", "zero denominator", {}))
         else:
-            out.append(BoundResult(name, "lower", (m_w[top] / m_w[bottom]) ** (1.0 / root), {}))
+            out.append(BoundResult(name, "lower", (w[top] / w[bottom]) ** (1.0 / root), {}))
     _, max_degree = degrees(g)
     out.append(BoundResult("baseline_sqrt_max_degree", "lower",
                            math.sqrt(max_degree), {}))

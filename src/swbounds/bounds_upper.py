@@ -86,7 +86,7 @@ def even_moment_upper_bound(m: MomentSequence, weight: AtomWeight, k: int) -> Bo
     params = _measure_params(m, k=k, alpha1=weight.alpha1)
     if weight.alpha1 <= MIN_ATOM_WEIGHT:
         return _not_applicable("even_moment", "upper", "vanishing leading-atom weight", params)
-    value = _ratio_root(m[2 * k], weight.alpha1, 1.0 / (2 * k))
+    value = _ratio_root(m.values[2 * k], weight.alpha1, 1.0 / (2 * k))
     return BoundResult("even_moment", "upper", value, params,
                        oracle_assisted=_oracle_assisted(weight))
 
@@ -102,18 +102,19 @@ def two_point_upper_bound(m: MomentSequence, weight: AtomWeight, k: int) -> Boun
         raise ValueError("need k >= 1")
     if 2 * k > m.max_index:
         raise ValueError(f"need m_{2 * k}, have up to m_{m.max_index}")
-    if m[0] <= 0:
+    m0, mk, m2k = m.values[0], m.values[k], m.values[2 * k]
+    if m0 <= 0:
         raise ValueError("zero total mass")
     params = _measure_params(m, k=k, alpha1=weight.alpha1)
     if weight.alpha1 <= MIN_ATOM_WEIGHT:
         return _not_applicable("two_point", "upper", "vanishing leading-atom weight", params)
-    if weight.alpha1 > m[0] * (1.0 + 1e-9):
+    if weight.alpha1 > m0 * (1.0 + 1e-9):
         raise ValueError("atom weight exceeds the measure's total mass")
-    factor = max(0.0, m[0] / weight.alpha1 - 1.0)
-    gram = m[0] * m[2 * k] - m[k] * m[k]
+    factor = max(0.0, m0 / weight.alpha1 - 1.0)
+    gram = m0 * m2k - mk * mk
     if gram < 0:
         gram = 0
-    root_k = m[k] / m[0] + math.sqrt(factor) * _sqrt_big(gram) / m[0]
+    root_k = mk / m0 + math.sqrt(factor) * _sqrt_big(gram) / m0
     return BoundResult("two_point", "upper", root_k ** (1.0 / k), params,
                        oracle_assisted=_oracle_assisted(weight))
 
@@ -177,7 +178,7 @@ def bipartite_upper_bound(m: MomentSequence, weight: AtomWeight, k: int,
         return _not_applicable("bipartite_half", "upper", "graph is not bipartite", params)
     if weight.alpha1 <= MIN_ATOM_WEIGHT:
         return _not_applicable("bipartite_half", "upper", "vanishing leading-atom weight", params)
-    value = _ratio_root(m[2 * k], 2.0 * weight.alpha1, 1.0 / (2 * k))
+    value = _ratio_root(m.values[2 * k], 2.0 * weight.alpha1, 1.0 / (2 * k))
     return BoundResult("bipartite_half", "upper", value, params,
                        oracle_assisted=_oracle_assisted(weight))
 
@@ -224,7 +225,8 @@ def hankel_root_upper_bound(m: MomentSequence, weight: AtomWeight,
     if weight.alpha1 <= MIN_ATOM_WEIGHT:
         return _not_applicable("hankel_root", "upper", "vanishing leading-atom weight", params)
     _validated_indices(m, indices, 0)
-    h = [[m[ja + jb - 2] for jb in indices] for ja in indices]
+    v = m.values
+    h = [[v[ja + jb - 2] for jb in indices] for ja in indices]
     adj = _adjugate(h)
     if adj[-1][-1] <= 0:
         return _not_applicable("hankel_root", "upper",
@@ -263,8 +265,8 @@ def stieltjes_root_upper_bound(m: MomentSequence, weight: AtomWeight, k: int) ->
     alpha = weight.alpha1
     if alpha <= MIN_ATOM_WEIGHT:
         return _not_applicable("stieltjes_root", "upper", "vanishing leading-atom weight", params)
-    m2k = m[2 * k]
-    m2k1 = m[2 * k + 1]
+    m2k = m.values[2 * k]
+    m2k1 = m.values[2 * k + 1]
     assisted = _oracle_assisted(weight)
     if m2k == 0 and m2k1 == 0:
         # all mass at the origin: the spectral radius is zero
@@ -305,8 +307,8 @@ def clique_root_upper_bound(m_w: MomentSequence, omega: int, k: int) -> BoundRes
     if omega < 2:
         return _not_applicable("clique_root", "upper", "edgeless graph (clique number < 2)",
                                params)
-    w2k = m_w[2 * k]
-    w2k1 = m_w[2 * k + 1]
+    w2k = m_w.values[2 * k]
+    w2k1 = m_w.values[2 * k + 1]
     if w2k == 0 and w2k1 == 0:
         return BoundResult("clique_root", "upper", 0.0, params)
     coeffs = [0] * (2 * k + 3)
@@ -329,6 +331,7 @@ def baseline_upper_bounds(g: Graph, m_w: MomentSequence, summary: SpectralSummar
     """
     if m_w.kind != KIND_WALKS:
         raise ValueError("baselines need the total-walk sequence")
+    w = m_w.values
     out: list[BoundResult] = []
     connected = is_connected(g)
 
@@ -338,7 +341,7 @@ def baseline_upper_bounds(g: Graph, m_w: MomentSequence, summary: SpectralSummar
         if omega < 2:
             value = 0.0
         else:
-            value = _ratio_root(m_w[k], omega / (omega - 1.0), 1.0 / (k + 1))
+            value = _ratio_root(w[k], omega / (omega - 1.0), 1.0 / (k + 1))
         out.append(BoundResult("baseline_nikiforov_clique", "upper", value,
                                {"k": k, "omega": omega}))
 
@@ -360,11 +363,11 @@ def baseline_upper_bounds(g: Graph, m_w: MomentSequence, summary: SpectralSummar
     usum = float(np.sum(x))
     for k in ks:
         if 2 * k <= m_w.max_index:
-            value = _ratio_root(m_w[2 * k], 1.0, 1.0 / (2 * k)) * umax ** (1.0 / k)
+            value = _ratio_root(w[2 * k], 1.0, 1.0 / (2 * k)) * umax ** (1.0 / k)
             out.append(BoundResult("baseline_eigvec_walk", "upper", value, {"k": k},
                                    oracle_assisted=True))
         if usum > 1e-12:
-            value = _ratio_root(m_w[k], usum / umax, 1.0 / k)
+            value = _ratio_root(w[k], usum / umax, 1.0 / k)
             out.append(BoundResult("baseline_van_mieghem", "upper", value, {"k": k},
                                    oracle_assisted=True))
     return out

@@ -131,8 +131,12 @@ class Report:
 def prepare_graph(entry: CorpusEntry, max_length: int = DEFAULT_MAX_LENGTH,
                   omega: Optional[int] = None) -> PreparedGraph:
     g = entry.graph
-    if omega is None and g.n <= CLIQUE_SEARCH_LIMIT:
-        omega = clique_number(g)
+    if omega is None:
+        if g.n <= CLIQUE_SEARCH_LIMIT:
+            omega = clique_number(g)
+    elif not (2 if g.edge_count else 1) <= omega <= g.n:
+        raise ValueError(f"clique number {omega} is impossible on a graph with {g.n} vertices "
+                         f"and {g.edge_count} edges")
     _, max_degree = degrees(g)
     total_triangles, _ = triangle_counts(g)
     flag, _ = is_bipartite(g)
@@ -198,6 +202,8 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
     soundness checks want). Returns (result, milliseconds) pairs in a
     deterministic order.
     """
+    if s_max < 0 or k_max < 0:
+        raise ValueError(f"s_max and k_max must be non-negative, got {s_max} and {k_max}")
     g = prep.entry.graph
     horizon = prep.walks_seq.max_index
     summary = prep.summary

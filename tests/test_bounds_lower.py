@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import pytest
 
 from swbounds.bounds_lower import (
+    BoundResult,
     baseline_lower_bounds,
     det_ratio_lower_bound,
     local_triangle_lower_bound,
@@ -33,6 +35,19 @@ K3 = complete_graph(3)
 P3 = path_graph(3)
 C4 = cycle_graph(4)
 SQRT2 = math.sqrt(2.0)
+
+
+class TestBoundResult:
+    def test_record_is_slotted_unfrozen_and_replaceable(self):
+        # a sweep builds one record per evaluated row: a per-instance dict or
+        # a frozen __init__ would cost more than most bounds' arithmetic
+        res = ratio_lower_bound(walk_counts(P3, 3), 0, 2)
+        assert not hasattr(res, "__dict__")
+        raised = dataclasses.replace(res, value=res.value + 1.0)
+        assert type(raised) is BoundResult and raised.value == res.value + 1.0
+        assert dataclasses.replace(raised, value=res.value) == res
+        raised.value = res.value
+        assert raised == res
 
 
 class TestRatio:

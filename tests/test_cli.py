@@ -148,6 +148,30 @@ class TestCommands:
         assert captured.out.splitlines()[0] == CSV_HEADER
         assert "VIOLATION: path_4: lower bound" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ("--gen", "star:3", "--omega", "1"),
+        ("--gen", "path:3", "--omega", "0"),
+        ("--gen", "path:3", "--omega", "4"),
+        ("--gen", "path:1", "--omega", "0"),
+    ])
+    def test_impossible_clique_number_exit_code(self, capsys, argv):
+        assert main(["bounds", *argv]) == 1
+        assert "clique number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [("--gen", "cycle:30", "--omega", "2"),
+                                      ("--gen", "path:1", "--omega", "1")])
+    def test_possible_clique_number(self, capsys, argv):
+        code, doc = _bounds_json(capsys, *argv)
+        assert code == 0 and doc["violations"] == []
+        assert doc["graph"]["clique"] == int(argv[-1])
+
+    @pytest.mark.parametrize("command", [("bounds", "--gen", "path:3"),
+                                         ("bench", "--max", "3")])
+    @pytest.mark.parametrize("flag", ["--s-max", "--k-max"])
+    def test_negative_sweep_limit_exit_code(self, capsys, command, flag):
+        assert main([*command, flag, "-1"]) == 1
+        assert "must be non-negative" in capsys.readouterr().err
+
     @pytest.mark.parametrize("k", range(6))
     def test_bounds_at_a_short_horizon(self, capsys, k):
         code, doc = _bounds_json(capsys, "--gen", "star:4", "--K", str(k))
