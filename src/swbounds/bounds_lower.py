@@ -17,8 +17,13 @@ from dataclasses import dataclass, field
 
 from .graph import Graph, degrees, triangle_counts
 from .moments import orthogonal_polynomial
-from .roots import largest_real_root_bracket
+from .roots import largest_real_root_bracket, no_real_root_above
 from .walks import KIND_WALKS, MomentSequence
+
+# Per-vertex values within this relative distance of the best one tie, and
+# the lowest tied vertex is reported, so vertices that agree up to rounding
+# on a symmetric graph do not make the label depend on the last bits.
+VERTEX_TIE_TOL = 1e-12
 
 
 @dataclass(slots=True)
@@ -173,7 +178,8 @@ def local_triangle_lower_bound(g: Graph) -> BoundResult:
                        {"vertex": best_vertex, "sqrt_max_degree": sqrt_delta})
 
 
-def sdp_lower_bound(m: MomentSequence, order: int) -> BoundResult:
+def sdp_lower_bound(m: MomentSequence, order: int, *,
+                    cutoff: float | None = None) -> BoundResult:
     """Minimal u with u*H_order +/- S_order both PSD, certified from below.
 
     The blocks use positions 1..order+1. With r + 1 the number of positive
@@ -185,6 +191,12 @@ def sdp_lower_bound(m: MomentSequence, order: int) -> BoundResult:
     zeros of c(x) and (-1)**(r+1) c(-x), each the lower end of its bracket
     from `largest_real_root_bracket`, so it never exceeds that u, which is
     at most rho.
+
+    With a cutoff > 0, one exact test (`no_real_root_above`) per polynomial,
+    in turn, skips the bracket of those with no zero above the cutoff until
+    one has a zero at or above it: their zeros cannot lift the value past
+    that one's. When none has, the value is at most the cutoff, and the row
+    comes back inapplicable.
     """
     params = _measure_params(m, n=order)
     c = orthogonal_polynomial(m, order)
@@ -193,11 +205,17 @@ def sdp_lower_bound(m: MomentSequence, order: int) -> BoundResult:
     degree = len(c) - 1
     mirrored = [-x if (degree - j) % 2 else x for j, x in enumerate(c)]
     value = 0.0
+    ruled_out = cutoff is not None  # no polynomial so far has a zero above it
     for poly in (c, mirrored):
         # real zeros and a positive leading coefficient: by Descartes' rule
         # a positive zero exists exactly when a lower coefficient is negative
         if any(x < 0 for x in poly[:-1]):
+            if ruled_out and no_real_root_above(poly, cutoff):
+                continue
+            ruled_out = False
             value = max(value, largest_real_root_bracket(poly)[0])
+    if ruled_out:
+        return _not_applicable("sdp", "lower", "no zero above the cutoff", params)
     return BoundResult("sdp", "lower", value, params)
 
 

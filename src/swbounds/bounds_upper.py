@@ -22,10 +22,10 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .bounds_lower import BoundResult, _measure_params, _not_applicable
+from .bounds_lower import VERTEX_TIE_TOL, BoundResult, _measure_params, _not_applicable
 from .graph import Graph, degrees, is_bipartite, is_connected
 from .moments import _validated_indices, exact_determinant
-from .roots import largest_real_root_bracket
+from .roots import largest_real_root_bracket, no_real_root_above
 from .spectrum import SpectralSummary
 from .walks import KIND_CLOSED, KIND_CLOSED_AT, KIND_WALKS, MomentSequence
 
@@ -126,8 +126,9 @@ def eigvec_degree_upper_bound(g: Graph, summary: SpectralSummary) -> BoundResult
     positive; vertices with an entry below 1e-12 are skipped and counted.
     Also sanity-checks the equivalent eigenvector-entry inequality
     x_i <= 1 / sqrt(1 + rho^2/d_i). The reported vertex is the lowest index
-    within 1e-12 relative of the minimum, so vertices that tie up to rounding
-    on symmetric graphs do not make the label depend on the eigensolver.
+    within VERTEX_TIE_TOL relative of the minimum, so vertices that tie up
+    to rounding on symmetric graphs do not make the label depend on the
+    eigensolver.
     """
     if not is_connected(g):
         return _not_applicable("eigvec_degree", "upper", "graph is not connected", {})
@@ -149,7 +150,7 @@ def eigvec_degree_upper_bound(g: Graph, summary: SpectralSummary) -> BoundResult
         return _not_applicable("eigvec_degree", "upper", "all eigenvector entries vanish",
                                {"skipped": skipped})
     best = min(values.values())
-    best_vertex = next(i for i, v in values.items() if v <= best * (1.0 + 1e-12))
+    best_vertex = next(i for i, v in values.items() if v <= best * (1.0 + VERTEX_TIE_TOL))
     return BoundResult("eigvec_degree", "upper", best,
                        {"vertex": best_vertex, "skipped": skipped,
                         "rearranged_ok": rearranged_ok},
@@ -203,7 +204,8 @@ def _adjugate(h: list[list[int]]) -> list[list[int]]:
 
 
 def hankel_root_upper_bound(m: MomentSequence, weight: AtomWeight,
-                            index_set: Iterable[int]) -> BoundResult:
+                            index_set: Iterable[int], *,
+                            cutoff: float | None = None) -> BoundResult:
     """Largest root of det(H_J - alpha_1 * R_J(r)) as an upper bound.
 
     R_J(r) = v v^T with v = (r**(j-1) for j in J), so by the matrix
@@ -216,6 +218,11 @@ def hankel_root_upper_bound(m: MomentSequence, weight: AtomWeight,
     det H_J = 0 the polynomial is a negative multiple of a square and
     touches zero at its top root, which is found as a simple root of the
     square's base.
+
+    With a cutoff > 0, a polynomial that one exact test
+    (`no_real_root_above`) shows has a real root at or above the cutoff
+    gets no bracket: the bound would be at least the cutoff, and the row
+    comes back inapplicable.
     """
     indices = tuple(sorted(set(int(j) for j in index_set)))
     params = _measure_params(m, J=list(indices), alpha1=weight.alpha1)
@@ -245,17 +252,25 @@ def hankel_root_upper_bound(m: MomentSequence, weight: AtomWeight,
         coeffs = [0] * indices[-1]
         for b, jb in enumerate(indices):
             coeffs[jb - 1] = adj[-1][b]
+    if cutoff is not None and not no_real_root_above(coeffs, cutoff):
+        return _not_applicable("hankel_root", "upper", "a root at or above the cutoff", params)
     return BoundResult("hankel_root", "upper", largest_real_root_bracket(coeffs)[1], params,
                        oracle_assisted=_oracle_assisted(weight))
 
 
-def stieltjes_root_upper_bound(m: MomentSequence, weight: AtomWeight, k: int) -> BoundResult:
+def stieltjes_root_upper_bound(m: MomentSequence, weight: AtomWeight, k: int, *,
+                               cutoff: float | None = None) -> BoundResult:
     """Largest root of m_{2k} r + m_{2k+1} - 2 alpha_1 r**(2k+1).
 
     On the positive axis this polynomial rises from m_{2k+1} >= 0 to a single
     maximum and then falls, so the largest root is unique and never exceeds
     the even-moment bound. For k = 0 the polynomial is linear and only has
     the right shape when m_0 < 2 alpha_1.
+
+    With a cutoff > 0, a polynomial that one exact test
+    (`no_real_root_above`) shows has its root at or above the cutoff gets
+    no bracket, and the row comes back inapplicable; a second test still
+    checks that the root is below the even-moment bound.
     """
     if k < 0:
         raise ValueError("need k >= 0")
@@ -283,10 +298,14 @@ def stieltjes_root_upper_bound(m: MomentSequence, weight: AtomWeight, k: int) ->
         return _not_applicable("stieltjes_root", "upper",
                                "degenerate linear case: non-negative leading coefficient",
                                params)
+    # the even-moment bound, which the root never exceeds
+    ceiling = _ratio_root(m2k, alpha, 1.0 / (2 * k)) * (1.0 + 1e-12) + 1e-9 if k else None
+    if cutoff is not None and not no_real_root_above(coeffs, cutoff):
+        assert ceiling is None or no_real_root_above(coeffs, ceiling)
+        return _not_applicable("stieltjes_root", "upper", "a root at or above the cutoff",
+                               params)
     root = largest_real_root_bracket(coeffs)[1]
-    if k:
-        even = _ratio_root(m2k, alpha, 1.0 / (2 * k))
-        assert root <= even * (1.0 + 1e-12) + 1e-9
+    assert ceiling is None or root <= ceiling
     return BoundResult("stieltjes_root", "upper", root, params, oracle_assisted=assisted)
 
 

@@ -10,6 +10,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .bounds_lower import (
+    VERTEX_TIE_TOL,
     BoundResult,
     _det_blocks,
     baseline_lower_bounds,
@@ -174,14 +175,16 @@ def _reduce_vertex_results(results: list[BoundResult], kind: str) -> BoundResult
     """Best bound over the per-vertex variants: max for lower, min for upper.
 
     On vertex-transitive graphs the variants tie up to rounding, so the first
-    variant (the lowest vertex) within 1e-12 relative of the best is reported,
-    as `eigvec_degree_upper_bound` does; its value is still a valid bound.
+    variant (the lowest vertex) within VERTEX_TIE_TOL relative of the best is
+    reported, as `eigvec_degree_upper_bound` does; its value is still a
+    valid bound. A variant no better than a lower vertex's is never
+    reported: when it is within the tolerance, so is that vertex.
     """
     live = [r for r in results if r.applicable and not r.trivial]
     if live:
         pick = max if kind == "lower" else min
         best = pick(r.value for r in live)
-        return next(r for r in live if abs(r.value - best) <= 1e-12 * abs(best))
+        return next(r for r in live if abs(r.value - best) <= VERTEX_TIE_TOL * abs(best))
     trivial = [r for r in results if r.applicable]
     if trivial:
         return trivial[0]
@@ -199,8 +202,14 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
     a combination that needs moments beyond the computed horizon is skipped.
     With vertex_mode="aggregate" the rooted-measure bounds are reduced to the
     best vertex per parameter choice; "all" keeps every vertex (what the
-    soundness checks want). Returns (result, milliseconds) pairs in a
-    deterministic order.
+    soundness checks want). In aggregate mode the root-based families
+    (`sdp`, `stieltjes_root`, `hankel_root`) pass each vertex after a
+    positive live one the best value so far as a cutoff. A kernel that
+    proves with one exact test that the vertex's value is no better
+    returns it inapplicable without a root search; since a lower vertex is
+    at least as good, the reduction would not have reported it, and the
+    reported vertex and value are those of the full sweep. Returns
+    (result, milliseconds) pairs in a deterministic order.
     """
     if s_max < 0 or k_max < 0:
         raise ValueError(f"s_max and k_max must be non-negative, got {s_max} and {k_max}")
@@ -217,15 +226,22 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
         batch = res if isinstance(res, list) else [res]
         rows.extend((r, ms / len(batch)) for r in batch)
 
-    def emit_each(fn, heads, *args) -> None:
+    def emit_each(fn, heads, *args, prune: bool = False) -> None:
         """One timed call per sequence; a rooted batch keeps its best vertex
-        unless vertex_mode is "all"."""
+        unless vertex_mode is "all", and a pruned one that keeps it passes
+        the kernel its best positive live value so far as the cutoff."""
         group = []
+        keep_best = len(heads) > 1 and vertex_mode != "all"
+        prune = prune and keep_best
+        running = None
         for head in heads:
             t0 = time.perf_counter()
-            res = fn(*head, *args)
+            res = fn(*head, *args) if running is None else fn(*head, *args, cutoff=running)
             group.append((res, (time.perf_counter() - t0) * 1000.0))
-        if len(group) > 1 and vertex_mode != "all":
+            if prune and res.applicable and not res.trivial and res.value > 0.0:
+                pick = max if res.kind == "lower" else min
+                running = res.value if running is None else pick(running, res.value)
+        if keep_best:
             best = _reduce_vertex_results([r for r, _ in group], group[0][0].kind)
             group = [(best, sum(ms for _, ms in group))]
         rows.extend(group)
@@ -254,7 +270,7 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
 
         for order in sdp_orders:
             if 2 * order + 1 <= horizon:
-                emit_each(sdp_lower_bound, alone, order)
+                emit_each(sdp_lower_bound, alone, order, prune=True)
 
         for k in range(1, k_max + 1):
             if 2 * k <= horizon:
@@ -263,11 +279,11 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
                 if seqs[0].kind != KIND_WALKS:
                     emit_each(bipartite_upper_bound, weighted, k, prep.bipartite)
             if 2 * k + 1 <= horizon:
-                emit_each(stieltjes_root_upper_bound, weighted, k)
+                emit_each(stieltjes_root_upper_bound, weighted, k, prune=True)
 
         for j_set in j_sets:
             if 2 * max(j_set) - 1 <= horizon:
-                emit_each(hankel_root_upper_bound, weighted, j_set)
+                emit_each(hankel_root_upper_bound, weighted, j_set, prune=True)
 
     if "walks" in measures and prep.omega is not None:
         for k in range(0, k_max + 1):

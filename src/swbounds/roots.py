@@ -7,6 +7,10 @@ coefficients at u, with a Sturm count where that is inconclusive (complex
 roots with real part beyond u). Newton steps down onto the root in floats
 only seed the search. Upper bounds take hi, which passed the test; lower
 bounds take lo, which failed it, so a real root lies in [lo, inf).
+
+`no_real_root_above` runs that test once, at one float u > 0, on the same
+normalised coefficients. A per-vertex sweep uses it to rule out a vertex
+whose root cannot beat the best one found so far, without a bracket.
 """
 
 from __future__ import annotations
@@ -64,11 +68,11 @@ class _Certifier:
     has no real root above a float u (so it is negative on (u, inf)).
     `root` is the last u that passed while being a root itself."""
 
-    def __init__(self, c: list[int], terms: list[tuple[int, int]]) -> None:
+    def __init__(self, c: list[int]) -> None:
         self.c = c
         self.degree = len(c) - 1
-        self.terms = terms
-        self.second = terms[-2][0]
+        self.terms = [(i, x) for i, x in enumerate(c) if x]
+        self.second = self.terms[-2][0]
         self.root: Optional[float] = None
         self._sturm: Optional[list[list[int]]] = None
 
@@ -157,15 +161,35 @@ def _cauchy_bound(c: list[int]) -> float:
     return math.ldexp(1.0, (ratio + 1).bit_length())
 
 
-def _normalized(coeffs: Sequence[int]) -> list[int]:
+def _normalized(coeffs: Sequence[int]) -> tuple[list[int], int]:
     """The coefficients without trailing zeros, negated if need be so that
-    the leading one is negative."""
+    the leading one is negative, and divided by the largest power of r that
+    divides them; and that power (the multiplicity of the root at zero)."""
     c = list(coeffs)
     while c and c[-1] == 0:
         c.pop()
     if len(c) < 2:
         raise ValueError("need a non-constant polynomial")
-    return [-x for x in c] if c[-1] > 0 else c
+    zeros = next(i for i, x in enumerate(c) if x)
+    c = c[zeros:]
+    return ([-x for x in c] if c[-1] > 0 else c), zeros
+
+
+def no_real_root_above(coeffs: Sequence[int], u: float) -> bool:
+    """Whether sum(coeffs[i] * r**i) has no real root in (u, inf), exactly.
+
+    The coefficients are Python ints, lowest degree first, and u > 0 is a
+    float. True means every real root is at most u; False means a real root
+    lies in [u, inf). It is the test `largest_real_root_bracket` runs at
+    each step, so it is True at its hi and at every float above, and False
+    at every float below its lo. Raises ValueError for a constant
+    polynomial or u <= 0.
+    """
+    if not u > 0.0:
+        raise ValueError(f"need u > 0, got {u!r}")
+    c, _ = _normalized(coeffs)
+    # the roots at zero lie below u; without them a constant has no root
+    return len(c) == 1 or _Certifier(c)(u)
 
 
 def _newton_estimate(terms: list[tuple[int, int]]) -> Optional[float]:
@@ -190,17 +214,14 @@ def largest_real_root_bracket(coeffs: Sequence[int]) -> tuple[float, float]:
     adjacent floats. Raises ValueError for a constant polynomial or one
     with no real root.
     """
-    c = _normalized(coeffs)
-    zeros = next(i for i, x in enumerate(c) if x)
-    c = c[zeros:]
+    c, zeros = _normalized(coeffs)
     if len(c) == 1:
         return 0.0, 0.0
-    terms = [(i, x) for i, x in enumerate(c) if x]
-    certified = _Certifier(c, terms)
+    certified = _Certifier(c)
     if zeros and certified(0.0):
         # no root of the rest lies above the roots at zero
         return 0.0, 0.0
-    seed = _newton_estimate(terms)
+    seed = _newton_estimate(certified.terms)
     if seed is None:
         hi = _cauchy_bound(c)
         lo = -hi

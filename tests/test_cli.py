@@ -1,17 +1,26 @@
 import dataclasses
 import json
 import math
+import random
 
 import pytest
 
-from swbounds import report
+from swbounds import bounds_lower, bounds_upper, report, roots
 from swbounds.bounds_lower import BoundResult
 from swbounds.cli import main
-from swbounds.graph import complete_graph, cycle_graph, parse_edge_list, serialize_edge_list
+from swbounds.graph import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    generate,
+    parse_edge_list,
+    serialize_edge_list,
+)
 from swbounds.report import (
     CSV_HEADER,
     CorpusEntry,
     VerificationOutcome,
+    _reduce_vertex_results,
     _verify_dominance,
     _verify_moment_machinery,
     _verify_walks,
@@ -282,6 +291,73 @@ class TestVertexReduction:
         rows = [r for r in report.bounds if r.name == "hankel_root"
                 and r.params["measure"] == "closed_walks_at" and r.params["J"] == [1, 2, 3]]
         assert len(rows) == 1 and rows[0].params["vertex"] == 0
+
+    @staticmethod
+    def _key(r: BoundResult) -> tuple:
+        p = r.params
+        return (r.name, p.get("measure"), p.get("s"), p.get("k"), p.get("n"), str(p.get("J")))
+
+    @pytest.mark.parametrize("name, graph, max_length, k_max", [
+        # every vertex ties
+        ("cycle_30", generate("cycle:30"), 12, 4),
+        # the leaves tie
+        ("star_12", generate("star:12"), 12, 4),
+        # G(40, 80), the median rung of the benchmark's size ladder
+        ("gnm_40_80", Graph(40, random.Random(5).sample(
+            [(i, j) for i in range(40) for j in range(i + 1, 40)], 80)), 12, 4),
+        # vertex 0 is isolated: its atom weight is zero and its rows inapplicable
+        ("isolated_0", Graph(6, [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5)]), 12, 4),
+        ("er_20_0.3_16", generate("erdos_renyi:20:0.3", 16), 20, 9),
+    ])
+    def test_aggregate_rows_reduce_the_per_vertex_rows(self, name, graph, max_length, k_max):
+        # losing vertices are ruled out by a cutoff in aggregate mode; the
+        # row reported must still be the reduction of every vertex's row
+        prep = prepare_graph(CorpusEntry(name, "test", graph), max_length)
+        groups: dict = {}
+        for r, _ in sweep_bounds(prep, k_max=k_max, vertex_mode="all"):
+            groups.setdefault(self._key(r), []).append(r)
+        aggregate = [r for r, _ in sweep_bounds(prep, k_max=k_max)]
+        by_key = {self._key(r): r for r in aggregate}
+        assert len(by_key) == len(aggregate)
+        assert by_key.keys() == groups.keys()
+        for key, rows in groups.items():
+            assert by_key[key] == _reduce_vertex_results(rows, rows[0].kind), key
+        if name == "isolated_0":
+            rooted = groups[("hankel_root", "closed_walks_at", None, None, None, "[1, 2]")]
+            assert rooted[0].params["vertex"] == 0 and not rooted[0].applicable
+
+    @pytest.mark.parametrize("name, kind, values", [
+        # the best is vertex 2, and vertices 1 and 3 are within the tie
+        # tolerance of it, but vertex 0 is not: vertex 1 is reported
+        ("sdp", "lower", (1.0, 1.0 + 6e-13, 1.0 + 1.2e-12, 1.0 + 3e-13)),
+        ("hankel_root", "upper", (1.0 + 1.2e-12, 1.0 + 6e-13, 1.0, 1.0 + 9e-13)),
+    ])
+    def test_cutoff_keeps_the_lowest_tied_vertex(self, monkeypatch, name, kind, values):
+        def bound(m, *args, cutoff=None):
+            params = {"measure": m.kind, "vertex": m.vertex}
+            value = values[m.vertex] if m.vertex is not None else 1.0
+            if cutoff is not None and (value <= cutoff if kind == "lower" else value >= cutoff):
+                return BoundResult(name, kind, math.nan, params, applicable=False)
+            return BoundResult(name, kind, value, params)
+        monkeypatch.setattr(report, f"{name}_{kind}_bound", bound)
+        prep = prepare_graph(CorpusEntry("path_4", "path", generate("path:4")))
+        for mode in ("aggregate", "all"):
+            rows = [r for r, _ in sweep_bounds(prep, measures=("vertex",), vertex_mode=mode)
+                    if r.name == name]
+            assert _reduce_vertex_results(rows, kind).params["vertex"] == 1
+
+    def test_losing_vertices_get_no_root_search(self, monkeypatch):
+        calls = []
+
+        def counted(coeffs):
+            calls.append(coeffs)
+            return roots.largest_real_root_bracket(coeffs)
+        monkeypatch.setattr(bounds_lower, "largest_real_root_bracket", counted)
+        monkeypatch.setattr(bounds_upper, "largest_real_root_bracket", counted)
+        prep = prepare_graph(CorpusEntry("er", "erdos_renyi", generate("erdos_renyi:60:0.1", 3)))
+        sweep_bounds(prep)
+        # a root search per vertex and root-based row would be 625
+        assert len(calls) <= 100
 
 
 def _bounds_json(capsys, *argv) -> tuple[int, dict]:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swbounds import roots
-from swbounds.roots import largest_real_root_bracket
+from swbounds.roots import largest_real_root_bracket, no_real_root_above
 
 
 def _product(*factors):
@@ -240,3 +240,76 @@ def test_bracket_holds_the_top_root(real_roots, denominator, zeros, quadratics, 
     assert lo <= top <= hi
     if lo == hi:
         assert hi == top
+    # the one-point test agrees with the bracket on either side of it
+    if lo > 0.0:
+        assert not no_real_root_above(coeffs, math.nextafter(lo, 0.0))
+    if hi > 0.0:
+        assert no_real_root_above(coeffs, hi)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_no_real_root_above_agrees_with_the_bracket(name):
+    coeffs, _, _ = CASES[name]
+    lo, hi = largest_real_root_bracket(coeffs)
+    for poly in (coeffs, [-c for c in coeffs]):
+        # a root at or above u for every u <= lo: none is certified away,
+        # except at lo itself when the root is that float
+        for u in (0.5 * lo, lo * (1.0 - 1e-9), math.nextafter(lo, 0.0)):
+            assert not no_real_root_above(poly, u)
+        assert no_real_root_above(poly, lo) == (lo == hi)
+        # none above u for every float from hi on
+        for u in (hi, math.nextafter(hi, math.inf), hi * (1.0 + 1e-9), 2.0 * hi, 1e300):
+            assert no_real_root_above(poly, u)
+
+
+def test_no_real_root_above_a_touching_top_root():
+    coeffs = _product([-3, 1], [-3, 1], [-1])
+    assert no_real_root_above(coeffs, 3.0)
+    assert not no_real_root_above(coeffs, math.nextafter(3.0, 0.0))
+    # irrational: the polynomial is negative on both sides of sqrt 2
+    coeffs = CASES["irrational_double"][0]
+    assert not no_real_root_above(coeffs, 1.414213562373095)
+    assert no_real_root_above(coeffs, 1.4142135623730951 * (1.0 + 1e-15))
+
+
+def test_no_real_root_above_a_complex_pair_beyond_uses_the_sturm_fallback(monkeypatch):
+    calls = []
+    real = roots._sturm_sequence
+    monkeypatch.setattr(roots, "_sturm_sequence", lambda c: calls.append(c) or real(c))
+    coeffs = CASES["complex_beyond"][0]
+    # negative beyond the root 2, with the pair 5 +/- i further right
+    for u in (2.5, 4.0, 5.0):
+        assert no_real_root_above(coeffs, u)
+    assert calls
+    assert not no_real_root_above(coeffs, 1.5)
+
+
+def test_no_real_root_above_beyond_float_range():
+    coeffs = [c * 10 ** 400 for c in _product([-3, 1], [1, 1], [-1])]
+    assert no_real_root_above(coeffs, 3.0)
+    assert not no_real_root_above(coeffs, math.nextafter(3.0, 0.0))
+    coeffs = [c * 10 ** 400 for c in _product([-2, 0, 1], [1, 1], [-1])]
+    assert not no_real_root_above(coeffs, 1.414213562373095)
+    assert no_real_root_above(coeffs, 1.4142135623730951)
+
+
+def test_no_real_root_above_a_dyadic_root_at_u():
+    # -(8r - 3)(r + 1): the top root 3/8 is a float
+    coeffs = _product([-3, 8], [1, 1], [-1])
+    assert no_real_root_above(coeffs, 0.375)
+    assert not no_real_root_above(coeffs, math.nextafter(0.375, 0.0))
+    # a root exactly at u with another one above it
+    coeffs = _product([-3, 8], [-2, 1], [-1])
+    assert not no_real_root_above(coeffs, 0.375)
+    assert no_real_root_above(coeffs, 2.0)
+    # roots at zero only lie below any u > 0
+    assert no_real_root_above([0, 0, -5], 1e-300)
+
+
+def test_no_real_root_above_rejects_bad_input():
+    with pytest.raises(ValueError, match="u > 0"):
+        no_real_root_above([-1, 1], 0.0)
+    with pytest.raises(ValueError, match="u > 0"):
+        no_real_root_above([-1, 1], math.nan)
+    with pytest.raises(ValueError, match="non-constant"):
+        no_real_root_above([3, 0], 1.0)
