@@ -51,14 +51,6 @@ class BoundResult:
     oracle_assisted: bool = False
 
 
-def _measure_params(m: MomentSequence, **extra) -> dict:
-    params: dict = {"measure": m.kind}
-    if m.vertex is not None:
-        params["vertex"] = m.vertex
-    params.update(extra)
-    return params
-
-
 def _not_applicable(name: str, kind: str, reason: str, params: dict) -> BoundResult:
     return BoundResult(name=name, kind=kind, value=math.nan, params=params,
                        applicable=False, reason=reason)
@@ -75,7 +67,7 @@ def ratio_lower_bound(m: MomentSequence, s: int, k: int) -> BoundResult:
     if 2 * s + k > m.max_index:
         raise ValueError(f"need m_{2 * s + k}, have up to m_{m.max_index}")
     v = m.values
-    params = _measure_params(m, s=s, k=k)
+    params = {**m.params_head, "s": s, "k": k}
     if v[2 * s] == 0:
         return _not_applicable("ratio", "lower", "zero even moment m_{2s}", params)
     value = (v[2 * s + k] / v[2 * s]) ** (1.0 / k)
@@ -107,7 +99,7 @@ def det_ratio_lower_bound(m: MomentSequence, s: int, k: int) -> BoundResult:
     the bound inapplicable.
     """
     _require_det_range(m, s, k)
-    params = _measure_params(m, s=s, k=k)
+    params = {**m.params_head, "s": s, "k": k}
     det_h, det_s, _ = _det_blocks(m, s, k)
     if det_h <= 0:
         reason = "singular Hankel block" if det_h == 0 else "Hankel block not PSD"
@@ -129,7 +121,7 @@ def quadratic_root_lower_bound(m: MomentSequence, s: int, k: int) -> BoundResult
     vertex value |det F| / (2 det H).
     """
     _require_det_range(m, s, k)
-    params = _measure_params(m, s=s, k=k)
+    params = {**m.params_head, "s": s, "k": k}
     det_h, det_s, det_f = _det_blocks(m, s, k)
     if det_h <= 0:
         return _not_applicable("quadratic_root", "lower",
@@ -198,7 +190,7 @@ def sdp_lower_bound(m: MomentSequence, order: int, *,
     that one's. When none has, the value is at most the cutoff, and the row
     comes back inapplicable.
     """
-    params = _measure_params(m, n=order)
+    params = {**m.params_head, "n": order}
     c = orthogonal_polynomial(m, order)
     if c is None:
         return _not_applicable("sdp", "lower", "Hankel matrix not PSD", params)

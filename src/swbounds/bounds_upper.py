@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .bounds_lower import VERTEX_TIE_TOL, BoundResult, _measure_params, _not_applicable
+from .bounds_lower import VERTEX_TIE_TOL, BoundResult, _not_applicable
 from .graph import Graph, degrees, is_bipartite, is_connected
 from .moments import _validated_indices, exact_determinant
 from .roots import largest_real_root_bracket, no_real_root_above
@@ -83,7 +83,7 @@ def even_moment_upper_bound(m: MomentSequence, weight: AtomWeight, k: int) -> Bo
         raise ValueError("need k >= 1")
     if 2 * k > m.max_index:
         raise ValueError(f"need m_{2 * k}, have up to m_{m.max_index}")
-    params = _measure_params(m, k=k, alpha1=weight.alpha1)
+    params = {**m.params_head, "k": k, "alpha1": weight.alpha1}
     if weight.alpha1 <= MIN_ATOM_WEIGHT:
         return _not_applicable("even_moment", "upper", "vanishing leading-atom weight", params)
     value = _ratio_root(m.values[2 * k], weight.alpha1, 1.0 / (2 * k))
@@ -105,7 +105,7 @@ def two_point_upper_bound(m: MomentSequence, weight: AtomWeight, k: int) -> Boun
     m0, mk, m2k = m.values[0], m.values[k], m.values[2 * k]
     if m0 <= 0:
         raise ValueError("zero total mass")
-    params = _measure_params(m, k=k, alpha1=weight.alpha1)
+    params = {**m.params_head, "k": k, "alpha1": weight.alpha1}
     if weight.alpha1 <= MIN_ATOM_WEIGHT:
         return _not_applicable("two_point", "upper", "vanishing leading-atom weight", params)
     if weight.alpha1 > m0 * (1.0 + 1e-9):
@@ -173,7 +173,7 @@ def bipartite_upper_bound(m: MomentSequence, weight: AtomWeight, k: int,
         raise ValueError("need k >= 1")
     if 2 * k > m.max_index:
         raise ValueError(f"need m_{2 * k}, have up to m_{m.max_index}")
-    params = _measure_params(m, k=k, alpha1=weight.alpha1)
+    params = {**m.params_head, "k": k, "alpha1": weight.alpha1}
     flag = g if isinstance(g, bool) else is_bipartite(g)[0]
     if not flag:
         return _not_applicable("bipartite_half", "upper", "graph is not bipartite", params)
@@ -225,7 +225,7 @@ def hankel_root_upper_bound(m: MomentSequence, weight: AtomWeight,
     comes back inapplicable.
     """
     indices = tuple(sorted(set(int(j) for j in index_set)))
-    params = _measure_params(m, J=list(indices), alpha1=weight.alpha1)
+    params = {**m.params_head, "J": list(indices), "alpha1": weight.alpha1}
     if len(indices) < 2:
         return _not_applicable("hankel_root", "upper",
                                "needs at least two positions (constant polynomial)", params)
@@ -276,7 +276,7 @@ def stieltjes_root_upper_bound(m: MomentSequence, weight: AtomWeight, k: int, *,
         raise ValueError("need k >= 0")
     if 2 * k + 1 > m.max_index:
         raise ValueError(f"need m_{2 * k + 1}, have up to m_{m.max_index}")
-    params = _measure_params(m, k=k, alpha1=weight.alpha1)
+    params = {**m.params_head, "k": k, "alpha1": weight.alpha1}
     alpha = weight.alpha1
     if alpha <= MIN_ATOM_WEIGHT:
         return _not_applicable("stieltjes_root", "upper", "vanishing leading-atom weight", params)

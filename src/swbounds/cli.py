@@ -10,7 +10,7 @@ on their own reports).
 from __future__ import annotations
 
 import argparse
-import json
+import json  # noqa: F401 -- perfbench's tracer patches `cli.json` to time dumps
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -30,7 +30,7 @@ from .report import (
     family_corpus,
     format_table,
     report_csv_rows,
-    report_to_dict,
+    report_json,
     run_verification,
 )
 from .walks import DEFAULT_MAX_LENGTH
@@ -82,7 +82,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         with_timing=not args.no_timing,
     )
     if args.format == "json":
-        _write_output(json.dumps(report_to_dict(report), indent=2) + "\n", args.out)
+        _write_output(report_json(report) + "\n", args.out)
     elif args.format == "csv":
         _write_output("\n".join([CSV_HEADER, *report_csv_rows(report)]) + "\n", args.out)
     else:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -346,18 +348,95 @@ def _field_values(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
+_BOUND_FIELDS = tuple(f.name for f in fields(BoundResult))
+_bound_values = operator.attrgetter(*_BOUND_FIELDS)
+# The keys of one JSON bound row, in order: the record's fields, then "ms".
+_ROW_KEYS = (*_BOUND_FIELDS, "ms")
+
+
 def report_to_dict(report: Report) -> dict:
+    rows = []
+    for r, ms in zip(report.bounds, report.bound_ms):
+        row = dict(zip(_ROW_KEYS, (*_bound_values(r), ms)))
+        if not math.isfinite(r.value):
+            row["value"] = None
+        rows.append(row)
     return {
         "graph": _field_values(report.graph),
         "rho_exact": report.rho,
-        "bounds": [
-            {**_field_values(r), "value": r.value if math.isfinite(r.value) else None,
-             "ms": ms}
-            for r, ms in zip(report.bounds, report.bound_ms)
-        ],
+        "bounds": rows,
         "violations": list(report.violations),
         "timing_ms": dict(report.stage_ms),
     }
+
+
+def _json_value(obj, pad: str) -> str:
+    """`json.dumps(obj, indent=2)` of a value whose line starts with `pad`.
+
+    Scalars are tested in the order of the standard library's encoder:
+    None, True and False by identity, so a number equal to 1 or 0 (such as
+    numpy.float64(1.0)) never prints as a bool, and int and float
+    subclasses through the base class's repr. Dict keys must be str (the
+    encoder raises TypeError on others, which json.dumps would convert), and
+    cycles are not detected.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == math.inf:
+            return "Infinity"
+        if obj == -math.inf:
+            return "-Infinity"
+        return float.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_json_value(v, inner) for v in obj]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_json_value(v, inner)}"
+                 for k, v in obj.items()]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+# One bound row of `report_json`, a dict at depth 2 of the report, with its
+# keys (identifiers, so free of "%") encoded once.
+_ROW_PAD = " " * 6
+_ROW_TEMPLATE = ("{\n" + ",\n".join(f"{_ROW_PAD}{encode_basestring_ascii(k)}: %s"
+                                    for k in _ROW_KEYS) + "\n    }")
+
+
+def report_json(report: Report) -> str:
+    """`json.dumps(report_to_dict(report), indent=2)`, byte for byte.
+
+    With an indent the standard library drops its C encoder, so the report
+    is written here: each bound row fills one template, and `_json_value`
+    writes the rest of the dict `report_to_dict` returns.
+    """
+    parts = []
+    for key, value in report_to_dict(report).items():
+        if key == "bounds" and value:
+            text = "[\n    " + ",\n    ".join([
+                _ROW_TEMPLATE % tuple([_json_value(v, _ROW_PAD) for v in row.values()])
+                for row in value]) + "\n  ]"
+        else:
+            text = _json_value(value, "  ")
+        parts.append(f"  {encode_basestring_ascii(key)}: {text}")
+    return "{\n" + ",\n".join(parts) + "\n}"
 
 
 def _csv_quote(value: str) -> str:

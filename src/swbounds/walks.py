@@ -11,7 +11,7 @@ matter how fast the sequence grows; nothing here touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,12 +37,15 @@ class MomentSequence:
     """Counts m_0..m_K for one walk family, tagged with its kind.
 
     For `closed_walks_at` the rooted vertex is recorded; other kinds leave
-    it as None.
+    it as None. `params_head` is the {"measure", "vertex"} head of the
+    params of every bound taken from this sequence, built once; the bound
+    kernels copy it into each row's params and never change it.
     """
 
     kind: str
     values: tuple[int, ...]
     vertex: Optional[int] = None
+    params_head: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -55,6 +58,10 @@ class MomentSequence:
             raise ValueError("walk counts must be Python ints")
         if any(v < 0 for v in self.values):
             raise ValueError("walk counts cannot be negative")
+        head = {"measure": self.kind}
+        if self.vertex is not None:
+            head["vertex"] = self.vertex
+        object.__setattr__(self, "params_head", head)
 
     @property
     def max_index(self) -> int:

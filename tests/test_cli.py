@@ -3,7 +3,10 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swbounds import bounds_lower, bounds_upper, report, roots
 from swbounds.bounds_lower import BoundResult
@@ -31,7 +34,7 @@ from swbounds.report import (
     run_verification,
     sweep_bounds,
 )
-from swbounds.walks import KIND_CLOSED, MomentSequence
+from swbounds.walks import DEFAULT_MAX_LENGTH, KIND_CLOSED, MomentSequence
 
 
 @pytest.fixture
@@ -58,6 +61,93 @@ class TestReportSerialization:
         a = build_report(entry, with_timing=False)
         b = build_report(entry, with_timing=False)
         assert a == b
+
+
+_JSON_STRINGS = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7féß€\U0001d11e'),
+                                  st.characters()), max_size=8)
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2 ** 200, max_value=2 ** 200),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.nan,
+                     math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    _JSON_STRINGS,
+)
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_JSON_STRINGS, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class _TaggedInt(int):
+    def __repr__(self) -> str:
+        return "tagged"
+
+
+class TestJsonWriter:
+    """`report_json` must give the bytes of `json.dumps(..., indent=2)`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_TREES)
+    def test_writer_matches_json_dumps(self, obj):
+        assert report._json_value(obj, "") == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("value, text", [
+        (np.float64(1.0), "1.0"),
+        (np.float64(0.0), "0.0"),
+        (True, "true"),
+        (1, "1"),
+        (False, "false"),
+        (0, "0"),
+        (_TaggedInt(5), "5"),
+    ])
+    def test_numbers_print_through_the_base_repr(self, value, text):
+        assert report._json_value(value, "") == json.dumps(value, indent=2) == text
+        assert report._json_value([value], "") == json.dumps([value], indent=2)
+
+    @pytest.mark.parametrize("value", [np.int64(3), {1, 2}, object()])
+    def test_unserializable_values_raise(self, value):
+        for obj in (value, [value], {"key": value}):
+            with pytest.raises(TypeError):
+                json.dumps(obj, indent=2)
+            with pytest.raises(TypeError):
+                report._json_value(obj, "")
+
+    @pytest.mark.parametrize("spec, seed, max_length, k_max, vertex_mode", [
+        ("erdos_renyi:20:0.3", 16, 20, 9, "aggregate"),
+        ("erdos_renyi:20:0.3", 16, 20, 9, "all"),
+        ("cycle:70", 0, DEFAULT_MAX_LENGTH, report.DEFAULT_K_MAX, "aggregate"),
+    ])
+    def test_report_json_matches_json_dumps(self, spec, seed, max_length, k_max, vertex_mode):
+        entry = CorpusEntry(spec, spec.split(":")[0], generate(spec, seed))
+        r = build_report(entry, max_length=max_length, k_max=k_max,
+                         vertex_mode=vertex_mode, with_timing=True)
+        assert any(ms > 0.0 for ms in r.bound_ms)
+        text = report.report_json(r)
+        expected = json.dumps(report.report_to_dict(r), indent=2)
+        if text != expected:   # name the first differing line, not a full diff
+            line = next(i for i, pair in enumerate(zip(text.splitlines() + [""],
+                                                       expected.splitlines() + [""]))
+                        if pair[0] != pair[1])
+            pytest.fail(f"line {line}: {text.splitlines()[line:line + 1]} != "
+                        f"{expected.splitlines()[line:line + 1]}")
+        if spec == "cycle:70":   # past the clique-search limit
+            assert '"clique": null' in text
+
+    def test_out_file_matches_stdout(self, capsys, tmp_path):
+        argv = ["bounds", "--gen", "erdos_renyi:20:0.3", "--seed", "16", "--K", "12",
+                "--format", "json", "--no-timing"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == stdout
 
 
 class TestCommands:
