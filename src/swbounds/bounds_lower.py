@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .graph import Graph, degrees, triangle_counts
 from .moments import orthogonal_polynomial
@@ -34,9 +35,10 @@ class BoundResult:
     `trivial` marks vacuous results reported as 0 so sweeps stay total.
     `oracle_assisted` flags bounds whose inputs came from an eigensolver.
 
-    A sweep builds one record per evaluated row, and the per-vertex
-    reduction drops most of them, so the record is slotted and not frozen:
-    a frozen `__init__` costs several times the arithmetic of a closed-form
+    A sweep builds one record per reported row: for a rooted family it
+    compares the per-vertex outcomes as floats and builds the record of the
+    vertex it reports only. The record is slotted and not frozen, since a
+    frozen `__init__` costs several times the arithmetic of a closed-form
     bound. Callers treat it as read-only and derive variants with
     `dataclasses.replace`.
     """
@@ -56,22 +58,67 @@ def _not_applicable(name: str, kind: str, reason: str, params: dict) -> BoundRes
                        applicable=False, reason=reason)
 
 
+class Dead(NamedTuple):
+    """The outcome of a row that is not live: inapplicable for `reason`, or,
+    when `trivial`, vacuous and reported as 0 for that reason."""
+
+    reason: str
+    trivial: bool = False
+
+
+# The outcomes of dead rows, built once: a sweep meets them at every vertex.
+_ZERO_EVEN_MOMENT = Dead("zero even moment m_{2s}")
+_SINGULAR_BLOCK = Dead("singular Hankel block")
+_BLOCK_NOT_PSD = Dead("Hankel block not PSD")
+_VACUOUS_DET_RATIO = Dead("non-positive shifted determinant", trivial=True)
+_BLOCK_NOT_PD = Dead("Hankel block not positive definite")
+_HANKEL_NOT_PSD = Dead("Hankel matrix not PSD")
+_NO_ZERO_ABOVE_CUTOFF = Dead("no zero above the cutoff")
+
+
+def outcome_row(name: str, kind: str, params: dict, outcome: float | Dead,
+                oracle_assisted: bool = False) -> BoundResult:
+    """The record of one row from its outcome: a live float value, or a Dead.
+
+    The per-vertex value routines (`ratio_value`, ...) return outcomes, so
+    that a sweep over every vertex can compare floats and build the record
+    of the one vertex it reports; only live rows carry `oracle_assisted`.
+    """
+    if not isinstance(outcome, Dead):
+        # positional: this is the per-row path of a sweep that keeps every vertex
+        return BoundResult(name, kind, outcome, params, True, None, False, oracle_assisted)
+    if outcome.trivial:
+        return BoundResult(name, kind, 0.0, params, trivial=True, reason=outcome.reason)
+    return _not_applicable(name, kind, outcome.reason, params)
+
+
+def _require_range(m: MomentSequence, s: int, k: int, top: int) -> None:
+    if s < 0 or k < 1:
+        raise ValueError("need s >= 0 and k >= 1")
+    if top > m.max_index:
+        raise ValueError(f"need m_{top}, have up to m_{m.max_index}")
+
+
 def ratio_lower_bound(m: MomentSequence, s: int, k: int) -> BoundResult:
     """Moment-ratio bound: rho**k >= m_{2s+k} / m_{2s}.
 
     The ratio is taken on exact integers and rooted at the end, so regular
     graphs come out exact.
     """
-    if s < 0 or k < 1:
-        raise ValueError("need s >= 0 and k >= 1")
-    if 2 * s + k > m.max_index:
-        raise ValueError(f"need m_{2 * s + k}, have up to m_{m.max_index}")
+    _require_range(m, s, k, 2 * s + k)
+    return ratio_row(m, s, k, ratio_value(m, s, k))
+
+
+def ratio_value(m: MomentSequence, s: int, k: int) -> float | Dead:
+    """The outcome of `ratio_lower_bound` (no range check)."""
     v = m.values
-    params = {**m.params_head, "s": s, "k": k}
     if v[2 * s] == 0:
-        return _not_applicable("ratio", "lower", "zero even moment m_{2s}", params)
-    value = (v[2 * s + k] / v[2 * s]) ** (1.0 / k)
-    return BoundResult("ratio", "lower", value, params)
+        return _ZERO_EVEN_MOMENT
+    return (v[2 * s + k] / v[2 * s]) ** (1.0 / k)
+
+
+def ratio_row(m: MomentSequence, s: int, k: int, outcome: float | Dead) -> BoundResult:
+    return outcome_row("ratio", "lower", {**m.params_head, "s": s, "k": k}, outcome)
 
 
 def _det_blocks(m: MomentSequence, s: int, k: int) -> tuple[int, int, int]:
@@ -84,13 +131,6 @@ def _det_blocks(m: MomentSequence, s: int, k: int) -> tuple[int, int, int]:
     return det_h, det_s, det_f
 
 
-def _require_det_range(m: MomentSequence, s: int, k: int) -> None:
-    if s < 0 or k < 1:
-        raise ValueError("need s >= 0 and k >= 1")
-    if 2 * s + 3 * k > m.max_index:
-        raise ValueError(f"need m_{2 * s + 3 * k}, have up to m_{m.max_index}")
-
-
 def det_ratio_lower_bound(m: MomentSequence, s: int, k: int) -> BoundResult:
     """Determinant-ratio bound: rho**(2k) >= det(S block) / det(H block).
 
@@ -98,17 +138,22 @@ def det_ratio_lower_bound(m: MomentSequence, s: int, k: int) -> BoundResult:
     always holds; an H block whose exact determinant is not positive makes
     the bound inapplicable.
     """
-    _require_det_range(m, s, k)
-    params = {**m.params_head, "s": s, "k": k}
+    _require_range(m, s, k, 2 * s + 3 * k)
+    return det_ratio_row(m, s, k, det_ratio_value(m, s, k))
+
+
+def det_ratio_value(m: MomentSequence, s: int, k: int) -> float | Dead:
+    """The outcome of `det_ratio_lower_bound` (no range check)."""
     det_h, det_s, _ = _det_blocks(m, s, k)
     if det_h <= 0:
-        reason = "singular Hankel block" if det_h == 0 else "Hankel block not PSD"
-        return _not_applicable("det_ratio", "lower", reason, params)
+        return _SINGULAR_BLOCK if det_h == 0 else _BLOCK_NOT_PSD
     if det_s <= 0:
-        return BoundResult("det_ratio", "lower", 0.0, params, trivial=True,
-                           reason="non-positive shifted determinant")
-    value = (det_s / det_h) ** (1.0 / (2 * k))
-    return BoundResult("det_ratio", "lower", value, params)
+        return _VACUOUS_DET_RATIO
+    return (det_s / det_h) ** (1.0 / (2 * k))
+
+
+def det_ratio_row(m: MomentSequence, s: int, k: int, outcome: float | Dead) -> BoundResult:
+    return outcome_row("det_ratio", "lower", {**m.params_head, "s": s, "k": k}, outcome)
 
 
 def quadratic_root_lower_bound(m: MomentSequence, s: int, k: int) -> BoundResult:
@@ -120,17 +165,25 @@ def quadratic_root_lower_bound(m: MomentSequence, s: int, k: int) -> BoundResult
     sequences) is clamped to zero, which falls back to the still-valid
     vertex value |det F| / (2 det H).
     """
-    _require_det_range(m, s, k)
-    params = {**m.params_head, "s": s, "k": k}
+    _require_range(m, s, k, 2 * s + 3 * k)
+    return quadratic_root_row(m, s, k, quadratic_root_value(m, s, k))
+
+
+def quadratic_root_value(m: MomentSequence, s: int, k: int) -> float | Dead:
+    """The outcome of `quadratic_root_lower_bound` (no range check)."""
     det_h, det_s, det_f = _det_blocks(m, s, k)
     if det_h <= 0:
-        return _not_applicable("quadratic_root", "lower",
-                               "Hankel block not positive definite", params)
+        return _BLOCK_NOT_PD
     disc = det_f * det_f - 4 * det_h * det_s
     if disc < 0:
         disc = 0
     root_k = abs(det_f) / (2 * det_h) + math.sqrt(disc / (4 * det_h * det_h))
-    return BoundResult("quadratic_root", "lower", root_k ** (1.0 / k), params)
+    return root_k ** (1.0 / k)
+
+
+def quadratic_root_row(m: MomentSequence, s: int, k: int,
+                       outcome: float | Dead) -> BoundResult:
+    return outcome_row("quadratic_root", "lower", {**m.params_head, "s": s, "k": k}, outcome)
 
 
 def triangle_edge_lower_bound(g: Graph) -> BoundResult:
@@ -190,10 +243,14 @@ def sdp_lower_bound(m: MomentSequence, order: int, *,
     that one's. When none has, the value is at most the cutoff, and the row
     comes back inapplicable.
     """
-    params = {**m.params_head, "n": order}
+    return sdp_row(m, order, sdp_value(m, order, cutoff=cutoff))
+
+
+def sdp_value(m: MomentSequence, order: int, *, cutoff: float | None = None) -> float | Dead:
+    """The outcome of `sdp_lower_bound`."""
     c = orthogonal_polynomial(m, order)
     if c is None:
-        return _not_applicable("sdp", "lower", "Hankel matrix not PSD", params)
+        return _HANKEL_NOT_PSD
     degree = len(c) - 1
     mirrored = [-x if (degree - j) % 2 else x for j, x in enumerate(c)]
     value = 0.0
@@ -207,8 +264,12 @@ def sdp_lower_bound(m: MomentSequence, order: int, *,
             ruled_out = False
             value = max(value, largest_real_root_bracket(poly)[0])
     if ruled_out:
-        return _not_applicable("sdp", "lower", "no zero above the cutoff", params)
-    return BoundResult("sdp", "lower", value, params)
+        return _NO_ZERO_ABOVE_CUTOFF
+    return value
+
+
+def sdp_row(m: MomentSequence, order: int, outcome: float | Dead) -> BoundResult:
+    return outcome_row("sdp", "lower", {**m.params_head, "n": order}, outcome)
 
 
 # The classical walk-ratio baselines (w_top / w_bottom) ** (1 / root).

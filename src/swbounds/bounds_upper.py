@@ -22,14 +22,24 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .bounds_lower import VERTEX_TIE_TOL, BoundResult, _not_applicable
+from .bounds_lower import VERTEX_TIE_TOL, BoundResult, Dead, _not_applicable, outcome_row
 from .graph import Graph, degrees, is_bipartite, is_connected
-from .moments import _validated_indices, exact_determinant
+from .moments import _validated_indices, exact_determinant, sorted_positions
 from .roots import largest_real_root_bracket, no_real_root_above
 from .spectrum import SpectralSummary
 from .walks import KIND_CLOSED, KIND_CLOSED_AT, KIND_WALKS, MomentSequence
 
 MIN_ATOM_WEIGHT = 1e-12
+
+
+# The outcomes of dead rows, built once: a sweep meets them at every vertex.
+_VANISHING_WEIGHT = Dead("vanishing leading-atom weight")
+_NOT_BIPARTITE = Dead("graph is not bipartite")
+_ONE_POSITION = Dead("needs at least two positions (constant polynomial)")
+_LEADING_BLOCK_NOT_PD = Dead("leading Hankel block not positive definite")
+_ROOT_ABOVE_CUTOFF = Dead("a root at or above the cutoff")
+_ZERO_EVEN_NONZERO_ODD = Dead("zero even moment with non-zero odd moment")
+_RISING_LINEAR = Dead("degenerate linear case: non-negative leading coefficient")
 
 
 @dataclass(frozen=True)
@@ -77,18 +87,30 @@ def _ratio_root(num: int, den: float, inv_exp: float) -> float:
     return math.exp((math.log(num) - math.log(den)) * inv_exp)
 
 
-def even_moment_upper_bound(m: MomentSequence, weight: AtomWeight, k: int) -> BoundResult:
-    """Single-position bound: rho <= (m_{2k} / alpha_1) ** (1/2k)."""
+def _require_even_moment(m: MomentSequence, k: int) -> None:
     if k < 1:
         raise ValueError("need k >= 1")
     if 2 * k > m.max_index:
         raise ValueError(f"need m_{2 * k}, have up to m_{m.max_index}")
-    params = {**m.params_head, "k": k, "alpha1": weight.alpha1}
+
+
+def even_moment_upper_bound(m: MomentSequence, weight: AtomWeight, k: int) -> BoundResult:
+    """Single-position bound: rho <= (m_{2k} / alpha_1) ** (1/2k)."""
+    _require_even_moment(m, k)
+    return even_moment_row(m, weight, k, even_moment_value(m, weight, k))
+
+
+def even_moment_value(m: MomentSequence, weight: AtomWeight, k: int) -> float | Dead:
+    """The outcome of `even_moment_upper_bound` (no range check)."""
     if weight.alpha1 <= MIN_ATOM_WEIGHT:
-        return _not_applicable("even_moment", "upper", "vanishing leading-atom weight", params)
-    value = _ratio_root(m.values[2 * k], weight.alpha1, 1.0 / (2 * k))
-    return BoundResult("even_moment", "upper", value, params,
-                       oracle_assisted=_oracle_assisted(weight))
+        return _VANISHING_WEIGHT
+    return _ratio_root(m.values[2 * k], weight.alpha1, 1.0 / (2 * k))
+
+
+def even_moment_row(m: MomentSequence, weight: AtomWeight, k: int,
+                    outcome: float | Dead) -> BoundResult:
+    params = {**m.params_head, "k": k, "alpha1": weight.alpha1}
+    return outcome_row("even_moment", "upper", params, outcome, _oracle_assisted(weight))
 
 
 def two_point_upper_bound(m: MomentSequence, weight: AtomWeight, k: int) -> BoundResult:
@@ -98,16 +120,18 @@ def two_point_upper_bound(m: MomentSequence, weight: AtomWeight, k: int) -> Boun
     The Gram determinant is computed exactly; tiny negative excursions of the
     weight factor (rounded eigenvector data) are clamped to zero.
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if 2 * k > m.max_index:
-        raise ValueError(f"need m_{2 * k}, have up to m_{m.max_index}")
+    _require_even_moment(m, k)
+    return two_point_row(m, weight, k, two_point_value(m, weight, k))
+
+
+def two_point_value(m: MomentSequence, weight: AtomWeight, k: int) -> float | Dead:
+    """The outcome of `two_point_upper_bound` (no range check); raises
+    ValueError on a measure with no mass or less mass than its atom."""
     m0, mk, m2k = m.values[0], m.values[k], m.values[2 * k]
     if m0 <= 0:
         raise ValueError("zero total mass")
-    params = {**m.params_head, "k": k, "alpha1": weight.alpha1}
     if weight.alpha1 <= MIN_ATOM_WEIGHT:
-        return _not_applicable("two_point", "upper", "vanishing leading-atom weight", params)
+        return _VANISHING_WEIGHT
     if weight.alpha1 > m0 * (1.0 + 1e-9):
         raise ValueError("atom weight exceeds the measure's total mass")
     factor = max(0.0, m0 / weight.alpha1 - 1.0)
@@ -115,8 +139,13 @@ def two_point_upper_bound(m: MomentSequence, weight: AtomWeight, k: int) -> Boun
     if gram < 0:
         gram = 0
     root_k = mk / m0 + math.sqrt(factor) * _sqrt_big(gram) / m0
-    return BoundResult("two_point", "upper", root_k ** (1.0 / k), params,
-                       oracle_assisted=_oracle_assisted(weight))
+    return root_k ** (1.0 / k)
+
+
+def two_point_row(m: MomentSequence, weight: AtomWeight, k: int,
+                  outcome: float | Dead) -> BoundResult:
+    params = {**m.params_head, "k": k, "alpha1": weight.alpha1}
+    return outcome_row("two_point", "upper", params, outcome, _oracle_assisted(weight))
 
 
 def eigvec_degree_upper_bound(g: Graph, summary: SpectralSummary) -> BoundResult:
@@ -169,19 +198,28 @@ def bipartite_upper_bound(m: MomentSequence, weight: AtomWeight, k: int,
     """
     if m.kind == KIND_WALKS:
         raise ValueError("the halved bound applies to closed-walk measures only")
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if 2 * k > m.max_index:
-        raise ValueError(f"need m_{2 * k}, have up to m_{m.max_index}")
-    params = {**m.params_head, "k": k, "alpha1": weight.alpha1}
+    _require_even_moment(m, k)
     flag = g if isinstance(g, bool) else is_bipartite(g)[0]
-    if not flag:
-        return _not_applicable("bipartite_half", "upper", "graph is not bipartite", params)
+    return bipartite_row(m, weight, k, flag, bipartite_value(m, weight, k, flag))
+
+
+def bipartite_value(m: MomentSequence, weight: AtomWeight, k: int,
+                    bipartite: bool) -> float | Dead:
+    """The outcome of `bipartite_upper_bound` on a graph that is `bipartite`
+    or not (no range or measure check)."""
+    if not bipartite:
+        return _NOT_BIPARTITE
     if weight.alpha1 <= MIN_ATOM_WEIGHT:
-        return _not_applicable("bipartite_half", "upper", "vanishing leading-atom weight", params)
-    value = _ratio_root(m.values[2 * k], 2.0 * weight.alpha1, 1.0 / (2 * k))
-    return BoundResult("bipartite_half", "upper", value, params,
-                       oracle_assisted=_oracle_assisted(weight))
+        return _VANISHING_WEIGHT
+    return _ratio_root(m.values[2 * k], 2.0 * weight.alpha1, 1.0 / (2 * k))
+
+
+def bipartite_row(m: MomentSequence, weight: AtomWeight, k: int, bipartite: bool,
+                  outcome: float | Dead) -> BoundResult:
+    """The row of `bipartite_upper_bound`; `bipartite` takes no part in its
+    params, and is taken so that the row has the value routine's arguments."""
+    params = {**m.params_head, "k": k, "alpha1": weight.alpha1}
+    return outcome_row("bipartite_half", "upper", params, outcome, _oracle_assisted(weight))
 
 
 def _adjugate(h: list[list[int]]) -> list[list[int]]:
@@ -224,20 +262,25 @@ def hankel_root_upper_bound(m: MomentSequence, weight: AtomWeight,
     gets no bracket: the bound would be at least the cutoff, and the row
     comes back inapplicable.
     """
-    indices = tuple(sorted(set(int(j) for j in index_set)))
-    params = {**m.params_head, "J": list(indices), "alpha1": weight.alpha1}
+    indices = sorted_positions(index_set)
+    return hankel_root_row(m, weight, indices,
+                           hankel_root_value(m, weight, indices, cutoff=cutoff))
+
+
+def hankel_root_value(m: MomentSequence, weight: AtomWeight, indices: tuple[int, ...], *,
+                      cutoff: float | None = None) -> float | Dead:
+    """The outcome of `hankel_root_upper_bound` for the sorted positions
+    `indices`."""
     if len(indices) < 2:
-        return _not_applicable("hankel_root", "upper",
-                               "needs at least two positions (constant polynomial)", params)
+        return _ONE_POSITION
     if weight.alpha1 <= MIN_ATOM_WEIGHT:
-        return _not_applicable("hankel_root", "upper", "vanishing leading-atom weight", params)
+        return _VANISHING_WEIGHT
     _validated_indices(m, indices, 0)
     v = m.values
     h = [[v[ja + jb - 2] for jb in indices] for ja in indices]
     adj = _adjugate(h)
     if adj[-1][-1] <= 0:
-        return _not_applicable("hankel_root", "upper",
-                               "leading Hankel block not positive definite", params)
+        return _LEADING_BLOCK_NOT_PD
     det_h = sum(h[0][b] * adj[b][0] for b in range(len(indices)))
     if det_h:
         num, den = weight.alpha1.as_integer_ratio()
@@ -253,9 +296,14 @@ def hankel_root_upper_bound(m: MomentSequence, weight: AtomWeight,
         for b, jb in enumerate(indices):
             coeffs[jb - 1] = adj[-1][b]
     if cutoff is not None and not no_real_root_above(coeffs, cutoff):
-        return _not_applicable("hankel_root", "upper", "a root at or above the cutoff", params)
-    return BoundResult("hankel_root", "upper", largest_real_root_bracket(coeffs)[1], params,
-                       oracle_assisted=_oracle_assisted(weight))
+        return _ROOT_ABOVE_CUTOFF
+    return largest_real_root_bracket(coeffs)[1]
+
+
+def hankel_root_row(m: MomentSequence, weight: AtomWeight, indices: tuple[int, ...],
+                    outcome: float | Dead) -> BoundResult:
+    params = {**m.params_head, "J": list(indices), "alpha1": weight.alpha1}
+    return outcome_row("hankel_root", "upper", params, outcome, _oracle_assisted(weight))
 
 
 def stieltjes_root_upper_bound(m: MomentSequence, weight: AtomWeight, k: int, *,
@@ -276,37 +324,43 @@ def stieltjes_root_upper_bound(m: MomentSequence, weight: AtomWeight, k: int, *,
         raise ValueError("need k >= 0")
     if 2 * k + 1 > m.max_index:
         raise ValueError(f"need m_{2 * k + 1}, have up to m_{m.max_index}")
-    params = {**m.params_head, "k": k, "alpha1": weight.alpha1}
+    return stieltjes_root_row(m, weight, k, stieltjes_root_value(m, weight, k, cutoff=cutoff))
+
+
+def stieltjes_root_value(m: MomentSequence, weight: AtomWeight, k: int, *,
+                         cutoff: float | None = None) -> float | Dead:
+    """The outcome of `stieltjes_root_upper_bound` (no range check)."""
     alpha = weight.alpha1
     if alpha <= MIN_ATOM_WEIGHT:
-        return _not_applicable("stieltjes_root", "upper", "vanishing leading-atom weight", params)
+        return _VANISHING_WEIGHT
     m2k = m.values[2 * k]
     m2k1 = m.values[2 * k + 1]
-    assisted = _oracle_assisted(weight)
     if m2k == 0 and m2k1 == 0:
         # all mass at the origin: the spectral radius is zero
-        return BoundResult("stieltjes_root", "upper", 0.0, params, oracle_assisted=assisted)
+        return 0.0
     if m2k == 0:
-        return _not_applicable("stieltjes_root", "upper",
-                               "zero even moment with non-zero odd moment", params)
+        return _ZERO_EVEN_NONZERO_ODD
     num, den = alpha.as_integer_ratio()
     coeffs = [0] * (2 * k + 2)
     coeffs[0] = den * m2k1
     coeffs[1] = den * m2k
     coeffs[2 * k + 1] -= 2 * num  # for k = 0 it joins the linear term
     if k == 0 and coeffs[1] >= 0:
-        return _not_applicable("stieltjes_root", "upper",
-                               "degenerate linear case: non-negative leading coefficient",
-                               params)
+        return _RISING_LINEAR
     # the even-moment bound, which the root never exceeds
     ceiling = _ratio_root(m2k, alpha, 1.0 / (2 * k)) * (1.0 + 1e-12) + 1e-9 if k else None
     if cutoff is not None and not no_real_root_above(coeffs, cutoff):
         assert ceiling is None or no_real_root_above(coeffs, ceiling)
-        return _not_applicable("stieltjes_root", "upper", "a root at or above the cutoff",
-                               params)
+        return _ROOT_ABOVE_CUTOFF
     root = largest_real_root_bracket(coeffs)[1]
     assert ceiling is None or root <= ceiling
-    return BoundResult("stieltjes_root", "upper", root, params, oracle_assisted=assisted)
+    return root
+
+
+def stieltjes_root_row(m: MomentSequence, weight: AtomWeight, k: int,
+                       outcome: float | Dead) -> BoundResult:
+    params = {**m.params_head, "k": k, "alpha1": weight.alpha1}
+    return outcome_row("stieltjes_root", "upper", params, outcome, _oracle_assisted(weight))
 
 
 def clique_root_upper_bound(m_w: MomentSequence, omega: int, k: int) -> BoundResult:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json  # noqa: F401 -- perfbench's tracer patches `cli.json` to time dumps
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -67,7 +68,14 @@ def _parse_j_sets(values: Optional[Sequence[str]]) -> tuple[tuple[int, ...], ...
     return tuple(out)
 
 
+def _require_tol(tol: float) -> None:
+    """Reject a sandwich-check margin that would hide or invent violations."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"--tol must be a finite number >= 0, got {tol!r}")
+
+
 def cmd_bounds(args: argparse.Namespace) -> int:
+    _require_tol(args.tol)
     entry = _entry_from_args(args)
     report = build_report(
         entry,
@@ -102,6 +110,7 @@ def _verify_corpus(args: argparse.Namespace) -> list[CorpusEntry]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _require_tol(args.tol)
     entries = _verify_corpus(args)
     outcome = run_verification(entries, max_length=args.K, tol=args.tol)
     print(f"graphs checked: {len(entries)}")
@@ -112,8 +121,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if outcome.violations:
         for line in outcome.violations:
             print(f"VIOLATION: {line}")
+        dump_dir = Path(args.dump_dir)
+        dump_dir.mkdir(parents=True, exist_ok=True)
         for entry in outcome.offenders:
-            path = Path(args.dump_dir) / f"violation_{entry.name}.edges"
+            path = dump_dir / f"violation_{entry.name}.edges"
             path.write_text(serialize_edge_list(entry.graph), encoding="ascii")
             print(f"offending graph written to {path}")
         return 3
@@ -142,6 +153,7 @@ def _bench_entries(args: argparse.Namespace) -> list[CorpusEntry]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    _require_tol(args.tol)
     lines = [CSV_HEADER]
     violations = []
     for entry in _bench_entries(args):

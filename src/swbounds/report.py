@@ -14,25 +14,35 @@ import numpy as np
 from .bounds_lower import (
     VERTEX_TIE_TOL,
     BoundResult,
+    Dead,
     _det_blocks,
     baseline_lower_bounds,
-    det_ratio_lower_bound,
+    det_ratio_row,
+    det_ratio_value,
     local_triangle_lower_bound,
-    quadratic_root_lower_bound,
-    ratio_lower_bound,
-    sdp_lower_bound,
+    quadratic_root_row,
+    quadratic_root_value,
+    ratio_row,
+    ratio_value,
+    sdp_row,
+    sdp_value,
     triangle_edge_lower_bound,
 )
 from .bounds_upper import (
     atom_weight_for,
     baseline_upper_bounds,
-    bipartite_upper_bound,
+    bipartite_row,
+    bipartite_value,
     clique_root_upper_bound,
     eigvec_degree_upper_bound,
-    even_moment_upper_bound,
-    hankel_root_upper_bound,
-    stieltjes_root_upper_bound,
-    two_point_upper_bound,
+    even_moment_row,
+    even_moment_value,
+    hankel_root_row,
+    hankel_root_value,
+    stieltjes_root_row,
+    stieltjes_root_value,
+    two_point_row,
+    two_point_value,
 )
 from .graph import (
     CLIQUE_SEARCH_LIMIT,
@@ -51,7 +61,7 @@ from .graph import (
     star_graph,
     triangle_counts,
 )
-from .moments import hamburger_check, stieltjes_feasible
+from .moments import hamburger_check, sorted_positions, stieltjes_feasible
 from .spectrum import (
     SpectralSummary,
     adjacency_array,
@@ -173,24 +183,22 @@ def _sort_key(r: BoundResult):
     )
 
 
-def _reduce_vertex_results(results: list[BoundResult], kind: str) -> BoundResult:
-    """Best bound over the per-vertex variants: max for lower, min for upper.
+def _reported_vertex(outcomes: list, kind: str) -> int:
+    """The vertex whose row the aggregate report keeps, from per-vertex outcomes.
 
-    On vertex-transitive graphs the variants tie up to rounding, so the first
-    variant (the lowest vertex) within VERTEX_TIE_TOL relative of the best is
+    The best live value is the max for a lower bound and the min for an
+    upper one. On vertex-transitive graphs the values tie up to rounding,
+    so the lowest vertex within VERTEX_TIE_TOL relative of the best is
     reported, as `eigvec_degree_upper_bound` does; its value is still a
-    valid bound. A variant no better than a lower vertex's is never
-    reported: when it is within the tolerance, so is that vertex.
+    valid bound. A vertex no better than a lower vertex is never reported:
+    when it is within the tolerance, so is that vertex. With no live row,
+    the first trivial row is reported, and with none of those vertex 0's.
     """
-    live = [r for r in results if r.applicable and not r.trivial]
+    live = [(i, v) for i, v in enumerate(outcomes) if not isinstance(v, Dead)]
     if live:
-        pick = max if kind == "lower" else min
-        best = pick(r.value for r in live)
-        return next(r for r in live if abs(r.value - best) <= VERTEX_TIE_TOL * abs(best))
-    trivial = [r for r in results if r.applicable]
-    if trivial:
-        return trivial[0]
-    return results[0]
+        best = (max if kind == "lower" else min)(v for _, v in live)
+        return next(i for i, v in live if abs(v - best) <= VERTEX_TIE_TOL * abs(best))
+    return next((i for i, o in enumerate(outcomes) if o.trivial), 0)
 
 
 def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = DEFAULT_K_MAX,
@@ -202,16 +210,19 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
 
     This is the one place that decides which (bound, parameters) rows exist:
     a combination that needs moments beyond the computed horizon is skipped.
-    With vertex_mode="aggregate" the rooted-measure bounds are reduced to the
-    best vertex per parameter choice; "all" keeps every vertex (what the
-    soundness checks want). In aggregate mode the root-based families
-    (`sdp`, `stieltjes_root`, `hankel_root`) pass each vertex after a
-    positive live one the best value so far as a cutoff. A kernel that
-    proves with one exact test that the vertex's value is no better
-    returns it inapplicable without a root search; since a lower vertex is
-    at least as good, the reduction would not have reported it, and the
-    reported vertex and value are those of the full sweep. Returns
-    (result, milliseconds) pairs in a deterministic order.
+    A family on the rooted measure runs its value routine (`ratio_value`,
+    ...) over every vertex, which yields floats. With
+    vertex_mode="aggregate" the sweep then builds the record of the one
+    vertex `_reported_vertex` picks, timed as the whole pass; "all" builds
+    and times one per vertex (what the soundness checks want). In
+    aggregate mode the root-based families (`sdp`, `stieltjes_root`,
+    `hankel_root`) pass each vertex after a positive live one the best
+    value so far as a cutoff. A routine that proves with one exact test
+    that the vertex's value is no better returns it inapplicable without a
+    root search; since a lower vertex is at least as good, it would not
+    have been reported, and the reported vertex and value are those of the
+    full sweep. Returns (result, milliseconds) pairs in a deterministic
+    order.
     """
     if s_max < 0 or k_max < 0:
         raise ValueError(f"s_max and k_max must be non-negative, got {s_max} and {k_max}")
@@ -228,25 +239,32 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
         batch = res if isinstance(res, list) else [res]
         rows.extend((r, ms / len(batch)) for r in batch)
 
-    def emit_each(fn, heads, *args, prune: bool = False) -> None:
-        """One timed call per sequence; a rooted batch keeps its best vertex
-        unless vertex_mode is "all", and a pruned one that keeps it passes
-        the kernel its best positive live value so far as the cutoff."""
-        group = []
-        keep_best = len(heads) > 1 and vertex_mode != "all"
-        prune = prune and keep_best
-        running = None
-        for head in heads:
-            t0 = time.perf_counter()
-            res = fn(*head, *args) if running is None else fn(*head, *args, cutoff=running)
-            group.append((res, (time.perf_counter() - t0) * 1000.0))
-            if prune and res.applicable and not res.trivial and res.value > 0.0:
-                pick = max if res.kind == "lower" else min
-                running = res.value if running is None else pick(running, res.value)
-        if keep_best:
-            best = _reduce_vertex_results([r for r, _ in group], group[0][0].kind)
-            group = [(best, sum(ms for _, ms in group))]
-        rows.extend(group)
+    def per_vertex(kind, value, row, heads, *args, prune: bool = False) -> None:
+        """Run `value` over the sequences. With one sequence, or with
+        vertex_mode "all", each gets its row and its own time; otherwise
+        one timed pass builds the row of the reported vertex only, and a
+        pruned pass gives each vertex its best positive live value so far
+        as the cutoff."""
+        if len(heads) == 1 or vertex_mode == "all":
+            for head in heads:
+                t0 = time.perf_counter()
+                res = row(*head, *args, value(*head, *args))
+                rows.append((res, (time.perf_counter() - t0) * 1000.0))
+            return
+        t0 = time.perf_counter()
+        if prune:
+            pick = max if kind == "lower" else min
+            outcomes = []
+            running = None
+            for head in heads:
+                res = value(*head, *args, cutoff=running)
+                outcomes.append(res)
+                if not isinstance(res, Dead) and res > 0.0:
+                    running = res if running is None else pick(running, res)
+        else:
+            outcomes = [value(*head, *args) for head in heads]
+        i = _reported_vertex(outcomes, kind)
+        rows.append((row(*heads[i], *args, outcomes[i]), (time.perf_counter() - t0) * 1000.0))
 
     by_measure = {"walks": [prep.walks_seq], "closed": [prep.closed_seq],
                   "vertex": list(prep.rooted_seqs)}
@@ -265,27 +283,30 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
         for s in range(s_max + 1):
             for k in range(1, k_max + 1):
                 if 2 * s + k <= horizon:
-                    emit_each(ratio_lower_bound, alone, s, k)
+                    per_vertex("lower", ratio_value, ratio_row, alone, s, k)
                 if 2 * s + 3 * k <= horizon:
-                    emit_each(det_ratio_lower_bound, alone, s, k)
-                    emit_each(quadratic_root_lower_bound, alone, s, k)
+                    per_vertex("lower", det_ratio_value, det_ratio_row, alone, s, k)
+                    per_vertex("lower", quadratic_root_value, quadratic_root_row, alone, s, k)
 
         for order in sdp_orders:
             if 2 * order + 1 <= horizon:
-                emit_each(sdp_lower_bound, alone, order, prune=True)
+                per_vertex("lower", sdp_value, sdp_row, alone, order, prune=True)
 
         for k in range(1, k_max + 1):
             if 2 * k <= horizon:
-                emit_each(even_moment_upper_bound, weighted, k)
-                emit_each(two_point_upper_bound, weighted, k)
+                per_vertex("upper", even_moment_value, even_moment_row, weighted, k)
+                per_vertex("upper", two_point_value, two_point_row, weighted, k)
                 if seqs[0].kind != KIND_WALKS:
-                    emit_each(bipartite_upper_bound, weighted, k, prep.bipartite)
+                    per_vertex("upper", bipartite_value, bipartite_row, weighted, k,
+                               prep.bipartite)
             if 2 * k + 1 <= horizon:
-                emit_each(stieltjes_root_upper_bound, weighted, k, prune=True)
+                per_vertex("upper", stieltjes_root_value, stieltjes_root_row, weighted, k,
+                           prune=True)
 
         for j_set in j_sets:
             if 2 * max(j_set) - 1 <= horizon:
-                emit_each(hankel_root_upper_bound, weighted, j_set, prune=True)
+                per_vertex("upper", hankel_root_value, hankel_root_row, weighted,
+                           sorted_positions(j_set), prune=True)
 
     if "walks" in measures and prep.omega is not None:
         for k in range(0, k_max + 1):
@@ -693,9 +714,9 @@ def _verify_dominance(out: VerificationOutcome, prep: PreparedGraph,
     Per sequence: the two-point, Stieltjes and halved bounds lie below the
     even-moment bound, which on walks lies below the clique hierarchy; each
     quadratic root is at least its vertex value; and `sdp` does not decrease
-    with the order and is at least the ratio seeds m_{2s+1}/m_{2s} its
-    blocks contain. Only applicable rows are compared, and no bound is
-    evaluated again.
+    with the order and is, to one unit in the last place, at least the
+    ratio seeds m_{2s+1}/m_{2s} its blocks contain. Only applicable rows
+    are compared, and no bound is evaluated again.
     """
     name = prep.entry.name
     index: dict = {}
@@ -728,7 +749,9 @@ def _verify_dominance(out: VerificationOutcome, prep: PreparedGraph,
                 out.check(r.value >= floor - 1e-9,
                           f"{name}: quadratic root below its vertex value ({m.kind}, s={s}, k={k})")
             elif bound == "ratio" and k == 1 and sdp and s <= sdp[-1][0]:
-                out.check(sdp[-1][1] >= r.value - 1e-6,
+                # sdp is the largest float at or below a root that is at least
+                # the exact m_{2s+1}/m_{2s}, whose correct rounding is the ratio
+                out.check(math.nextafter(sdp[-1][1], math.inf) >= r.value,
                           f"{name}: support bound below ratio seed ({m.kind}, s={s})")
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swbounds import bounds_lower, bounds_upper, report, roots
-from swbounds.bounds_lower import BoundResult
+from swbounds.bounds_lower import VERTEX_TIE_TOL, BoundResult, Dead
 from swbounds.cli import main
 from swbounds.graph import (
     Graph,
@@ -23,7 +23,6 @@ from swbounds.report import (
     CSV_HEADER,
     CorpusEntry,
     VerificationOutcome,
-    _reduce_vertex_results,
     _verify_dominance,
     _verify_moment_machinery,
     _verify_walks,
@@ -34,7 +33,23 @@ from swbounds.report import (
     run_verification,
     sweep_bounds,
 )
-from swbounds.walks import DEFAULT_MAX_LENGTH, KIND_CLOSED, MomentSequence
+from swbounds.walks import DEFAULT_MAX_LENGTH, KIND_CLOSED, KIND_CLOSED_AT, MomentSequence
+
+
+def _reduce_vertex_results(results: list[BoundResult], kind: str) -> BoundResult:
+    """The reference reduction of one rooted row's per-vertex records: the
+    lowest vertex within VERTEX_TIE_TOL relative of the best live value
+    (max for lower, min for upper), else the first applicable (trivial)
+    row, else vertex 0's."""
+    live = [r for r in results if r.applicable and not r.trivial]
+    if live:
+        pick = max if kind == "lower" else min
+        best = pick(r.value for r in live)
+        return next(r for r in live if abs(r.value - best) <= VERTEX_TIE_TOL * abs(best))
+    trivial = [r for r in results if r.applicable]
+    if trivial:
+        return trivial[0]
+    return results[0]
 
 
 @pytest.fixture
@@ -238,14 +253,46 @@ class TestCommands:
         assert "VIOLATION: path_1: lower bound triangle_edge" in out
         assert (tmp_path / "violation_path_1.edges").exists()
 
-    def test_bench_violation_exit_code(self, capsys):
-        # with tol = -1 every lower bound within 1 below rho counts as a violation
+    def test_verify_creates_a_missing_dump_dir(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr("swbounds.report.triangle_edge_lower_bound",
+                            lambda g: BoundResult("triangle_edge", "lower", 100.0, {}))
+        dump_dir = tmp_path / "not" / "yet"
+        code = main(["verify", "--families-max", "3", "--er-count", "0", "--K", "8",
+                     "--dump-dir", str(dump_dir)])
+        assert code == 3
+        assert f"offending graph written to {dump_dir / 'violation_path_1.edges'}" in (
+            capsys.readouterr().out)
+        assert (dump_dir / "violation_path_1.edges").exists()
+
+    def test_bench_violation_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr("swbounds.report.triangle_edge_lower_bound",
+                            lambda g: BoundResult("triangle_edge", "lower", 100.0, {}))
         code = main(["bench", "--families", "path", "--min", "4", "--max", "4",
-                     "--K", "8", "--no-timing", "--tol", "-1"])
+                     "--K", "8", "--no-timing"])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out.splitlines()[0] == CSV_HEADER
-        assert "VIOLATION: path_4: lower bound" in captured.err
+        assert "VIOLATION: path_4: lower bound triangle_edge" in captured.err
+
+    @pytest.mark.parametrize("command", [("bounds", "--gen", "path:3"),
+                                         ("verify", "--families-max", "3", "--er-count", "0"),
+                                         ("bench", "--max", "3")])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9"])
+    def test_tol_must_be_finite_and_non_negative(self, capsys, tmp_path, monkeypatch,
+                                                 command, tol):
+        monkeypatch.chdir(tmp_path)
+        assert main([*command, f"--tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol must be a finite number >= 0" in captured.err
+
+    @pytest.mark.parametrize("command", [("bounds", "--gen", "path:3"),
+                                         ("bench", "--max", "3")])
+    def test_tol_zero_is_accepted(self, capsys, command):
+        # rho is a rounded eigenvalue, so with no margin exact bounds may
+        # cross it by an ulp and exit 3; what matters is that tol is taken
+        assert main([*command, "--no-timing", "--tol", "0"]) in (0, 3)
+        assert "--tol" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ("--gen", "star:3", "--omega", "1"),
@@ -350,27 +397,48 @@ class TestVerificationEngine:
         assert out.violations == [
             "k4: support bound decreased from order 1 to 2 (closed_walks)"]
 
+    @pytest.mark.parametrize("ulps, flagged", [(1, False), (2, True)])
+    def test_dominance_sees_a_ratio_seed_two_ulps_above_its_sdp_row(self, ulps, flagged):
+        prep = prepare_graph(CorpusEntry("k4", "complete", complete_graph(4)), 8)
+        rows = [r for r, _ in sweep_bounds(prep, vertex_mode="all")]
+        top = max((r for r in rows if r.name == "sdp" and r.applicable
+                   and r.params["measure"] == KIND_CLOSED), key=lambda r: r.params["n"])
+        raised = top.value
+        for _ in range(ulps):
+            raised = math.nextafter(raised, math.inf)
+
+        def seed(r):
+            return r.name == "ratio" and r.params["measure"] == KIND_CLOSED and (
+                r.params["s"], r.params["k"]) == (0, 1)
+
+        assert sum(seed(r) for r in rows) == 1
+        out = VerificationOutcome()
+        _verify_dominance(out, prep, [dataclasses.replace(r, value=raised) if seed(r) else r
+                                      for r in rows])
+        expected = ["k4: support bound below ratio seed (closed_walks, s=0)"]
+        assert out.violations == (expected if flagged else [])
+
     def test_each_bound_is_evaluated_once_per_row(self, monkeypatch):
         calls = {}
 
         def counted(name):
             fn = getattr(report, name)
 
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[name] = calls.get(name, 0) + 1
-                return fn(*args)
+                return fn(*args, **kwargs)
             monkeypatch.setattr(report, name, wrapper)
 
-        counted("stieltjes_root_upper_bound")
-        counted("sdp_lower_bound")
+        counted("stieltjes_root_value")
+        counted("sdp_value")
         entries = [CorpusEntry("k4", "complete", complete_graph(4)), er_corpus(1)[0]]
         outcome = run_verification(entries)
         assert outcome.violations == []
         # walks, closed and one rooted sequence per vertex; at K = 12 the
         # sweep takes k = 1..4 (k_max) and SDP orders 0, 1 and 2
         sequences = sum(2 + entry.graph.n for entry in entries)
-        assert calls == {"stieltjes_root_upper_bound": 4 * sequences,
-                         "sdp_lower_bound": 3 * sequences}
+        assert calls == {"stieltjes_root_value": 4 * sequences,
+                         "sdp_value": 3 * sequences}
 
 
 class TestVertexReduction:
@@ -423,18 +491,34 @@ class TestVertexReduction:
         ("hankel_root", "upper", (1.0 + 1.2e-12, 1.0 + 6e-13, 1.0, 1.0 + 9e-13)),
     ])
     def test_cutoff_keeps_the_lowest_tied_vertex(self, monkeypatch, name, kind, values):
-        def bound(m, *args, cutoff=None):
-            params = {"measure": m.kind, "vertex": m.vertex}
+        def value_of(m, *args, cutoff=None):
             value = values[m.vertex] if m.vertex is not None else 1.0
             if cutoff is not None and (value <= cutoff if kind == "lower" else value >= cutoff):
-                return BoundResult(name, kind, math.nan, params, applicable=False)
-            return BoundResult(name, kind, value, params)
-        monkeypatch.setattr(report, f"{name}_{kind}_bound", bound)
+                return Dead("ruled out by the cutoff")
+            return value
+        monkeypatch.setattr(report, f"{name}_value", value_of)
         prep = prepare_graph(CorpusEntry("path_4", "path", generate("path:4")))
         for mode in ("aggregate", "all"):
             rows = [r for r, _ in sweep_bounds(prep, measures=("vertex",), vertex_mode=mode)
                     if r.name == name]
             assert _reduce_vertex_results(rows, kind).params["vertex"] == 1
+
+    @pytest.mark.parametrize("spec, seed", [("erdos_renyi:60:0.1", 3), ("cycle:60", 0)])
+    def test_aggregate_mode_builds_only_the_reported_rooted_rows(self, monkeypatch, spec, seed):
+        built = []
+        init = BoundResult.__init__
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+        prep = prepare_graph(CorpusEntry("g", "test", generate(spec, seed)))
+        monkeypatch.setattr(BoundResult, "__init__", counted)
+        rows = [r for r, _ in sweep_bounds(prep)]
+
+        def rooted(results):
+            return [r for r in results if r.params.get("measure") == KIND_CLOSED_AT]
+        assert rooted(rows)
+        assert sorted(map(id, rooted(built))) == sorted(map(id, rooted(rows)))
 
     def test_losing_vertices_get_no_root_search(self, monkeypatch):
         calls = []
