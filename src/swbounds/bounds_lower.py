@@ -1,7 +1,9 @@
 """Lower bounds on the spectral radius from walk-count moment sequences.
 
 The closed-form bounds work on exact integer moments (2x2 determinants in
-big-int arithmetic, rooted only at the final step). The semidefinite bound,
+big-int arithmetic, rooted only at the final step); the classical
+triangle/edge, vertex-local, walk-ratio and sqrt(max degree) bounds are
+labelled quadratic-root and ratio rows of them. The semidefinite bound,
 the smallest u with both u*H_n - S_n and u*H_n + S_n PSD, is the largest
 |zero| of the measure's orthogonal polynomial det(x*H_r - S_r), whose
 coefficients are exact integers. Each top zero is reported as the lower
@@ -14,17 +16,34 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .graph import Graph, degrees, triangle_counts
 from .moments import orthogonal_polynomial
 from .roots import largest_real_root_bracket, no_real_root_above
-from .walks import KIND_WALKS, MomentSequence
+from .walks import KIND_CLOSED, KIND_CLOSED_AT, KIND_WALKS, MomentSequence
 
 # Per-vertex values within this relative distance of the best one tie, and
 # the lowest tied vertex is reported, so vertices that agree up to rounding
 # on a symmetric graph do not make the label depend on the last bits.
 VERTEX_TIE_TOL = 1e-12
+
+
+def reported_vertex(outcomes: Sequence, kind: str) -> int:
+    """The vertex whose row is reported, from per-vertex outcomes (floats or
+    `Dead`), in vertex order.
+
+    The best live value is the max for a lower bound and the min for an
+    upper one. The lowest vertex within VERTEX_TIE_TOL relative of the best
+    is reported; its value is still a valid bound. A vertex no better than
+    a lower vertex is never reported: when it is within the tolerance, so
+    is that vertex. With no live row, the first trivial row is reported,
+    and with none of those vertex 0's.
+    """
+    live = [(i, v) for i, v in enumerate(outcomes) if not isinstance(v, Dead)]
+    if live:
+        best = (max if kind == "lower" else min)(v for _, v in live)
+        return next(i for i, v in live if abs(v - best) <= VERTEX_TIE_TOL * abs(best))
+    return next((i for i, o in enumerate(outcomes) if o.trivial), 0)
 
 
 @dataclass(slots=True)
@@ -186,41 +205,29 @@ def quadratic_root_row(m: MomentSequence, s: int, k: int,
     return outcome_row("quadratic_root", "lower", {**m.params_head, "s": s, "k": k}, outcome)
 
 
-def triangle_edge_lower_bound(g: Graph) -> BoundResult:
-    """Closed-walk bound in graph terms: rho >= 3T/2e + sqrt((3T/2e)^2 + 2e/n)."""
-    e = g.edge_count
-    if e == 0:
-        return _not_applicable("triangle_edge", "lower", "edgeless graph", {})
-    total, _ = triangle_counts(g)
-    x = 3.0 * total / (2.0 * e)
-    value = x + math.sqrt(x * x + 2.0 * e / g.n)
-    return BoundResult("triangle_edge", "lower", value,
-                       {"triangles": total, "edges": e})
+def triangle_edge_lower_bound(m: MomentSequence) -> BoundResult:
+    """Triangle/edge bound rho >= 3T/2e + sqrt((3T/2e)^2 + 2e/n): the row
+    `triangle_edge`, the (s=0, k=1) quadratic root of the closed-walk
+    sequence m = (n, 0, 2e, 6T)."""
+    if m.kind != KIND_CLOSED:
+        raise ValueError("the triangle/edge bound needs the closed-walk sequence")
+    _require_range(m, 0, 1, 3)
+    return outcome_row("triangle_edge", "lower", {"triangles": m[3] // 6, "edges": m[2] // 2},
+                       quadratic_root_value(m, 0, 1))
 
 
-def local_triangle_lower_bound(g: Graph) -> BoundResult:
-    """Best vertex-local bound: rho >= max_i (T_i + sqrt(T_i^2 + d_i^3)) / d_i.
-
-    Isolated vertices are skipped. The result also records the sqrt(max
-    degree) relaxation, which the formula always dominates.
-    """
-    d, max_degree = degrees(g)
-    _, per_vertex = triangle_counts(g)
-    best = -1.0
-    best_vertex = -1
-    for i in range(g.n):
-        if d[i] == 0:
-            continue
-        value = (per_vertex[i] + math.sqrt(per_vertex[i] ** 2 + d[i] ** 3)) / d[i]
-        if value > best:
-            best = value
-            best_vertex = i
-    if best_vertex < 0:
-        return _not_applicable("local_triangle", "lower", "all vertices isolated", {})
-    sqrt_delta = math.sqrt(max_degree)
-    assert best >= sqrt_delta - 1e-9
-    return BoundResult("local_triangle", "lower", best,
-                       {"vertex": best_vertex, "sqrt_max_degree": sqrt_delta})
+def local_triangle_lower_bound(rooted: Sequence[MomentSequence]) -> BoundResult:
+    """Vertex-local bound rho >= (T_i + sqrt(T_i^2 + d_i^3)) / d_i: the row
+    `local_triangle`, the (s=0, k=1) quadratic root of each rooted sequence
+    m = (1, 0, d_i, 2T_i) (inapplicable at an isolated vertex), at the vertex
+    `reported_vertex` picks, with the sqrt(max degree) it always dominates."""
+    if any(m.kind != KIND_CLOSED_AT or m.max_index < 3 for m in rooted):
+        raise ValueError("the local triangle bound needs the rooted sequences up to m_3")
+    outcomes = [quadratic_root_value(m, 0, 1) for m in rooted]
+    i = reported_vertex(outcomes, "lower")
+    sqrt_delta = math.sqrt(max(m.values[2] for m in rooted))
+    return outcome_row("local_triangle", "lower",
+                       {"vertex": rooted[i].vertex, "sqrt_max_degree": sqrt_delta}, outcomes[i])
 
 
 def sdp_lower_bound(m: MomentSequence, order: int, *,
@@ -272,26 +279,22 @@ def sdp_row(m: MomentSequence, order: int, outcome: float | Dead) -> BoundResult
     return outcome_row("sdp", "lower", {**m.params_head, "n": order}, outcome)
 
 
-# The classical walk-ratio baselines (w_top / w_bottom) ** (1 / root).
-_WALK_RATIO_BASELINES = (("baseline_w1_w0", 1, 0, 1), ("baseline_sqrt_w2_w0", 2, 0, 2),
-                         ("baseline_sqrt_w4_w2", 4, 2, 2), ("baseline_sqrt_w6_w4", 6, 4, 2))
+# The classical walk-ratio baselines (w_{2s+k} / w_{2s}) ** (1/k): ratio(walks, s, k).
+_WALK_RATIO_BASELINES = (("baseline_w1_w0", 0, 1), ("baseline_sqrt_w2_w0", 0, 2),
+                         ("baseline_sqrt_w4_w2", 1, 2), ("baseline_sqrt_w6_w4", 2, 2))
 
 
-def baseline_lower_bounds(g: Graph, m_w: MomentSequence) -> list[BoundResult]:
-    """Classical comparison bounds: the four walk-ratio forms, each only when
-    its top walk count is within the horizon, and sqrt(max degree)."""
+def baseline_lower_bounds(m_w: MomentSequence,
+                          rooted: Sequence[MomentSequence]) -> list[BoundResult]:
+    """Classical comparison bounds as labelled ratio rows: the four walk
+    ratios ratio(walks, s, k) within the horizon, and sqrt(max degree), the
+    rooted ratio (s=0, k=2) at the vertex `reported_vertex` picks, when m_2 is."""
     if m_w.kind != KIND_WALKS:
         raise ValueError("baselines need the total-walk sequence")
-    w = m_w.values
-    out: list[BoundResult] = []
-    for name, top, bottom, root in _WALK_RATIO_BASELINES:
-        if top > m_w.max_index:
-            continue
-        if w[bottom] == 0:
-            out.append(_not_applicable(name, "lower", "zero denominator", {}))
-        else:
-            out.append(BoundResult(name, "lower", (w[top] / w[bottom]) ** (1.0 / root), {}))
-    _, max_degree = degrees(g)
-    out.append(BoundResult("baseline_sqrt_max_degree", "lower",
-                           math.sqrt(max_degree), {}))
+    out = [outcome_row(name, "lower", {}, ratio_value(m_w, s, k))
+           for name, s, k in _WALK_RATIO_BASELINES if 2 * s + k <= m_w.max_index]
+    if rooted and rooted[0].max_index >= 2:
+        sqrt_degrees = [ratio_value(m, 0, 2) for m in rooted]
+        out.append(outcome_row("baseline_sqrt_max_degree", "lower", {},
+                               sqrt_degrees[reported_vertex(sqrt_degrees, "lower")]))
     return out

@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .bounds_lower import VERTEX_TIE_TOL, BoundResult, Dead, _not_applicable, outcome_row
+from .bounds_lower import BoundResult, Dead, _not_applicable, outcome_row, reported_vertex
 from .graph import Graph, degrees, is_bipartite, is_connected
 from .moments import _validated_indices, exact_determinant, sorted_positions
 from .roots import largest_real_root_bracket, no_real_root_above
@@ -154,9 +154,9 @@ def eigvec_degree_upper_bound(g: Graph, summary: SpectralSummary) -> BoundResult
     x is the leading eigenvector of a connected graph, so every entry is
     positive; vertices with an entry below 1e-12 are skipped and counted.
     Also sanity-checks the equivalent eigenvector-entry inequality
-    x_i <= 1 / sqrt(1 + rho^2/d_i). The reported vertex is the lowest index
-    within VERTEX_TIE_TOL relative of the minimum, so vertices that tie up
-    to rounding on symmetric graphs do not make the label depend on the
+    x_i <= 1 / sqrt(1 + rho^2/d_i). The value is the minimum, and the
+    reported vertex is the one `reported_vertex` picks, so vertices that tie
+    up to rounding on symmetric graphs do not make the label depend on the
     eigensolver.
     """
     if not is_connected(g):
@@ -164,42 +164,39 @@ def eigvec_degree_upper_bound(g: Graph, summary: SpectralSummary) -> BoundResult
     d, _ = degrees(g)
     x = summary.eigenvectors[:, 0]
     rho = summary.rho
-    values: dict[int, float] = {}
-    skipped = 0
+    values: list[float | Dead] = []
     rearranged_ok = True
     for i in range(g.n):
         xi = float(x[i])
         if xi <= 1e-12:
-            skipped += 1
+            values.append(_VANISHING_WEIGHT)
             continue
-        values[i] = math.sqrt(max(0.0, (1.0 / (xi * xi) - 1.0)) * d[i])
+        values.append(math.sqrt(max(0.0, (1.0 / (xi * xi) - 1.0)) * d[i]))
         if d[i] > 0 and xi > 1.0 / math.sqrt(1.0 + rho * rho / d[i]) + 1e-9:
             rearranged_ok = False
-    if not values:
+    live = [v for v in values if v is not _VANISHING_WEIGHT]
+    if not live:
         return _not_applicable("eigvec_degree", "upper", "all eigenvector entries vanish",
-                               {"skipped": skipped})
-    best = min(values.values())
-    best_vertex = next(i for i, v in values.items() if v <= best * (1.0 + VERTEX_TIE_TOL))
-    return BoundResult("eigvec_degree", "upper", best,
-                       {"vertex": best_vertex, "skipped": skipped,
+                               {"skipped": g.n})
+    return BoundResult("eigvec_degree", "upper", min(live),
+                       {"vertex": reported_vertex(values, "upper"), "skipped": g.n - len(live),
                         "rearranged_ok": rearranged_ok},
                        oracle_assisted=True)
 
 
 def bipartite_upper_bound(m: MomentSequence, weight: AtomWeight, k: int,
-                          g: Graph | bool) -> BoundResult:
+                          g: Graph) -> BoundResult:
     """Halved even-moment bound on bipartite graphs.
 
     Eigenvalues of a bipartite graph come in +/- pairs, so the even moments
     double-count the top atom: rho <= (m_{2k} / (2 alpha_1)) ** (1/2k).
-    Only closed-walk measures (total or rooted) qualify. `g` is the graph,
-    or whether it is bipartite when the caller has decided that once per
-    graph already (as `report.prepare_graph` does).
+    Only closed-walk measures (total or rooted) qualify. A sweep that has
+    decided bipartiteness once per graph calls `bipartite_value` instead.
     """
     if m.kind == KIND_WALKS:
         raise ValueError("the halved bound applies to closed-walk measures only")
     _require_even_moment(m, k)
-    flag = g if isinstance(g, bool) else is_bipartite(g)[0]
+    flag = is_bipartite(g)[0]
     return bipartite_row(m, weight, k, flag, bipartite_value(m, weight, k, flag))
 
 

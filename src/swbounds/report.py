@@ -12,7 +12,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .bounds_lower import (
-    VERTEX_TIE_TOL,
     BoundResult,
     Dead,
     _det_blocks,
@@ -24,6 +23,7 @@ from .bounds_lower import (
     quadratic_root_value,
     ratio_row,
     ratio_value,
+    reported_vertex,
     sdp_row,
     sdp_value,
     triangle_edge_lower_bound,
@@ -183,24 +183,6 @@ def _sort_key(r: BoundResult):
     )
 
 
-def _reported_vertex(outcomes: list, kind: str) -> int:
-    """The vertex whose row the aggregate report keeps, from per-vertex outcomes.
-
-    The best live value is the max for a lower bound and the min for an
-    upper one. On vertex-transitive graphs the values tie up to rounding,
-    so the lowest vertex within VERTEX_TIE_TOL relative of the best is
-    reported, as `eigvec_degree_upper_bound` does; its value is still a
-    valid bound. A vertex no better than a lower vertex is never reported:
-    when it is within the tolerance, so is that vertex. With no live row,
-    the first trivial row is reported, and with none of those vertex 0's.
-    """
-    live = [(i, v) for i, v in enumerate(outcomes) if not isinstance(v, Dead)]
-    if live:
-        best = (max if kind == "lower" else min)(v for _, v in live)
-        return next(i for i, v in live if abs(v - best) <= VERTEX_TIE_TOL * abs(best))
-    return next((i for i, o in enumerate(outcomes) if o.trivial), 0)
-
-
 def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = DEFAULT_K_MAX,
                  j_sets: Sequence[tuple[int, ...]] = DEFAULT_J_SETS,
                  sdp_orders: Sequence[int] = DEFAULT_SDP_ORDERS,
@@ -209,11 +191,12 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
     """Evaluate every applicable bound for one graph.
 
     This is the one place that decides which (bound, parameters) rows exist:
-    a combination that needs moments beyond the computed horizon is skipped.
-    A family on the rooted measure runs its value routine (`ratio_value`,
-    ...) over every vertex, which yields floats. With
+    a combination that needs moments beyond the computed horizon is skipped,
+    the classical rows (`triangle_edge`, `baseline_*`, ...) included. A
+    family on the rooted measure runs its value routine (`ratio_value`, ...)
+    over every vertex, which yields floats. With
     vertex_mode="aggregate" the sweep then builds the record of the one
-    vertex `_reported_vertex` picks, timed as the whole pass; "all" builds
+    vertex `reported_vertex` picks, timed as the whole pass; "all" builds
     and times one per vertex (what the soundness checks want). In
     aggregate mode the root-based families (`sdp`, `stieltjes_root`,
     `hankel_root`) pass each vertex after a positive live one the best
@@ -263,17 +246,18 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
                     running = res if running is None else pick(running, res)
         else:
             outcomes = [value(*head, *args) for head in heads]
-        i = _reported_vertex(outcomes, kind)
+        i = reported_vertex(outcomes, kind)
         rows.append((row(*heads[i], *args, outcomes[i]), (time.perf_counter() - t0) * 1000.0))
 
     by_measure = {"walks": [prep.walks_seq], "closed": [prep.closed_seq],
                   "vertex": list(prep.rooted_seqs)}
     sequences = [by_measure[m] for m in MEASURES if m in measures]
 
-    emit(triangle_edge_lower_bound, g)
-    emit(local_triangle_lower_bound, g)
+    if 3 <= horizon:
+        emit(triangle_edge_lower_bound, prep.closed_seq)
+        emit(local_triangle_lower_bound, prep.rooted_seqs)
     if "walks" in measures:
-        emit(baseline_lower_bounds, g, prep.walks_seq)
+        emit(baseline_lower_bounds, prep.walks_seq, prep.rooted_seqs)
 
     for seqs in sequences:
         weights = [atom_weight_for(s, summary) for s in seqs]
@@ -713,10 +697,12 @@ def _verify_dominance(out: VerificationOutcome, prep: PreparedGraph,
 
     Per sequence: the two-point, Stieltjes and halved bounds lie below the
     even-moment bound, which on walks lies below the clique hierarchy; each
-    quadratic root is at least its vertex value; and `sdp` does not decrease
+    quadratic root is at least its vertex value and, to four units in the
+    last place, at least its determinant ratio; and `sdp` does not decrease
     with the order and is, to one unit in the last place, at least the
-    ratio seeds m_{2s+1}/m_{2s} its blocks contain. Only applicable rows
-    are compared, and no bound is evaluated again.
+    ratio seeds m_{2s+1}/m_{2s} its blocks contain. Per graph:
+    `local_triangle` is at least `baseline_sqrt_max_degree`. Only
+    applicable rows are compared, and no bound is evaluated again.
     """
     name = prep.entry.name
     index: dict = {}
@@ -725,6 +711,10 @@ def _verify_dominance(out: VerificationOutcome, prep: PreparedGraph,
         if r.applicable:
             index.setdefault((p.get("measure"), p.get("vertex")), {})[
                 (r.name, p.get("s"), p.get("k"), p.get("n"))] = r
+    classical = {r.name: r.value for r in rows if r.applicable}
+    if {"local_triangle", "baseline_sqrt_max_degree"} <= classical.keys():
+        out.check(classical["local_triangle"] >= classical["baseline_sqrt_max_degree"] - 1e-9,
+                  f"{name}: local triangle bound below sqrt(max degree)")
     hierarchy = prep.connected and prep.omega is not None and prep.omega >= 2
     for m in [prep.walks_seq, prep.closed_seq, *prep.rooted_seqs]:
         found = index.get((m.kind, m.vertex), {})
@@ -748,6 +738,12 @@ def _verify_dominance(out: VerificationOutcome, prep: PreparedGraph,
                 floor = (abs(det_f) / (2 * det_h)) ** (1.0 / k)
                 out.check(r.value >= floor - 1e-9,
                           f"{name}: quadratic root below its vertex value ({m.kind}, s={s}, k={k})")
+                det = found.get(("det_ratio", s, k, None))
+                if det is not None and not det.trivial:
+                    # the larger root is at least the geometric mean of both roots
+                    out.check(det.value <= r.value + 4 * math.ulp(r.value),
+                              f"{name}: determinant ratio above its quadratic root "
+                              f"({m.kind}, s={s}, k={k})")
             elif bound == "ratio" and k == 1 and sdp and s <= sdp[-1][0]:
                 # sdp is the largest float at or below a root that is at least
                 # the exact m_{2s+1}/m_{2s}, whose correct rounding is the ratio

@@ -159,13 +159,13 @@ def test_criterion_3_sandwich_soundness(prepared_corpus):
 
 def test_criterion_4_exactness_cases():
     k3 = complete_graph(3)
-    t_e = triangle_edge_lower_bound(k3).value
+    t_e = triangle_edge_lower_bound(closed_walk_counts(k3, 3)).value
     assert t_e == pytest.approx(2.0, abs=1e-9)
 
     for delta in range(2, 11):
-        value = local_triangle_lower_bound(star_graph(delta)).value
+        value = local_triangle_lower_bound(all_rooted_closed_counts(star_graph(delta), 3)).value
         assert value == pytest.approx(math.sqrt(delta), abs=1e-9)
-    p3_value = local_triangle_lower_bound(path_graph(3)).value
+    p3_value = local_triangle_lower_bound(all_rooted_closed_counts(path_graph(3), 3)).value
     assert p3_value == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
     sdp = sdp_lower_bound(closed_walk_counts(k3, 3), 1).value

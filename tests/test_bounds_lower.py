@@ -17,8 +17,10 @@ from swbounds.graph import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    degrees,
     path_graph,
     star_graph,
+    triangle_counts,
 )
 from swbounds.moments import exact_psd, orthogonal_polynomial
 from swbounds.report import er_corpus, family_corpus, find_violations, prepare_graph
@@ -26,6 +28,7 @@ from swbounds.spectrum import eigen_decompose
 from swbounds.walks import (
     KIND_CLOSED,
     MomentSequence,
+    all_rooted_closed_counts,
     closed_walk_counts,
     closed_walk_counts_at,
     walk_counts,
@@ -135,43 +138,115 @@ class TestQuadraticRoot:
                     assert res.value >= floor - 1e-12
 
 
+def _closed3(g):
+    return closed_walk_counts(g, 3)
+
+
+def _rooted3(g):
+    return all_rooted_closed_counts(g, 3)
+
+
+def _within_ulps(value, reference, ulps=4):
+    return abs(value - reference) <= ulps * math.ulp(reference)
+
+
 class TestTriangleEdge:
     def test_k3_exact(self):
-        assert triangle_edge_lower_bound(K3).value == pytest.approx(2.0, abs=1e-12)
+        assert triangle_edge_lower_bound(_closed3(K3)).value == pytest.approx(2.0, abs=1e-12)
 
     def test_p3(self):
-        assert triangle_edge_lower_bound(P3).value == pytest.approx(math.sqrt(4.0 / 3.0), abs=1e-12)
+        assert triangle_edge_lower_bound(_closed3(P3)).value == pytest.approx(
+            math.sqrt(4.0 / 3.0), abs=1e-12)
 
     def test_c4(self):
-        assert triangle_edge_lower_bound(C4).value == pytest.approx(SQRT2, abs=1e-12)
+        res = triangle_edge_lower_bound(_closed3(C4))
+        assert res.value == pytest.approx(SQRT2, abs=1e-12)
+        assert res.params == {"triangles": 0, "edges": 4}
 
     def test_edgeless(self):
-        assert not triangle_edge_lower_bound(path_graph(1)).applicable
+        res = triangle_edge_lower_bound(_closed3(path_graph(1)))
+        assert not res.applicable
+        assert res.reason == "Hankel block not positive definite"
+        assert res.params == {"triangles": 0, "edges": 0}
 
     def test_matches_quadratic_root_specialisation(self):
-        # same algebra as the (s=0, k=1) closed-walk quadratic root
-        for g in (K3, C4, complete_graph(5)):
-            direct = triangle_edge_lower_bound(g).value
-            via_roots = quadratic_root_lower_bound(closed_walk_counts(g, 3), 0, 1).value
-            assert direct == pytest.approx(via_roots, abs=1e-12)
+        for entry in family_corpus(8) + er_corpus(10):
+            m = closed_walk_counts(entry.graph, 3)
+            res = triangle_edge_lower_bound(m)
+            root = quadratic_root_lower_bound(m, 0, 1)
+            assert (res.applicable, res.reason) == (root.applicable, root.reason)
+            assert not root.applicable or res.value == root.value
+
+    def test_matches_the_graph_formula(self, corpus):
+        # 3T/2e + sqrt((3T/2e)^2 + 2e/n) in graph terms, within 4 ulps
+        for entry in corpus:
+            g = entry.graph
+            if g.edge_count == 0:
+                continue
+            total, _ = triangle_counts(g)
+            x = 3.0 * total / (2.0 * g.edge_count)
+            reference = x + math.sqrt(x * x + 2.0 * g.edge_count / g.n)
+            value = triangle_edge_lower_bound(_closed3(g)).value
+            assert _within_ulps(value, reference), entry.name
+
+    def test_needs_the_closed_sequence_up_to_m3(self):
+        with pytest.raises(ValueError):
+            triangle_edge_lower_bound(walk_counts(K3, 3))
+        with pytest.raises(ValueError):
+            triangle_edge_lower_bound(closed_walk_counts(K3, 2))
 
 
 class TestLocalTriangle:
     def test_p3_center_exact(self):
-        res = local_triangle_lower_bound(P3)
+        res = local_triangle_lower_bound(_rooted3(P3))
         assert res.value == pytest.approx(SQRT2, abs=1e-12)
         assert res.params["vertex"] == 1
 
     def test_star_center(self):
-        res = local_triangle_lower_bound(star_graph(4))
+        res = local_triangle_lower_bound(_rooted3(star_graph(4)))
         assert res.value == pytest.approx(2.0, abs=1e-12)
         assert res.params["sqrt_max_degree"] == pytest.approx(2.0)
 
     def test_k3(self):
-        assert local_triangle_lower_bound(K3).value == pytest.approx(2.0, abs=1e-12)
+        res = local_triangle_lower_bound(_rooted3(K3))
+        assert res.value == pytest.approx(2.0, abs=1e-12)
+        assert res.params["vertex"] == 0  # the lowest of the tied vertices
 
     def test_edgeless(self):
-        assert not local_triangle_lower_bound(path_graph(1)).applicable
+        res = local_triangle_lower_bound(_rooted3(path_graph(1)))
+        assert not res.applicable
+        assert res.reason == "Hankel block not positive definite"
+        assert res.params == {"vertex": 0, "sqrt_max_degree": 0.0}
+
+    def test_is_the_best_rooted_quadratic_root(self):
+        for entry in family_corpus(8) + er_corpus(10):
+            rooted = _rooted3(entry.graph)
+            res = local_triangle_lower_bound(rooted)
+            if not res.applicable:
+                continue
+            root = quadratic_root_lower_bound(rooted[res.params["vertex"]], 0, 1)
+            assert root.value == res.value
+            assert all(not r.applicable or r.value <= res.value
+                       for r in (quadratic_root_lower_bound(m, 0, 1) for m in rooted))
+
+    def test_matches_the_graph_formula(self, corpus):
+        # max_i (T_i + sqrt(T_i^2 + d_i^3)) / d_i over non-isolated vertices, within 4 ulps
+        for entry in corpus:
+            g = entry.graph
+            d, max_degree = degrees(g)
+            _, per_vertex = triangle_counts(g)
+            values = [(t + math.sqrt(t * t + di ** 3)) / di for di, t in zip(d, per_vertex) if di]
+            if not values:
+                continue
+            res = local_triangle_lower_bound(_rooted3(g))
+            assert _within_ulps(res.value, max(values)), entry.name
+            assert res.params["sqrt_max_degree"] == math.sqrt(max_degree)
+
+    def test_needs_the_rooted_sequences_up_to_m3(self):
+        with pytest.raises(ValueError):
+            local_triangle_lower_bound([closed_walk_counts(K3, 3)])
+        with pytest.raises(ValueError):
+            local_triangle_lower_bound(all_rooted_closed_counts(K3, 2))
 
 
 class TestSdp:
@@ -277,20 +352,63 @@ class TestSdpExactSandwich:
         assert values == sorted(values)
 
 
+def _baselines(g, horizon=6):
+    return {r.name: r for r in baseline_lower_bounds(walk_counts(g, horizon),
+                                                     all_rooted_closed_counts(g, horizon))}
+
+
 class TestBaselines:
     def test_k3_all_ratios_exact(self):
-        results = {r.name: r for r in baseline_lower_bounds(K3, walk_counts(K3, 6))}
+        results = _baselines(K3)
         for name in ("baseline_w1_w0", "baseline_sqrt_w2_w0",
                      "baseline_sqrt_w4_w2", "baseline_sqrt_w6_w4"):
             assert results[name].value == pytest.approx(2.0, abs=1e-12)
 
     def test_p3_ordering(self):
-        results = {r.name: r for r in baseline_lower_bounds(P3, walk_counts(P3, 6))}
+        results = _baselines(P3)
         assert results["baseline_w1_w0"].value == pytest.approx(4.0 / 3.0)
         assert results["baseline_sqrt_w2_w0"].value == pytest.approx(SQRT2, abs=1e-12)
         assert results["baseline_w1_w0"].value <= results["baseline_sqrt_w2_w0"].value
 
     def test_star_sqrt_degree(self):
-        g = star_graph(4)
-        results = {r.name: r for r in baseline_lower_bounds(g, walk_counts(g, 6))}
+        results = _baselines(star_graph(4))
         assert results["baseline_sqrt_max_degree"].value == pytest.approx(2.0)
+
+    def test_are_ratio_rows(self, corpus):
+        # each walk ratio is ratio(walks, s, k), sqrt(max degree) the best
+        # rooted ratio(s=0, k=2), and both equal their graph-term forms
+        for entry in corpus:
+            g = entry.graph
+            m = walk_counts(g, 6)
+            results = _baselines(g)
+            for name, s, k in (("baseline_w1_w0", 0, 1), ("baseline_sqrt_w2_w0", 0, 2),
+                               ("baseline_sqrt_w4_w2", 1, 2), ("baseline_sqrt_w6_w4", 2, 2)):
+                row = ratio_lower_bound(m, s, k)
+                assert (results[name].applicable, results[name].reason) == (
+                    row.applicable, row.reason)
+                if row.applicable:
+                    assert results[name].value == row.value
+                    assert _within_ulps(row.value, (m[2 * s + k] / m[2 * s]) ** (1.0 / k))
+            best = max(ratio_lower_bound(r, 0, 2).value
+                       for r in all_rooted_closed_counts(g, 2))
+            assert results["baseline_sqrt_max_degree"].value == best
+            assert _within_ulps(best, math.sqrt(degrees(g)[1])), entry.name
+
+    def test_edgeless_rows(self):
+        results = _baselines(path_graph(1))
+        assert results["baseline_w1_w0"].value == 0.0
+        for name in ("baseline_sqrt_w4_w2", "baseline_sqrt_w6_w4"):
+            assert not results[name].applicable
+            assert (results[name].reason, results[name].params) == (
+                "zero even moment m_{2s}", {})
+        assert results["baseline_sqrt_max_degree"].value == 0.0
+
+    @pytest.mark.parametrize("horizon, names", [
+        (0, set()),
+        (1, {"baseline_w1_w0"}),
+        (2, {"baseline_w1_w0", "baseline_sqrt_w2_w0", "baseline_sqrt_max_degree"}),
+        (4, {"baseline_w1_w0", "baseline_sqrt_w2_w0", "baseline_sqrt_w4_w2",
+             "baseline_sqrt_max_degree"}),
+    ])
+    def test_rows_within_the_horizon(self, horizon, names):
+        assert set(_baselines(P3, horizon)) == names

@@ -325,6 +325,11 @@ class TestCommands:
         baselines = {b["name"] for b in doc["bounds"] if b["name"].startswith("baseline_sqrt_w")}
         assert baselines == {f"baseline_sqrt_w{2 * j}_w{2 * j - 2}"
                              for j in (1, 2, 3) if 2 * j <= k}
+        names = {b["name"] for b in doc["bounds"]}
+        # the labelled classical rows need m_3 (triangles) and m_2 (degrees)
+        triangles = {"triangle_edge", "local_triangle"}
+        assert names & triangles == (triangles if k >= 3 else set())
+        assert ("baseline_sqrt_max_degree" in names) == (k >= 2)
 
     def test_verify_at_a_short_horizon(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -380,6 +385,44 @@ class TestVerificationEngine:
         assert out.checks == clean.checks
         assert out.violations == [
             "k4: two-point bound above even-moment bound (closed_walks, k=1)"]
+
+    def test_dominance_sees_a_local_triangle_row_below_sqrt_max_degree(self):
+        prep = prepare_graph(CorpusEntry("star", "star", generate("star:4")), 8)
+        rows = [r for r, _ in sweep_bounds(prep, vertex_mode="all")]
+        clean = VerificationOutcome()
+        _verify_dominance(clean, prep, rows)
+        assert clean.violations == []
+        sqrt_delta = next(r for r in rows if r.name == "baseline_sqrt_max_degree").value
+        lowered = [dataclasses.replace(r, value=sqrt_delta - 1e-6)
+                   if r.name == "local_triangle" else r for r in rows]
+        out = VerificationOutcome()
+        _verify_dominance(out, prep, lowered)
+        assert out.checks == clean.checks
+        assert out.violations == ["star: local triangle bound below sqrt(max degree)"]
+
+    @pytest.mark.parametrize("ulps, flagged", [(4, False), (5, True)])
+    def test_dominance_sees_a_det_ratio_row_above_its_quadratic_root(self, ulps, flagged):
+        prep = prepare_graph(er_corpus(1)[0], 8)
+        rows = [r for r, _ in sweep_bounds(prep, vertex_mode="all")]
+        clean = VerificationOutcome()
+        _verify_dominance(clean, prep, rows)
+        assert clean.violations == []
+
+        def closed_02(r, name):
+            # at k = 1 the shifted determinant is often negative: a trivial row
+            return r.name == name and r.params["measure"] == KIND_CLOSED and (
+                r.params["s"], r.params["k"]) == (0, 2)
+
+        root = next(r for r in rows if closed_02(r, "quadratic_root")).value
+        assert any(closed_02(r, "det_ratio") and r.applicable and not r.trivial for r in rows)
+        raised = [dataclasses.replace(r, value=root + ulps * math.ulp(root))
+                  if closed_02(r, "det_ratio") else r for r in rows]
+        out = VerificationOutcome()
+        _verify_dominance(out, prep, raised)
+        assert out.checks == clean.checks
+        expected = [f"{prep.entry.name}: determinant ratio above its quadratic root "
+                    "(closed_walks, s=0, k=2)"]
+        assert out.violations == (expected if flagged else [])
 
     def test_dominance_sees_an_sdp_row_one_ulp_below_the_previous_order(self):
         prep = prepare_graph(CorpusEntry("k4", "complete", complete_graph(4)), 8)
