@@ -5,7 +5,9 @@ Every bound here removes the mass alpha_1 sitting at the top eigenvalue from
 a walk measure and applies positivity of the remaining Hankel blocks. For
 closed walks alpha_1 = 1 needs no spectral data; the walks and per-vertex
 variants take their weight from the eigensolver and are flagged
-oracle-assisted.
+oracle-assisted. No bound reads a graph: `eigvec_degree` is the rooted
+`two_point` row at k = 1, and `baseline_eigvec_walk` the walk `even_moment`
+row with the weight floor 1/umax^2.
 
 The Hankel, Stieltjes and clique root bounds are the largest real roots of
 polynomials with exact integer coefficients (the weight enters as the exact
@@ -18,12 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
-
-import numpy as np
+from typing import Iterable, Optional, Sequence
 
 from .bounds_lower import BoundResult, Dead, _not_applicable, outcome_row, reported_vertex
-from .graph import Graph, degrees, is_bipartite, is_connected
 from .moments import _validated_indices, exact_determinant, sorted_positions
 from .roots import largest_real_root_bracket, no_real_root_above
 from .spectrum import SpectralSummary
@@ -148,56 +147,44 @@ def two_point_row(m: MomentSequence, weight: AtomWeight, k: int,
     return outcome_row("two_point", "upper", params, outcome, _oracle_assisted(weight))
 
 
-def eigvec_degree_upper_bound(g: Graph, summary: SpectralSummary) -> BoundResult:
-    """Tightest vertex bound rho <= sqrt((1/x_i^2 - 1) d_i) over all vertices.
+def eigvec_degree_upper_bound(rooted: Sequence[MomentSequence],
+                              summary: SpectralSummary) -> BoundResult:
+    """rho <= sqrt((1/x_i^2 - 1) d_i) at the vertex `reported_vertex` picks:
+    the k = 1 `two_point` row of the rooted sequence (1, 0, d_i, ...).
 
-    x is the leading eigenvector of a connected graph, so every entry is
-    positive; vertices with an entry below 1e-12 are skipped and counted.
-    Also sanity-checks the equivalent eigenvector-entry inequality
-    x_i <= 1 / sqrt(1 + rho^2/d_i). The value is the minimum, and the
-    reported vertex is the one `reported_vertex` picks, so vertices that tie
-    up to rounding on symmetric graphs do not make the label depend on the
-    eigensolver.
+    x_i^2 is at most the rooted mass at rho (Bessel's inequality) and the
+    bound falls as the weight grows, so it holds on any graph. Vertices
+    with a vanishing weight are skipped and counted; `rearranged_ok` checks
+    the equivalent x_i <= 1 / sqrt(1 + rho^2/d_i).
     """
-    if not is_connected(g):
-        return _not_applicable("eigvec_degree", "upper", "graph is not connected", {})
-    d, _ = degrees(g)
-    x = summary.eigenvectors[:, 0]
+    if any(m.kind != KIND_CLOSED_AT or m.max_index < 2 for m in rooted):
+        raise ValueError("the eigenvector-degree bound needs rooted sequences up to m_2")
+    weights = [atom_weight_for(m, summary) for m in rooted]
+    outcomes = [two_point_value(m, w, 1) for m, w in zip(rooted, weights)]
     rho = summary.rho
-    values: list[float | Dead] = []
-    rearranged_ok = True
-    for i in range(g.n):
-        xi = float(x[i])
-        if xi <= 1e-12:
-            values.append(_VANISHING_WEIGHT)
-            continue
-        values.append(math.sqrt(max(0.0, (1.0 / (xi * xi) - 1.0)) * d[i]))
-        if d[i] > 0 and xi > 1.0 / math.sqrt(1.0 + rho * rho / d[i]) + 1e-9:
-            rearranged_ok = False
-    live = [v for v in values if v is not _VANISHING_WEIGHT]
-    if not live:
-        return _not_applicable("eigvec_degree", "upper", "all eigenvector entries vanish",
-                               {"skipped": g.n})
-    return BoundResult("eigvec_degree", "upper", min(live),
-                       {"vertex": reported_vertex(values, "upper"), "skipped": g.n - len(live),
-                        "rearranged_ok": rearranged_ok},
-                       oracle_assisted=True)
+    rearranged_ok = not any(
+        w.alpha1 > MIN_ATOM_WEIGHT and m.values[2] > 0
+        and math.sqrt(w.alpha1) > 1.0 / math.sqrt(1.0 + rho * rho / m.values[2]) + 1e-9
+        for m, w in zip(rooted, weights))
+    i = reported_vertex(outcomes, "upper")
+    params = {"vertex": i, "skipped": sum(isinstance(o, Dead) for o in outcomes),
+              "rearranged_ok": rearranged_ok}
+    return outcome_row("eigvec_degree", "upper", params, outcomes[i], oracle_assisted=True)
 
 
 def bipartite_upper_bound(m: MomentSequence, weight: AtomWeight, k: int,
-                          g: Graph) -> BoundResult:
+                          bipartite: bool) -> BoundResult:
     """Halved even-moment bound on bipartite graphs.
 
     Eigenvalues of a bipartite graph come in +/- pairs, so the even moments
     double-count the top atom: rho <= (m_{2k} / (2 alpha_1)) ** (1/2k).
-    Only closed-walk measures (total or rooted) qualify. A sweep that has
-    decided bipartiteness once per graph calls `bipartite_value` instead.
+    Only closed-walk measures (total or rooted) qualify; on a graph that is
+    not `bipartite` the row is inapplicable.
     """
     if m.kind == KIND_WALKS:
         raise ValueError("the halved bound applies to closed-walk measures only")
     _require_even_moment(m, k)
-    flag = is_bipartite(g)[0]
-    return bipartite_row(m, weight, k, flag, bipartite_value(m, weight, k, flag))
+    return bipartite_row(m, weight, k, bipartite, bipartite_value(m, weight, k, bipartite))
 
 
 def bipartite_value(m: MomentSequence, weight: AtomWeight, k: int,
@@ -345,7 +332,7 @@ def stieltjes_root_value(m: MomentSequence, weight: AtomWeight, k: int, *,
     if k == 0 and coeffs[1] >= 0:
         return _RISING_LINEAR
     # the even-moment bound, which the root never exceeds
-    ceiling = _ratio_root(m2k, alpha, 1.0 / (2 * k)) * (1.0 + 1e-12) + 1e-9 if k else None
+    ceiling = even_moment_value(m, weight, k) * (1.0 + 1e-12) + 1e-9 if k else None
     if cutoff is not None and not no_real_root_above(coeffs, cutoff):
         assert ceiling is None or no_real_root_above(coeffs, ceiling)
         return _ROOT_ABOVE_CUTOFF
@@ -386,34 +373,33 @@ def clique_root_upper_bound(m_w: MomentSequence, omega: int, k: int) -> BoundRes
     coeffs[1] = (omega - 1) * w2k
     coeffs[2 * k + 2] = -2 * omega
     root = largest_real_root_bracket(coeffs)[1]
-    reference = _ratio_root(w2k, omega / (omega - 1.0), 1.0 / (2 * k + 1))
-    assert root <= reference * (1.0 + 1e-12) + 1e-9
+    assert root <= nikiforov_clique_value(m_w, omega, 2 * k) * (1.0 + 1e-12) + 1e-9
     return BoundResult("clique_root", "upper", root, params)
 
 
-def baseline_upper_bounds(g: Graph, m_w: MomentSequence, summary: SpectralSummary,
-                          omega: int, ks: tuple[int, ...] = (1, 2, 3)) -> list[BoundResult]:
-    """Classical comparison bounds: clique-number hierarchy, the
-    fundamental-weight bound, and the two eigenvector-entry bounds.
+def nikiforov_clique_value(m_w: MomentSequence, omega: int, j: int) -> float:
+    """The clique-number hierarchy rho <= ((1 - 1/omega) w_j) ** (1/(j+1)),
+    which needs no spectral data; 0 on an edgeless graph (omega < 2)."""
+    if omega < 2:
+        return 0.0
+    return _ratio_root(m_w.values[j], omega / (omega - 1.0), 1.0 / (j + 1))
 
-    The eigenvector-based ones assume a connected graph (entrywise positive
-    leading eigenvector) and are marked inapplicable otherwise.
+
+def baseline_upper_bounds(m_w: MomentSequence, summary: SpectralSummary, omega: int,
+                          connected: bool, ks: tuple[int, ...] = (1, 2, 3)) -> list[BoundResult]:
+    """Classical comparison bounds: the clique-number hierarchy, the
+    fundamental-weight bound, and two leading-eigenvector bounds.
+
+    The weight floor 1/umax^2 of `baseline_eigvec_walk` holds since
+    1'x >= sum(x_i^2)/umax = 1/umax for x >= 0: the eigenvector rows assume
+    a `connected` graph and are marked inapplicable otherwise.
     """
     if m_w.kind != KIND_WALKS:
         raise ValueError("baselines need the total-walk sequence")
-    w = m_w.values
-    out: list[BoundResult] = []
-    connected = is_connected(g)
-
-    for k in ks:
-        if k > m_w.max_index:
-            raise ValueError(f"need w_{k}, have up to w_{m_w.max_index}")
-        if omega < 2:
-            value = 0.0
-        else:
-            value = _ratio_root(w[k], omega / (omega - 1.0), 1.0 / (k + 1))
-        out.append(BoundResult("baseline_nikiforov_clique", "upper", value,
-                               {"k": k, "omega": omega}))
+    if ks and max(ks) > m_w.max_index:
+        raise ValueError(f"need w_{max(ks)}, have up to w_{m_w.max_index}")
+    out = [BoundResult("baseline_nikiforov_clique", "upper", nikiforov_clique_value(m_w, omega, k),
+                       {"k": k, "omega": omega}) for k in ks]
 
     if not connected:
         reason = "graph is not connected"
@@ -429,15 +415,15 @@ def baseline_upper_bounds(g: Graph, m_w: MomentSequence, summary: SpectralSummar
                            oracle_assisted=True))
 
     x = summary.eigenvectors[:, 0]
-    umax = float(np.max(x))
-    usum = float(np.sum(x))
+    umax = float(x.max())
+    usum = float(x.sum())
+    floor = AtomWeight(1.0 / (umax * umax), KIND_WALKS)
     for k in ks:
         if 2 * k <= m_w.max_index:
-            value = _ratio_root(w[2 * k], 1.0, 1.0 / (2 * k)) * umax ** (1.0 / k)
-            out.append(BoundResult("baseline_eigvec_walk", "upper", value, {"k": k},
-                                   oracle_assisted=True))
+            out.append(outcome_row("baseline_eigvec_walk", "upper", {"k": k},
+                                   even_moment_value(m_w, floor, k), oracle_assisted=True))
         if usum > 1e-12:
-            value = _ratio_root(w[k], usum / umax, 1.0 / k)
+            value = _ratio_root(m_w.values[k], usum / umax, 1.0 / k)
             out.append(BoundResult("baseline_van_mieghem", "upper", value, {"k": k},
                                    oracle_assisted=True))
     return out

@@ -39,6 +39,7 @@ from .bounds_upper import (
     even_moment_value,
     hankel_root_row,
     hankel_root_value,
+    nikiforov_clique_value,
     stieltjes_root_row,
     stieltjes_root_value,
     two_point_row,
@@ -209,7 +210,6 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
     """
     if s_max < 0 or k_max < 0:
         raise ValueError(f"s_max and k_max must be non-negative, got {s_max} and {k_max}")
-    g = prep.entry.graph
     horizon = prep.walks_seq.max_index
     summary = prep.summary
     rows: list[tuple[BoundResult, float]] = []
@@ -297,9 +297,10 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
             if 2 * k + 1 <= horizon:
                 emit(clique_root_upper_bound, prep.walks_seq, prep.omega, k)
         ks = tuple(k for k in range(1, k_max + 1) if k <= horizon)
-        emit(baseline_upper_bounds, g, prep.walks_seq, summary, prep.omega, ks)
+        emit(baseline_upper_bounds, prep.walks_seq, summary, prep.omega, prep.connected, ks)
 
-    emit(eigvec_degree_upper_bound, g, summary)
+    if 2 <= horizon:
+        emit(eigvec_degree_upper_bound, prep.rooted_seqs, summary)
 
     rows.sort(key=lambda pair: _sort_key(pair[0]))
     return rows
@@ -696,13 +697,14 @@ def _verify_dominance(out: VerificationOutcome, prep: PreparedGraph,
     """Check the orderings of the bound hierarchy on one sweep's rows.
 
     Per sequence: the two-point, Stieltjes and halved bounds lie below the
-    even-moment bound, which on walks lies below the clique hierarchy; each
-    quadratic root is at least its vertex value and, to four units in the
-    last place, at least its determinant ratio; and `sdp` does not decrease
-    with the order and is, to one unit in the last place, at least the
-    ratio seeds m_{2s+1}/m_{2s} its blocks contain. Per graph:
-    `local_triangle` is at least `baseline_sqrt_max_degree`. Only
-    applicable rows are compared, and no bound is evaluated again.
+    even-moment bound, which on walks lies below both the clique hierarchy
+    and `baseline_eigvec_walk`; each quadratic root is at least its vertex
+    value and, to four units in the last place, at least its determinant
+    ratio; and `sdp` does not decrease with the order and is, to one unit
+    in the last place, at least the ratio seeds m_{2s+1}/m_{2s} its blocks
+    contain. Per graph: `local_triangle` is at least
+    `baseline_sqrt_max_degree`. Only applicable rows are compared, and no
+    bound is evaluated again.
     """
     name = prep.entry.name
     index: dict = {}
@@ -716,6 +718,7 @@ def _verify_dominance(out: VerificationOutcome, prep: PreparedGraph,
         out.check(classical["local_triangle"] >= classical["baseline_sqrt_max_degree"] - 1e-9,
                   f"{name}: local triangle bound below sqrt(max degree)")
     hierarchy = prep.connected and prep.omega is not None and prep.omega >= 2
+    baselines = index.get((None, None), {})
     for m in [prep.walks_seq, prep.closed_seq, *prep.rooted_seqs]:
         found = index.get((m.kind, m.vertex), {})
         sdp = sorted((n, r.value) for (bound, _, _, n), r in found.items() if bound == "sdp")
@@ -730,9 +733,13 @@ def _verify_dominance(out: VerificationOutcome, prep: PreparedGraph,
                         out.check(below.value <= r.value + 1e-9,
                                   f"{name}: {label} above even-moment bound ({m.kind}, k={k})")
                 if hierarchy and m.kind == KIND_WALKS:
-                    reference = ((1.0 - 1.0 / prep.omega) * m[2 * k]) ** (1.0 / (2 * k + 1))
-                    out.check(r.value <= reference + 1e-9,
+                    out.check(r.value <= nikiforov_clique_value(m, prep.omega, 2 * k) + 1e-9,
                               f"{name}: fundamental-weight bound above clique hierarchy (k={k})")
+                eigvec_walk = baselines.get(("baseline_eigvec_walk", None, k, None))
+                if eigvec_walk is not None and m.kind == KIND_WALKS:
+                    # its weight floor 1/umax^2 is at most the fundamental weight
+                    out.check(eigvec_walk.value >= r.value - 1e-9,
+                              f"{name}: eigenvector walk bound below even-moment bound (k={k})")
             elif bound == "quadratic_root":
                 det_h, _, det_f = _det_blocks(m, s, k)
                 floor = (abs(det_f) / (2 * det_h)) ** (1.0 / k)

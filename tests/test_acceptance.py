@@ -268,13 +268,12 @@ def test_criterion_9_bipartite_halving(prepared_corpus):
         if not prep.bipartite:
             continue
         rho = prep.summary.rho
-        g = prep.entry.graph
         for m in (prep.closed_seq, *prep.rooted_seqs):
             weight = atom_weight_for(m, prep.summary)
             for k in (1, 2, 3, 4):
                 if 2 * k > m.max_index:
                     continue
-                res = bipartite_upper_bound(m, weight, k, g)
+                res = bipartite_upper_bound(m, weight, k, prep.bipartite)
                 if not res.applicable:
                     continue
                 checked += 1
@@ -283,7 +282,7 @@ def test_criterion_9_bipartite_halving(prepared_corpus):
                     f"{prep.entry.name} {m.kind} k={k}: halved bound undercuts rho"
                 )
         if prep.entry.name == "cycle_4":
-            c4_phi = bipartite_upper_bound(prep.closed_seq, UNIT, 1, g).value
+            c4_phi = bipartite_upper_bound(prep.closed_seq, UNIT, 1, prep.bipartite).value
     assert c4_phi == pytest.approx(2.0, abs=1e-9)
     _line(9, True, f"C4 exact; {checked} bipartite bounds, worst margin {worst:.3e}")
 

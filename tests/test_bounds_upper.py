@@ -12,12 +12,30 @@ from swbounds.bounds_upper import (
     eigvec_degree_upper_bound,
     even_moment_upper_bound,
     hankel_root_upper_bound,
+    nikiforov_clique_value,
     stieltjes_root_upper_bound,
     two_point_upper_bound,
 )
-from swbounds.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
+from swbounds.graph import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    degrees,
+    is_bipartite,
+    is_connected,
+    path_graph,
+    star_graph,
+)
+from swbounds.report import sweep_bounds
 from swbounds.spectrum import eigen_decompose
-from swbounds.walks import KIND_CLOSED, closed_walk_counts, closed_walk_counts_at, walk_counts
+from swbounds.walks import (
+    KIND_CLOSED,
+    KIND_WALKS,
+    all_rooted_closed_counts,
+    closed_walk_counts,
+    closed_walk_counts_at,
+    walk_counts,
+)
 
 K3 = complete_graph(3)
 P3 = path_graph(3)
@@ -91,10 +109,18 @@ class TestTwoPoint:
                 assert two.value <= even.value + 1e-9
 
 
+def _eigvec_degree(g, horizon=2):
+    return eigvec_degree_upper_bound(all_rooted_closed_counts(g, horizon), eigen_decompose(g))
+
+
+def _baselines(g, omega, horizon=6, **kwargs):
+    return baseline_upper_bounds(walk_counts(g, horizon), eigen_decompose(g), omega,
+                                 is_connected(g), **kwargs)
+
+
 class TestEigvecDegree:
     def test_star(self):
-        g = star_graph(4)
-        res = eigvec_degree_upper_bound(g, eigen_decompose(g))
+        res = _eigvec_degree(star_graph(4))
         # hub attains the minimum: sqrt((2 - 1) * 4) = 2
         assert res.value == pytest.approx(2.0, abs=1e-9)
         assert res.params["vertex"] == 0
@@ -108,45 +134,92 @@ class TestEigvecDegree:
         assert leaf_bound == pytest.approx(math.sqrt(7.0), abs=1e-9)
 
     def test_k3(self):
-        res = eigvec_degree_upper_bound(K3, eigen_decompose(K3))
+        res = _eigvec_degree(K3)
         assert res.value == pytest.approx(2.0, abs=1e-9)
 
-    def test_disconnected_flagged(self):
-        g = Graph(4, [(0, 1), (2, 3)])
-        res = eigvec_degree_upper_bound(g, eigen_decompose(g))
-        assert not res.applicable
+    def test_disconnected_applicable(self):
+        # any unit eigenvector of rho has x_i^2 at most the rooted mass at rho
+        # (Bessel), so the bound holds without connectivity, also where rho
+        # is a double eigenvalue (two disjoint triangles)
+        two_edges = Graph(4, [(0, 1), (2, 3)])
+        two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        for g in (two_edges, two_triangles):
+            res = _eigvec_degree(g)
+            assert res.applicable
+            assert res.value >= eigen_decompose(g).rho - 1e-9
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_vertex_transitive_reports_vertex_zero(self, n):
         # every vertex ties up to rounding; the label must not depend on it
         for g in (cycle_graph(n), complete_graph(n)):
-            res = eigvec_degree_upper_bound(g, eigen_decompose(g))
+            res = _eigvec_degree(g)
             assert res.params["vertex"] == 0
+
+    def test_is_the_rooted_two_point_row(self, prepared_corpus):
+        for prep in prepared_corpus:
+            res = eigvec_degree_upper_bound(prep.rooted_seqs, prep.summary)
+            m = prep.rooted_seqs[res.params["vertex"]]
+            two = two_point_upper_bound(m, atom_weight_for(m, prep.summary), 1)
+            assert (res.value, res.applicable) == (two.value, two.applicable)
+
+    def test_matches_the_aggregate_sweep(self, prepared_corpus):
+        # the reported vertex and value of the sweep's rooted two_point k = 1 row
+        for prep in prepared_corpus:
+            rows = [r for r, _ in sweep_bounds(prep, measures=("vertex",), j_sets=(),
+                                               sdp_orders=())]
+            eig = next(r for r in rows if r.name == "eigvec_degree")
+            two = next(r for r in rows if r.name == "two_point" and r.params["k"] == 1)
+            assert (eig.value, eig.params["vertex"]) == (two.value, two.params["vertex"])
+
+    def test_old_entry_formula_within_four_ulps(self, prepared_corpus):
+        # the former per-vertex sqrt((1/x_i^2 - 1) d_i) on connected graphs
+        for prep in prepared_corpus:
+            if not prep.connected:
+                continue
+            res = eigvec_degree_upper_bound(prep.rooted_seqs, prep.summary)
+            i = res.params["vertex"]
+            xi = float(prep.summary.eigenvectors[i, 0])
+            reference = math.sqrt((1.0 / (xi * xi) - 1.0) * degrees(prep.entry.graph)[0][i])
+            assert abs(res.value - reference) <= 4 * math.ulp(reference)
+
+    def test_params_and_skipped_vertices(self):
+        # the isolated vertex has no mass at rho and is skipped
+        g = Graph(3, [(0, 1)])
+        res = _eigvec_degree(g)
+        assert res.params == {"vertex": 0, "skipped": 1, "rearranged_ok": True}
+        assert res.value == pytest.approx(1.0, abs=1e-12) and res.oracle_assisted
+
+    def test_needs_rooted_sequences_up_to_m2(self):
+        summary = eigen_decompose(K3)
+        with pytest.raises(ValueError, match="rooted"):
+            eigvec_degree_upper_bound(all_rooted_closed_counts(K3, 1), summary)
+        with pytest.raises(ValueError, match="rooted"):
+            eigvec_degree_upper_bound([closed_walk_counts(K3, 2)], summary)
 
 
 class TestBipartiteHalving:
     def test_c4_exact(self):
-        res = bipartite_upper_bound(closed_walk_counts(C4, 2), UNIT, 1, C4)
+        res = bipartite_upper_bound(closed_walk_counts(C4, 2), UNIT, 1, True)
         assert res.value == pytest.approx(2.0, abs=1e-12)
 
     def test_single_edge(self):
         g = path_graph(2)
-        res = bipartite_upper_bound(closed_walk_counts(g, 2), UNIT, 1, g)
+        res = bipartite_upper_bound(closed_walk_counts(g, 2), UNIT, 1, is_bipartite(g)[0])
         assert res.value == pytest.approx(1.0, abs=1e-12)
 
     def test_non_bipartite_inapplicable(self):
-        res = bipartite_upper_bound(closed_walk_counts(K3, 2), UNIT, 1, K3)
+        res = bipartite_upper_bound(closed_walk_counts(K3, 2), UNIT, 1, is_bipartite(K3)[0])
         assert not res.applicable and "bipartite" in res.reason
 
     def test_walks_measure_rejected(self):
         with pytest.raises(ValueError):
-            bipartite_upper_bound(walk_counts(C4, 2), UNIT, 1, C4)
+            bipartite_upper_bound(walk_counts(C4, 2), UNIT, 1, True)
 
     def test_tighter_than_even_moment(self):
         for g in (C4, path_graph(5), star_graph(6)):
             m = closed_walk_counts(g, 6)
             for k in (1, 2, 3):
-                half = bipartite_upper_bound(m, UNIT, k, g)
+                half = bipartite_upper_bound(m, UNIT, k, True)
                 even = even_moment_upper_bound(m, UNIT, k)
                 assert half.value <= even.value
 
@@ -263,40 +336,61 @@ class TestCliqueRoot:
                 res = clique_root_upper_bound(m, omega, k)
                 reference = ((1.0 - 1.0 / omega) * m[2 * k]) ** (1.0 / (2 * k + 1))
                 assert res.value <= reference + 1e-9
+                assert nikiforov_clique_value(m, omega, 2 * k) == pytest.approx(
+                    reference, rel=1e-14)
 
 
 class TestBaselines:
     def test_k3_wilf(self):
-        results = {r.name: r for r in baseline_upper_bounds(
-            K3, walk_counts(K3, 6), eigen_decompose(K3), 3)}
+        results = {r.name: r for r in _baselines(K3, 3)}
         assert results["baseline_wilf"].value == pytest.approx(2.0, abs=1e-9)
 
     def test_k3_eigvec_walk(self):
-        results = [r for r in baseline_upper_bounds(
-            K3, walk_counts(K3, 6), eigen_decompose(K3), 3)
-            if r.name == "baseline_eigvec_walk" and r.params["k"] == 1]
+        results = [r for r in _baselines(K3, 3)
+                   if r.name == "baseline_eigvec_walk" and r.params["k"] == 1]
         assert results[0].value == pytest.approx(2.0, abs=1e-9)
 
     def test_k3_van_mieghem(self):
-        results = [r for r in baseline_upper_bounds(
-            K3, walk_counts(K3, 6), eigen_decompose(K3), 3)
-            if r.name == "baseline_van_mieghem" and r.params["k"] == 1]
+        results = [r for r in _baselines(K3, 3)
+                   if r.name == "baseline_van_mieghem" and r.params["k"] == 1]
         assert results[0].value == pytest.approx(2.0, abs=1e-9)
 
     def test_disconnected_eigvec_bounds_flagged(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        results = baseline_upper_bounds(g, walk_counts(g, 6), eigen_decompose(g), 2)
+        results = _baselines(g, 2)
         by_name = {}
         for r in results:
             by_name.setdefault(r.name, []).append(r)
         assert all(not r.applicable for r in by_name["baseline_wilf"])
+        assert all(not r.applicable for r in by_name["baseline_eigvec_walk"])
         assert all(not r.applicable for r in by_name["baseline_van_mieghem"])
         # the clique hierarchy needs no eigenvector and stays applicable
         assert all(r.applicable for r in by_name["baseline_nikiforov_clique"])
 
     def test_all_sound_on_small_family(self):
         for g, omega in ((K3, 3), (C4, 2), (star_graph(5), 2), (complete_graph(6), 6)):
-            summary = eigen_decompose(g)
-            for r in baseline_upper_bounds(g, walk_counts(g, 8), summary, omega):
+            for r in _baselines(g, omega, horizon=8):
                 if r.applicable:
-                    assert r.value >= summary.rho - 1e-9
+                    assert r.value >= eigen_decompose(g).rho - 1e-9
+
+    def test_eigvec_walk_is_the_even_moment_row_at_the_weight_floor(self, prepared_corpus):
+        checked = 0
+        for prep in prepared_corpus:
+            if not prep.connected or prep.omega is None:
+                continue
+            m_w = prep.walks_seq
+            umax = float(prep.summary.eigenvectors[:, 0].max())
+            floor = AtomWeight(1.0 / (umax * umax), KIND_WALKS)
+            for r in baseline_upper_bounds(m_w, prep.summary, prep.omega, True, (1, 2, 3, 4)):
+                if r.name == "baseline_eigvec_walk":
+                    even = even_moment_upper_bound(m_w, floor, r.params["k"])
+                    assert (r.value, r.oracle_assisted) == (even.value, True)
+                    checked += 1
+        assert checked > 0
+
+    def test_nikiforov_clique_rows(self):
+        m = walk_counts(P3, 4)
+        rows = [r for r in baseline_upper_bounds(m, eigen_decompose(P3), 2, True, (1, 2, 3))
+                if r.name == "baseline_nikiforov_clique"]
+        assert [r.value for r in rows] == [nikiforov_clique_value(m, 2, k) for k in (1, 2, 3)]
+        assert nikiforov_clique_value(walk_counts(path_graph(1), 2), 1, 1) == 0.0

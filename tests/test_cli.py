@@ -33,7 +33,13 @@ from swbounds.report import (
     run_verification,
     sweep_bounds,
 )
-from swbounds.walks import DEFAULT_MAX_LENGTH, KIND_CLOSED, KIND_CLOSED_AT, MomentSequence
+from swbounds.walks import (
+    DEFAULT_MAX_LENGTH,
+    KIND_CLOSED,
+    KIND_CLOSED_AT,
+    KIND_WALKS,
+    MomentSequence,
+)
 
 
 def _reduce_vertex_results(results: list[BoundResult], kind: str) -> BoundResult:
@@ -330,6 +336,8 @@ class TestCommands:
         triangles = {"triangle_edge", "local_triangle"}
         assert names & triangles == (triangles if k >= 3 else set())
         assert ("baseline_sqrt_max_degree" in names) == (k >= 2)
+        # eigvec_degree is the rooted two-point row at k = 1, which needs m_2
+        assert ("eigvec_degree" in names) == (k >= 2)
 
     def test_verify_at_a_short_horizon(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -399,6 +407,27 @@ class TestVerificationEngine:
         _verify_dominance(out, prep, lowered)
         assert out.checks == clean.checks
         assert out.violations == ["star: local triangle bound below sqrt(max degree)"]
+
+    def test_dominance_sees_an_eigvec_walk_row_below_the_walk_even_moment(self):
+        prep = prepare_graph(CorpusEntry("star", "star", generate("star:4")), 8)
+        rows = [r for r, _ in sweep_bounds(prep, vertex_mode="all")]
+        clean = VerificationOutcome()
+        _verify_dominance(clean, prep, rows)
+        assert clean.violations == []
+
+        def walks_k2(r, name):
+            # the baseline row carries no measure: it is a walk row
+            return r.name == name and r.params.get("measure", KIND_WALKS) == KIND_WALKS and (
+                r.params["k"] == 2)
+
+        even = next(r for r in rows if walks_k2(r, "even_moment")).value
+        assert any(walks_k2(r, "baseline_eigvec_walk") and r.applicable for r in rows)
+        lowered = [dataclasses.replace(r, value=even - 1e-6)
+                   if walks_k2(r, "baseline_eigvec_walk") else r for r in rows]
+        out = VerificationOutcome()
+        _verify_dominance(out, prep, lowered)
+        assert out.checks == clean.checks
+        assert out.violations == ["star: eigenvector walk bound below even-moment bound (k=2)"]
 
     @pytest.mark.parametrize("ulps, flagged", [(4, False), (5, True)])
     def test_dominance_sees_a_det_ratio_row_above_its_quadratic_root(self, ulps, flagged):
