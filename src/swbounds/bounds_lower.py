@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .moments import orthogonal_polynomial
-from .roots import largest_real_root_bracket, no_real_root_above
+from .roots import _sign_at, largest_real_root_bracket, no_real_root_above
 from .walks import KIND_CLOSED, KIND_CLOSED_AT, KIND_WALKS, MomentSequence
 
 # Per-vertex values within this relative distance of the best one tie, and
@@ -38,12 +38,28 @@ def reported_vertex(outcomes: Sequence, kind: str) -> int:
     a lower vertex is never reported: when it is within the tolerance, so
     is that vertex. With no live row, the first trivial row is reported,
     and with none of those vertex 0's.
+
+    One pass keeps the best value so far and the lowest vertex tied with
+    it. A better value only narrows the tie, so when it leaves that vertex
+    out, the search for the lowest one still tied resumes from it: no
+    outcome is read more than twice.
     """
-    live = [(i, v) for i, v in enumerate(outcomes) if not isinstance(v, Dead)]
-    if live:
-        best = (max if kind == "lower" else min)(v for _, v in live)
-        return next(i for i, v in live if abs(v - best) <= VERTEX_TIE_TOL * abs(best))
-    return next((i for i, o in enumerate(outcomes) if o.trivial), 0)
+    lower = kind == "lower"
+    best = None
+    pick = 0
+    for i, v in enumerate(outcomes):
+        if isinstance(v, Dead):
+            continue
+        if best is None:
+            best, pick = v, i
+        elif v > best if lower else v < best:
+            best = v
+            slack = VERTEX_TIE_TOL * abs(v)
+            while isinstance(outcomes[pick], Dead) or abs(outcomes[pick] - v) > slack:
+                pick += 1
+    if best is None:
+        return next((i for i, o in enumerate(outcomes) if o.trivial), 0)
+    return pick
 
 
 @dataclass(slots=True)
@@ -92,7 +108,7 @@ _BLOCK_NOT_PSD = Dead("Hankel block not PSD")
 _VACUOUS_DET_RATIO = Dead("non-positive shifted determinant", trivial=True)
 _BLOCK_NOT_PD = Dead("Hankel block not positive definite")
 _HANKEL_NOT_PSD = Dead("Hankel matrix not PSD")
-_NO_ZERO_ABOVE_CUTOFF = Dead("no zero above the cutoff")
+_ZEROS_BELOW_CUTOFF = Dead("every zero below the cutoff")
 
 
 def outcome_row(name: str, kind: str, params: dict, outcome: float | Dead,
@@ -216,14 +232,17 @@ def triangle_edge_lower_bound(m: MomentSequence) -> BoundResult:
                        quadratic_root_value(m, 0, 1))
 
 
-def local_triangle_lower_bound(rooted: Sequence[MomentSequence]) -> BoundResult:
+def local_triangle_lower_bound(rooted: Sequence[MomentSequence],
+                               outcomes: Sequence | None = None) -> BoundResult:
     """Vertex-local bound rho >= (T_i + sqrt(T_i^2 + d_i^3)) / d_i: the row
     `local_triangle`, the (s=0, k=1) quadratic root of each rooted sequence
     m = (1, 0, d_i, 2T_i) (inapplicable at an isolated vertex), at the vertex
-    `reported_vertex` picks, with the sqrt(max degree) it always dominates."""
+    `reported_vertex` picks, with the sqrt(max degree) it always dominates.
+    `outcomes` are those quadratic roots, when the caller has them."""
     if any(m.kind != KIND_CLOSED_AT or m.max_index < 3 for m in rooted):
         raise ValueError("the local triangle bound needs the rooted sequences up to m_3")
-    outcomes = [quadratic_root_value(m, 0, 1) for m in rooted]
+    if outcomes is None:
+        outcomes = [quadratic_root_value(m, 0, 1) for m in rooted]
     i = reported_vertex(outcomes, "lower")
     sqrt_delta = math.sqrt(max(m.values[2] for m in rooted))
     return outcome_row("local_triangle", "lower",
@@ -244,13 +263,30 @@ def sdp_lower_bound(m: MomentSequence, order: int, *,
     from `largest_real_root_bracket`, so it never exceeds that u, which is
     at most rho.
 
-    With a cutoff > 0, one exact test (`no_real_root_above`) per polynomial,
-    in turn, skips the bracket of those with no zero above the cutoff until
-    one has a zero at or above it: their zeros cannot lift the value past
-    that one's. When none has, the value is at most the cutoff, and the row
-    comes back inapplicable.
+    With a cutoff u > 0 the row is ruled out, without a bracket, when every
+    zero of both polynomials lies below u: then the value is below u too.
+    The polynomials are tested in turn until one has a zero at or above u,
+    and from there on bracketed. A polynomial is negative on (0, z) and
+    positive beyond its top zero z when its coefficients change sign once
+    (Descartes' rule), so its exact sign at u decides; with more changes a
+    negative or zero value still shows a zero at or above u, and a positive
+    one leaves the question to `no_real_root_above`. Given u = nextafter(b,
+    inf) for a running best b, exactly the vertices whose value would be no
+    more than b are ruled out.
     """
     return sdp_row(m, order, sdp_value(m, order, cutoff=cutoff))
+
+
+def _zeros_below(poly: list[int], u: float) -> bool:
+    """Whether every real zero of an integer polynomial with a positive
+    leading coefficient and a negative lower one lies below the float u > 0."""
+    p, q = u.as_integer_ratio()
+    if _sign_at(poly, p, q.bit_length() - 1) <= 0:
+        return False  # positive at infinity, so a zero at or above u
+    signs = [x > 0 for x in poly if x]
+    if sum(a != b for a, b in zip(signs, signs[1:])) == 1:
+        return True  # the one positive zero lies below u
+    return no_real_root_above(poly, u)  # exact, since u is no zero
 
 
 def sdp_value(m: MomentSequence, order: int, *, cutoff: float | None = None) -> float | Dead:
@@ -261,17 +297,17 @@ def sdp_value(m: MomentSequence, order: int, *, cutoff: float | None = None) -> 
     degree = len(c) - 1
     mirrored = [-x if (degree - j) % 2 else x for j, x in enumerate(c)]
     value = 0.0
-    ruled_out = cutoff is not None  # no polynomial so far has a zero above it
+    ruled_out = cutoff is not None  # no polynomial so far has a zero at or above it
     for poly in (c, mirrored):
         # real zeros and a positive leading coefficient: by Descartes' rule
         # a positive zero exists exactly when a lower coefficient is negative
         if any(x < 0 for x in poly[:-1]):
-            if ruled_out and no_real_root_above(poly, cutoff):
+            if ruled_out and _zeros_below(poly, cutoff):
                 continue
             ruled_out = False
             value = max(value, largest_real_root_bracket(poly)[0])
     if ruled_out:
-        return _NO_ZERO_ABOVE_CUTOFF
+        return _ZEROS_BELOW_CUTOFF
     return value
 
 
@@ -284,17 +320,19 @@ _WALK_RATIO_BASELINES = (("baseline_w1_w0", 0, 1), ("baseline_sqrt_w2_w0", 0, 2)
                          ("baseline_sqrt_w4_w2", 1, 2), ("baseline_sqrt_w6_w4", 2, 2))
 
 
-def baseline_lower_bounds(m_w: MomentSequence,
-                          rooted: Sequence[MomentSequence]) -> list[BoundResult]:
+def baseline_lower_bounds(m_w: MomentSequence, rooted: Sequence[MomentSequence],
+                          sqrt_degrees: Sequence | None = None) -> list[BoundResult]:
     """Classical comparison bounds as labelled ratio rows: the four walk
     ratios ratio(walks, s, k) within the horizon, and sqrt(max degree), the
-    rooted ratio (s=0, k=2) at the vertex `reported_vertex` picks, when m_2 is."""
+    rooted ratio (s=0, k=2) at the vertex `reported_vertex` picks, when m_2 is.
+    `sqrt_degrees` are those rooted ratios, when the caller has them."""
     if m_w.kind != KIND_WALKS:
         raise ValueError("baselines need the total-walk sequence")
     out = [outcome_row(name, "lower", {}, ratio_value(m_w, s, k))
            for name, s, k in _WALK_RATIO_BASELINES if 2 * s + k <= m_w.max_index]
     if rooted and rooted[0].max_index >= 2:
-        sqrt_degrees = [ratio_value(m, 0, 2) for m in rooted]
+        if sqrt_degrees is None:
+            sqrt_degrees = [ratio_value(m, 0, 2) for m in rooted]
         out.append(outcome_row("baseline_sqrt_max_degree", "lower", {},
                                sqrt_degrees[reported_vertex(sqrt_degrees, "lower")]))
     return out

@@ -36,7 +36,7 @@ _VANISHING_WEIGHT = Dead("vanishing leading-atom weight")
 _NOT_BIPARTITE = Dead("graph is not bipartite")
 _ONE_POSITION = Dead("needs at least two positions (constant polynomial)")
 _LEADING_BLOCK_NOT_PD = Dead("leading Hankel block not positive definite")
-_ROOT_ABOVE_CUTOFF = Dead("a root at or above the cutoff")
+_ROOT_ABOVE_CUTOFF = Dead("a root above the cutoff")
 _ZERO_EVEN_NONZERO_ODD = Dead("zero even moment with non-zero odd moment")
 _RISING_LINEAR = Dead("degenerate linear case: non-negative leading coefficient")
 
@@ -147,10 +147,11 @@ def two_point_row(m: MomentSequence, weight: AtomWeight, k: int,
     return outcome_row("two_point", "upper", params, outcome, _oracle_assisted(weight))
 
 
-def eigvec_degree_upper_bound(rooted: Sequence[MomentSequence],
-                              summary: SpectralSummary) -> BoundResult:
+def eigvec_degree_upper_bound(rooted: Sequence[MomentSequence], summary: SpectralSummary,
+                              outcomes: Sequence | None = None) -> BoundResult:
     """rho <= sqrt((1/x_i^2 - 1) d_i) at the vertex `reported_vertex` picks:
     the k = 1 `two_point` row of the rooted sequence (1, 0, d_i, ...).
+    `outcomes` are those rows' outcomes, when the caller has them.
 
     x_i^2 is at most the rooted mass at rho (Bessel's inequality) and the
     bound falls as the weight grows, so it holds on any graph. Vertices
@@ -160,7 +161,8 @@ def eigvec_degree_upper_bound(rooted: Sequence[MomentSequence],
     if any(m.kind != KIND_CLOSED_AT or m.max_index < 2 for m in rooted):
         raise ValueError("the eigenvector-degree bound needs rooted sequences up to m_2")
     weights = [atom_weight_for(m, summary) for m in rooted]
-    outcomes = [two_point_value(m, w, 1) for m, w in zip(rooted, weights)]
+    if outcomes is None:
+        outcomes = [two_point_value(m, w, 1) for m, w in zip(rooted, weights)]
     rho = summary.rho
     rearranged_ok = not any(
         w.alpha1 > MIN_ATOM_WEIGHT and m.values[2] > 0
@@ -241,10 +243,13 @@ def hankel_root_upper_bound(m: MomentSequence, weight: AtomWeight,
     touches zero at its top root, which is found as a simple root of the
     square's base.
 
-    With a cutoff > 0, a polynomial that one exact test
-    (`no_real_root_above`) shows has a real root at or above the cutoff
-    gets no bracket: the bound would be at least the cutoff, and the row
-    comes back inapplicable.
+    With a cutoff u > 0, a polynomial with a real root above u gets no
+    bracket: the bound would exceed u, and the row comes back inapplicable.
+    Its exact value at u, den det H_J - num v(u)^T adj(H_J) v(u), decides
+    when it is positive, since the polynomial is negative at infinity;
+    otherwise one exact test (`no_real_root_above`) decides. Given
+    u = nextafter(b, 0) for a running best b, exactly the vertices whose
+    bound would be no less than b are ruled out.
     """
     indices = sorted_positions(index_set)
     return hankel_root_row(m, weight, indices,
@@ -266,8 +271,20 @@ def hankel_root_value(m: MomentSequence, weight: AtomWeight, indices: tuple[int,
     if adj[-1][-1] <= 0:
         return _LEADING_BLOCK_NOT_PD
     det_h = sum(h[0][b] * adj[b][0] for b in range(len(indices)))
+    num, den = weight.alpha1.as_integer_ratio()
+    if cutoff is not None:
+        # den det H_J - num v(u)' adj(H_J) v(u) at u = p / 2**e, times 2**(2e(top - 1))
+        p, q = cutoff.as_integer_ratio()
+        e = q.bit_length() - 1
+        top = indices[-1]
+        v_u = [p ** (j - 1) << (e * (top - j)) for j in indices]
+        form = 0
+        for x, row in zip(v_u, adj):
+            for a, y in zip(row, v_u):
+                form += a * x * y
+        if (den * det_h << (2 * e * (top - 1))) > num * form:
+            return _ROOT_ABOVE_CUTOFF
     if det_h:
-        num, den = weight.alpha1.as_integer_ratio()
         coeffs = [0] * (2 * indices[-1] - 1)
         coeffs[0] = den * det_h
         for a, ja in enumerate(indices):
@@ -299,10 +316,13 @@ def stieltjes_root_upper_bound(m: MomentSequence, weight: AtomWeight, k: int, *,
     the even-moment bound. For k = 0 the polynomial is linear and only has
     the right shape when m_0 < 2 alpha_1.
 
-    With a cutoff > 0, a polynomial that one exact test
-    (`no_real_root_above`) shows has its root at or above the cutoff gets
-    no bracket, and the row comes back inapplicable; a second test still
-    checks that the root is below the even-moment bound.
+    With a cutoff u > 0, a polynomial whose root lies above u gets no
+    bracket, and the row comes back inapplicable. Its coefficients change
+    sign once, so it is positive exactly below its one positive root, and
+    its exact sign at u decides; the sign at the even-moment bound still
+    checks that the root lies below that. Given u = nextafter(b, 0) for a
+    running best b, exactly the vertices whose bound would be no less than
+    b are ruled out.
     """
     if k < 0:
         raise ValueError("need k >= 0")
@@ -325,20 +345,29 @@ def stieltjes_root_value(m: MomentSequence, weight: AtomWeight, k: int, *,
     if m2k == 0:
         return _ZERO_EVEN_NONZERO_ODD
     num, den = alpha.as_integer_ratio()
+    if k == 0 and den * m2k >= 2 * num:
+        return _RISING_LINEAR
+    # the even-moment bound, which the root never exceeds
+    ceiling = even_moment_value(m, weight, k) * (1.0 + 1e-12) + 1e-9 if k else None
+    if cutoff is not None and _stieltjes_sign(m2k, m2k1, num, den, k, cutoff) > 0:
+        assert ceiling is None or _stieltjes_sign(m2k, m2k1, num, den, k, ceiling) <= 0
+        return _ROOT_ABOVE_CUTOFF
     coeffs = [0] * (2 * k + 2)
     coeffs[0] = den * m2k1
     coeffs[1] = den * m2k
     coeffs[2 * k + 1] -= 2 * num  # for k = 0 it joins the linear term
-    if k == 0 and coeffs[1] >= 0:
-        return _RISING_LINEAR
-    # the even-moment bound, which the root never exceeds
-    ceiling = even_moment_value(m, weight, k) * (1.0 + 1e-12) + 1e-9 if k else None
-    if cutoff is not None and not no_real_root_above(coeffs, cutoff):
-        assert ceiling is None or no_real_root_above(coeffs, ceiling)
-        return _ROOT_ABOVE_CUTOFF
     root = largest_real_root_bracket(coeffs)[1]
     assert ceiling is None or root <= ceiling
     return root
+
+
+def _stieltjes_sign(m2k: int, m2k1: int, num: int, den: int, k: int, u: float) -> int:
+    """Sign of den m_{2k+1} + den m_{2k} u - 2 num u**(2k+1) at the float u,
+    exactly: at u = p / 2**e, times 2**(e(2k+1)) > 0."""
+    p, q = u.as_integer_ratio()
+    e = q.bit_length() - 1
+    diff = (den * (m2k1 * q + m2k * p) << (2 * k * e)) - 2 * num * p ** (2 * k + 1)
+    return (diff > 0) - (diff < 0)
 
 
 def stieltjes_root_row(m: MomentSequence, weight: AtomWeight, k: int,
@@ -385,10 +414,12 @@ def nikiforov_clique_value(m_w: MomentSequence, omega: int, j: int) -> float:
     return _ratio_root(m_w.values[j], omega / (omega - 1.0), 1.0 / (j + 1))
 
 
-def baseline_upper_bounds(m_w: MomentSequence, summary: SpectralSummary, omega: int,
+def baseline_upper_bounds(m_w: MomentSequence, summary: SpectralSummary, omega: int | None,
                           connected: bool, ks: tuple[int, ...] = (1, 2, 3)) -> list[BoundResult]:
     """Classical comparison bounds: the clique-number hierarchy, the
-    fundamental-weight bound, and two leading-eigenvector bounds.
+    fundamental-weight bound, and two leading-eigenvector bounds. With the
+    clique number `omega` unknown (None), only the last two, which need no
+    omega.
 
     The weight floor 1/umax^2 of `baseline_eigvec_walk` holds since
     1'x >= sum(x_i^2)/umax = 1/umax for x >= 0: the eigenvector rows assume
@@ -398,21 +429,24 @@ def baseline_upper_bounds(m_w: MomentSequence, summary: SpectralSummary, omega: 
         raise ValueError("baselines need the total-walk sequence")
     if ks and max(ks) > m_w.max_index:
         raise ValueError(f"need w_{max(ks)}, have up to w_{m_w.max_index}")
-    out = [BoundResult("baseline_nikiforov_clique", "upper", nikiforov_clique_value(m_w, omega, k),
-                       {"k": k, "omega": omega}) for k in ks]
+    out = [] if omega is None else [
+        BoundResult("baseline_nikiforov_clique", "upper", nikiforov_clique_value(m_w, omega, k),
+                    {"k": k, "omega": omega}) for k in ks]
 
     if not connected:
         reason = "graph is not connected"
-        out.append(_not_applicable("baseline_wilf", "upper", reason, {"omega": omega}))
+        if omega is not None:
+            out.append(_not_applicable("baseline_wilf", "upper", reason, {"omega": omega}))
         for k in ks:
             out.append(_not_applicable("baseline_eigvec_walk", "upper", reason, {"k": k}))
             out.append(_not_applicable("baseline_van_mieghem", "upper", reason, {"k": k}))
         return out
 
-    fundamental = float(summary.weight_sums[0])
-    wilf = 0.0 if omega < 2 else (1.0 - 1.0 / omega) * fundamental
-    out.append(BoundResult("baseline_wilf", "upper", wilf, {"omega": omega},
-                           oracle_assisted=True))
+    if omega is not None:
+        fundamental = float(summary.weight_sums[0])
+        wilf = 0.0 if omega < 2 else (1.0 - 1.0 / omega) * fundamental
+        out.append(BoundResult("baseline_wilf", "upper", wilf, {"omega": omega},
+                               oracle_assisted=True))
 
     x = summary.eigenvectors[:, 0]
     umax = float(x.max())

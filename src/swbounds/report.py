@@ -198,21 +198,26 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
     over every vertex, which yields floats. With
     vertex_mode="aggregate" the sweep then builds the record of the one
     vertex `reported_vertex` picks, timed as the whole pass; "all" builds
-    and times one per vertex (what the soundness checks want). In
-    aggregate mode the root-based families (`sdp`, `stieltjes_root`,
-    `hankel_root`) pass each vertex after a positive live one the best
-    value so far as a cutoff. A routine that proves with one exact test
-    that the vertex's value is no better returns it inapplicable without a
-    root search; since a lower vertex is at least as good, it would not
-    have been reported, and the reported vertex and value are those of the
-    full sweep. Returns (result, milliseconds) pairs in a deterministic
-    order.
+    and times one per vertex (what the soundness checks want). The rooted
+    labelled rows (`local_triangle`, `baseline_sqrt_max_degree`,
+    `eigvec_degree`) read the outcomes of the hierarchy columns they label.
+    In aggregate mode the root-based families (`sdp`, `stieltjes_root`,
+    `hankel_root`) pass each vertex after a positive live one a cutoff one
+    float beyond the best value b so far: nextafter(b, inf) for a lower
+    bound and nextafter(b, 0) for an upper one. A routine that proves,
+    exactly, that the vertex's value would be no better than b returns it
+    inapplicable without a root search; a lower vertex is at least as
+    good, so it would not have been reported, and the reported vertex and
+    value are those of the full sweep. Returns (result, milliseconds)
+    pairs in a deterministic order.
     """
     if s_max < 0 or k_max < 0:
         raise ValueError(f"s_max and k_max must be non-negative, got {s_max} and {k_max}")
     horizon = prep.walks_seq.max_index
     summary = prep.summary
     rows: list[tuple[BoundResult, float]] = []
+    # the rooted columns' per-vertex outcomes, by (value routine, *params)
+    rooted_columns: dict = {}
 
     def emit(fn, *args) -> None:
         """One timed call; the rows of a list result share its time."""
@@ -226,38 +231,37 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
         """Run `value` over the sequences. With one sequence, or with
         vertex_mode "all", each gets its row and its own time; otherwise
         one timed pass builds the row of the reported vertex only, and a
-        pruned pass gives each vertex its best positive live value so far
-        as the cutoff."""
+        pruned pass gives each vertex the cutoff one float beyond the best
+        positive live value so far. A rooted column's outcomes are kept."""
         if len(heads) == 1 or vertex_mode == "all":
+            outcomes = []
             for head in heads:
                 t0 = time.perf_counter()
-                res = row(*head, *args, value(*head, *args))
-                rows.append((res, (time.perf_counter() - t0) * 1000.0))
-            return
-        t0 = time.perf_counter()
-        if prune:
-            pick = max if kind == "lower" else min
-            outcomes = []
-            running = None
-            for head in heads:
-                res = value(*head, *args, cutoff=running)
+                res = value(*head, *args)
                 outcomes.append(res)
-                if not isinstance(res, Dead) and res > 0.0:
-                    running = res if running is None else pick(running, res)
+                rows.append((row(*head, *args, res), (time.perf_counter() - t0) * 1000.0))
         else:
-            outcomes = [value(*head, *args) for head in heads]
-        i = reported_vertex(outcomes, kind)
-        rows.append((row(*heads[i], *args, outcomes[i]), (time.perf_counter() - t0) * 1000.0))
+            t0 = time.perf_counter()
+            if prune:
+                toward = math.inf if kind == "lower" else 0.0
+                outcomes = []
+                cutoff = None
+                for head in heads:
+                    res = value(*head, *args, cutoff=cutoff)
+                    outcomes.append(res)
+                    if not isinstance(res, Dead) and res > 0.0:
+                        # not ruled out, so better than the best so far
+                        cutoff = math.nextafter(res, toward)
+            else:
+                outcomes = [value(*head, *args) for head in heads]
+            i = reported_vertex(outcomes, kind)
+            rows.append((row(*heads[i], *args, outcomes[i]), (time.perf_counter() - t0) * 1000.0))
+        if heads[0][0].kind == KIND_CLOSED_AT:
+            rooted_columns[(value, *args)] = outcomes
 
     by_measure = {"walks": [prep.walks_seq], "closed": [prep.closed_seq],
                   "vertex": list(prep.rooted_seqs)}
     sequences = [by_measure[m] for m in MEASURES if m in measures]
-
-    if 3 <= horizon:
-        emit(triangle_edge_lower_bound, prep.closed_seq)
-        emit(local_triangle_lower_bound, prep.rooted_seqs)
-    if "walks" in measures:
-        emit(baseline_lower_bounds, prep.walks_seq, prep.rooted_seqs)
 
     for seqs in sequences:
         weights = [atom_weight_for(s, summary) for s in seqs]
@@ -292,15 +296,23 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
                 per_vertex("upper", hankel_root_value, hankel_root_row, weighted,
                            sorted_positions(j_set), prune=True)
 
-    if "walks" in measures and prep.omega is not None:
-        for k in range(0, k_max + 1):
-            if 2 * k + 1 <= horizon:
-                emit(clique_root_upper_bound, prep.walks_seq, prep.omega, k)
+    if 3 <= horizon:
+        emit(triangle_edge_lower_bound, prep.closed_seq)
+        emit(local_triangle_lower_bound, prep.rooted_seqs,
+             rooted_columns.get((quadratic_root_value, 0, 1)))
+    if "walks" in measures:
+        emit(baseline_lower_bounds, prep.walks_seq, prep.rooted_seqs,
+             rooted_columns.get((ratio_value, 0, 2)))
+        if prep.omega is not None:
+            for k in range(0, k_max + 1):
+                if 2 * k + 1 <= horizon:
+                    emit(clique_root_upper_bound, prep.walks_seq, prep.omega, k)
         ks = tuple(k for k in range(1, k_max + 1) if k <= horizon)
         emit(baseline_upper_bounds, prep.walks_seq, summary, prep.omega, prep.connected, ks)
 
     if 2 <= horizon:
-        emit(eigvec_degree_upper_bound, prep.rooted_seqs, summary)
+        emit(eigvec_degree_upper_bound, prep.rooted_seqs, summary,
+             rooted_columns.get((two_point_value, 1)))
 
     rows.sort(key=lambda pair: _sort_key(pair[0]))
     return rows

@@ -9,8 +9,11 @@ only seed the search. Upper bounds take hi, which passed the test; lower
 bounds take lo, which failed it, so a real root lies in [lo, inf).
 
 `no_real_root_above` runs that test once, at one float u > 0, on the same
-normalised coefficients. A per-vertex sweep uses it to rule out a vertex
-whose root cannot beat the best one found so far, without a bracket.
+normalised coefficients. A per-vertex sweep rules out, without a bracket, a
+vertex whose root cannot beat the best one found so far. The bound
+families first try the exact sign of their own polynomial at the cutoff,
+which needs no coefficient list, and ask this test only what that sign
+leaves open.
 """
 
 from __future__ import annotations

@@ -1,15 +1,22 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swbounds.bounds_lower import (
+    VERTEX_TIE_TOL,
     BoundResult,
+    Dead,
+    _zeros_below,
     baseline_lower_bounds,
     det_ratio_lower_bound,
     local_triangle_lower_bound,
     quadratic_root_lower_bound,
     ratio_lower_bound,
+    reported_vertex,
     sdp_lower_bound,
     triangle_edge_lower_bound,
 )
@@ -24,6 +31,7 @@ from swbounds.graph import (
 )
 from swbounds.moments import exact_psd, orthogonal_polynomial
 from swbounds.report import er_corpus, family_corpus, find_violations, prepare_graph
+from swbounds.roots import largest_real_root_bracket, no_real_root_above
 from swbounds.spectrum import eigen_decompose
 from swbounds.walks import (
     KIND_CLOSED,
@@ -301,6 +309,69 @@ class TestSdp:
         # walks on a d-regular graph put all their mass on d
         res = sdp_lower_bound(walk_counts(g, 6), 2)
         assert res.value == pytest.approx(g.degree(0), rel=1e-12)
+
+
+def _product(*factors):
+    """Ascending integer coefficients of the product of ascending factors."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+@st.composite
+def _sdp_polynomials(draw):
+    """Integer polynomials with a positive leading coefficient and a negative
+    lower one: one sign change, or real-rooted with integer (float) zeros."""
+    if draw(st.booleans()):
+        low = draw(st.lists(st.integers(-10 ** 6, 0), min_size=1, max_size=4))
+        high = draw(st.lists(st.integers(0, 10 ** 6), max_size=3))
+        low[draw(st.integers(0, len(low) - 1))] = -draw(st.integers(1, 10 ** 6))
+        return low + high + [draw(st.integers(1, 10 ** 6))]
+    zeros = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4, unique=True))
+    return _product(*([-z, 1] for z in zeros + [draw(st.integers(1, 9))]))
+
+
+class TestSdpCutoffSign:
+    """`sdp` rules a polynomial out at u when every zero lies below u: by
+    its exact sign at u after one sign change, else by `no_real_root_above`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(poly=_sdp_polynomials(), extra=st.lists(st.floats(1e-3, 1e3), max_size=3))
+    def test_sign_matches_the_exact_test(self, poly, extra):
+        lo, hi = largest_real_root_bracket(poly)
+        near = [math.nextafter(x, d) for x in (lo, hi) for d in (0.0, math.inf)]
+        for u in {lo, hi, *near, *extra}:
+            if u > 0.0:
+                at_u = sum(c * Fraction(u) ** i for i, c in enumerate(poly))
+                assert _zeros_below(poly, u) == (at_u != 0 and no_real_root_above(poly, u)), u
+
+
+def _reported_vertex_reference(outcomes, kind):
+    live = [(i, v) for i, v in enumerate(outcomes) if not isinstance(v, Dead)]
+    if live:
+        best = (max if kind == "lower" else min)(v for _, v in live)
+        return next(i for i, v in live if abs(v - best) <= VERTEX_TIE_TOL * abs(best))
+    return next((i for i, o in enumerate(outcomes) if o.trivial), 0)
+
+
+_NEAR_TIES = st.integers(-8, 8).map(lambda j: 2.0 * (1.0 + j * 0.4 * VERTEX_TIE_TOL))
+
+
+class TestReportedVertex:
+    @settings(max_examples=300, deadline=None)
+    @given(outcomes=st.lists(st.one_of(
+        # values a fraction of the tie tolerance apart, so ties chain
+        _NEAR_TIES, _NEAR_TIES, _NEAR_TIES, st.floats(0.0, 4.0),
+        st.sampled_from((Dead("inapplicable"), Dead("vacuous", trivial=True)))),
+        min_size=1, max_size=12), kind=st.sampled_from(("lower", "upper")))
+    @example(outcomes=[2.0 * (1.0 + j * 0.8 * VERTEX_TIE_TOL) for j in (0, 1, 2)], kind="lower")
+    def test_one_pass_matches_the_reference(self, outcomes, kind):
+        assert reported_vertex(outcomes, kind) == _reported_vertex_reference(outcomes, kind)
 
 
 def _at_most_rho(g, v):

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from swbounds.bounds_lower import Dead
 from swbounds.bounds_upper import (
     AtomWeight,
+    _adjugate,
     atom_weight_for,
     baseline_upper_bounds,
     bipartite_upper_bound,
@@ -12,8 +16,10 @@ from swbounds.bounds_upper import (
     eigvec_degree_upper_bound,
     even_moment_upper_bound,
     hankel_root_upper_bound,
+    hankel_root_value,
     nikiforov_clique_value,
     stieltjes_root_upper_bound,
+    stieltjes_root_value,
     two_point_upper_bound,
 )
 from swbounds.graph import (
@@ -27,10 +33,12 @@ from swbounds.graph import (
     star_graph,
 )
 from swbounds.report import sweep_bounds
+from swbounds.roots import largest_real_root_bracket, no_real_root_above
 from swbounds.spectrum import eigen_decompose
 from swbounds.walks import (
     KIND_CLOSED,
     KIND_WALKS,
+    MomentSequence,
     all_rooted_closed_counts,
     closed_walk_counts,
     closed_walk_counts_at,
@@ -394,3 +402,98 @@ class TestBaselines:
                 if r.name == "baseline_nikiforov_clique"]
         assert [r.value for r in rows] == [nikiforov_clique_value(m, 2, k) for k in (1, 2, 3)]
         assert nikiforov_clique_value(walk_counts(path_graph(1), 2), 1, 1) == 0.0
+
+    def test_unknown_omega_keeps_the_omega_free_rows(self, prepared_corpus):
+        free = {"baseline_eigvec_walk", "baseline_van_mieghem"}
+        for prep in prepared_corpus[:20]:
+            if prep.omega is None:
+                continue
+            ks = (1, 2, 3)
+            known = baseline_upper_bounds(prep.walks_seq, prep.summary, prep.omega,
+                                          prep.connected, ks)
+            unknown = baseline_upper_bounds(prep.walks_seq, prep.summary, None,
+                                            prep.connected, ks)
+            assert unknown == [r for r in known if r.name in free]
+
+
+def _cutoffs(coeffs, extra):
+    """Floats u > 0 at and next to the ends of the top root's bracket, and `extra`."""
+    lo, hi = largest_real_root_bracket(coeffs)
+    near = [math.nextafter(x, d) for x in (lo, hi) for d in (0.0, math.inf)]
+    return sorted(u for u in {lo, hi, *near, *extra} if u > 0.0)
+
+
+def _assert_rules_out_a_root_above(value, coeffs, extra):
+    """The routine's cutoff outcome is the exact test's: ruled out when a
+    root lies above u, and otherwise the upper end of the bracket."""
+    hi = largest_real_root_bracket(coeffs)[1]
+    for u in _cutoffs(coeffs, extra):
+        out = value(u)
+        if not no_real_root_above(coeffs, u):
+            assert isinstance(out, Dead), u
+        else:
+            assert out == hi, u
+
+
+_DYADIC = st.tuples(st.integers(1, 2 ** 12), st.integers(0, 12)).map(
+    lambda t: math.ldexp(t[0], -t[1]))
+_EXTRA = st.lists(st.floats(1e-3, 1e3), max_size=3)
+
+
+class TestCutoffSign:
+    """The upper root families decide a cutoff u = p / 2**e by their
+    polynomial's exact sign there, falling back on `no_real_root_above`."""
+
+    @st.composite
+    def stieltjes_data(draw):
+        k = draw(st.integers(0, 4))
+        if draw(st.booleans()):
+            # an integer root r: m_{2k+1} = 2 alpha r**(2k+1) - m_{2k} r >= 0,
+            # and r at most the even-moment bound (m_{2k} / alpha) ** (1/2k)
+            alpha = draw(st.sampled_from((0.5, 1.0)))
+            r = draw(st.integers(1, 9))
+            scale = alpha * r ** (2 * k)
+            m2k = draw(st.integers(math.ceil(scale), math.floor(2 * scale)))
+            m2k1 = round(2 * scale * r) - m2k * r
+        else:
+            alpha = draw(_DYADIC)
+            m2k = draw(st.integers(1, 10 ** 9))
+            top = 10 ** 6 if k == 0 else int(0.999 * m2k * (m2k / alpha) ** (1 / (2 * k)))
+            m2k1 = draw(st.integers(0, top))
+        return k, alpha, m2k, m2k1
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=stieltjes_data(), extra=_EXTRA)
+    def test_stieltjes_root_sign_matches_the_exact_test(self, data, extra):
+        k, alpha, m2k, m2k1 = data
+        num, den = alpha.as_integer_ratio()
+        coeffs = [den * m2k1, den * m2k] + [0] * (2 * k)
+        coeffs[2 * k + 1] -= 2 * num
+        if coeffs[-1] >= 0:
+            return  # k = 0 with m_0 >= 2 alpha: inapplicable before any cutoff
+        m = MomentSequence(KIND_WALKS, (1,) * (2 * k) + (m2k, m2k1))
+        weight = AtomWeight(alpha, KIND_WALKS)
+        _assert_rules_out_a_root_above(
+            lambda u: stieltjes_root_value(m, weight, k, cutoff=u), coeffs, extra)
+
+    @settings(max_examples=150, deadline=None)
+    @given(atoms=st.lists(st.tuples(st.integers(0, 8), st.integers(1, 30)), min_size=3,
+                          max_size=5, unique_by=lambda a: a[0]),
+           indices=st.sampled_from(((1, 2), (1, 2, 3))), share=_DYADIC, extra=_EXTRA)
+    def test_hankel_root_sign_matches_the_exact_test(self, atoms, indices, share, extra):
+        # moments of a measure with at least three atoms, so H_J is definite,
+        # and alpha at most the top atom's weight, so a real root exists
+        m = MomentSequence(KIND_WALKS, tuple(sum(w * x ** j for x, w in atoms)
+                                             for j in range(5)))
+        alpha = max(atoms)[1] * min(share, 1.0)
+        h = [[m[a + b - 2] for b in indices] for a in indices]
+        adj = _adjugate(h)
+        num, den = alpha.as_integer_ratio()
+        coeffs = [0] * (2 * indices[-1] - 1)
+        coeffs[0] = den * sum(h[0][b] * adj[b][0] for b in range(len(indices)))
+        for a, ja in enumerate(indices):
+            for b, jb in enumerate(indices):
+                coeffs[ja + jb - 2] -= num * adj[a][b]
+        weight = AtomWeight(alpha, KIND_WALKS)
+        _assert_rules_out_a_root_above(
+            lambda u: hankel_root_value(m, weight, indices, cutoff=u), coeffs, extra)

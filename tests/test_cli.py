@@ -538,6 +538,9 @@ class TestVertexReduction:
         # vertex 0 is isolated: its atom weight is zero and its rows inapplicable
         ("isolated_0", Graph(6, [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5)]), 12, 4),
         ("er_20_0.3_16", generate("erdos_renyi:20:0.3", 16), 20, 9),
+        # identical rooted sequences: every vertex's exact root is the same
+        ("cycle_120", generate("cycle:120"), 12, 4),
+        ("complete_bipartite_5_7", generate("complete_bipartite:5:7"), 20, 9),
     ])
     def test_aggregate_rows_reduce_the_per_vertex_rows(self, name, graph, max_length, k_max):
         # losing vertices are ruled out by a cutoff in aggregate mode; the
@@ -565,7 +568,7 @@ class TestVertexReduction:
     def test_cutoff_keeps_the_lowest_tied_vertex(self, monkeypatch, name, kind, values):
         def value_of(m, *args, cutoff=None):
             value = values[m.vertex] if m.vertex is not None else 1.0
-            if cutoff is not None and (value <= cutoff if kind == "lower" else value >= cutoff):
+            if cutoff is not None and (value < cutoff if kind == "lower" else value > cutoff):
                 return Dead("ruled out by the cutoff")
             return value
         monkeypatch.setattr(report, f"{name}_value", value_of)
@@ -604,6 +607,45 @@ class TestVertexReduction:
         sweep_bounds(prep)
         # a root search per vertex and root-based row would be 625
         assert len(calls) <= 100
+
+    def test_identical_roots_get_one_bracket(self, monkeypatch):
+        # the cutoff one float past the running best rules out every vertex
+        # whose root equals the best exactly: C_120 brackets 486 sdp vertices
+        # with a cutoff at the best itself
+        calls = []
+
+        def counted(coeffs):
+            calls.append(coeffs)
+            return roots.largest_real_root_bracket(coeffs)
+        monkeypatch.setattr(bounds_lower, "largest_real_root_bracket", counted)
+        sweep_bounds(prepare_graph(CorpusEntry("c", "cycle", cycle_graph(120)), omega=2))
+        assert len(calls) <= 12
+
+    @pytest.mark.parametrize("spec", ["cycle:12", "complete:5", "complete_bipartite:3:4",
+                                      "star:6", "erdos_renyi:12:0.4"])
+    def test_cutoff_rules_out_exactly_the_values_no_better(self, spec):
+        # at u = v and its float neighbours, v the value without a cutoff, the
+        # row is ruled out exactly when v < u (lower) or v > u (upper)
+        prep = prepare_graph(CorpusEntry("g", "test", generate(spec, 1)))
+        families = [("lower", bounds_lower.sdp_value, order) for order in (1, 2)]
+        families += [("upper", bounds_upper.stieltjes_root_value, k) for k in (1, 2, 3, 4)]
+        families += [("upper", bounds_upper.hankel_root_value, j) for j in ((1, 2), (1, 2, 3))]
+        checked = 0
+        for m in (prep.walks_seq, prep.closed_seq, *prep.rooted_seqs):
+            weight = bounds_upper.atom_weight_for(m, prep.summary)
+            for kind, value, arg in families:
+                args = (m, arg) if kind == "lower" else (m, weight, arg)
+                v = value(*args)
+                if isinstance(v, Dead) or v <= 0.0:
+                    continue
+                for u in (math.nextafter(v, 0.0), v, math.nextafter(v, math.inf)):
+                    out = value(*args, cutoff=u)
+                    if v < u if kind == "lower" else v > u:
+                        assert isinstance(out, Dead), (m, value, arg, u)
+                    else:
+                        assert out == v, (m, value, arg, u)
+                checked += 1
+        assert checked > 0
 
 
 def _bounds_json(capsys, *argv) -> tuple[int, dict]:
