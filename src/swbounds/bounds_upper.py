@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .bounds_lower import BoundResult, Dead, _not_applicable, outcome_row, reported_vertex
-from .moments import _validated_indices, exact_determinant, sorted_positions
+from .moments import _validated_indices, exact_determinant
 from .roots import largest_real_root_bracket, no_real_root_above
 from .spectrum import SpectralSummary
 from .walks import KIND_CLOSED, KIND_CLOSED_AT, KIND_WALKS, MomentSequence
@@ -251,7 +251,7 @@ def hankel_root_upper_bound(m: MomentSequence, weight: AtomWeight,
     u = nextafter(b, 0) for a running best b, exactly the vertices whose
     bound would be no less than b are ruled out.
     """
-    indices = sorted_positions(index_set)
+    indices = _validated_indices(m, index_set, 0)
     return hankel_root_row(m, weight, indices,
                            hankel_root_value(m, weight, indices, cutoff=cutoff))
 
@@ -259,12 +259,11 @@ def hankel_root_upper_bound(m: MomentSequence, weight: AtomWeight,
 def hankel_root_value(m: MomentSequence, weight: AtomWeight, indices: tuple[int, ...], *,
                       cutoff: float | None = None) -> float | Dead:
     """The outcome of `hankel_root_upper_bound` for the sorted positions
-    `indices`."""
+    `indices`, already checked against m's horizon (`_validated_indices`)."""
     if len(indices) < 2:
         return _ONE_POSITION
     if weight.alpha1 <= MIN_ATOM_WEIGHT:
         return _VANISHING_WEIGHT
-    _validated_indices(m, indices, 0)
     v = m.values
     h = [[v[ja + jb - 2] for jb in indices] for ja in indices]
     adj = _adjugate(h)
@@ -438,7 +437,8 @@ def baseline_upper_bounds(m_w: MomentSequence, summary: SpectralSummary, omega: 
         if omega is not None:
             out.append(_not_applicable("baseline_wilf", "upper", reason, {"omega": omega}))
         for k in ks:
-            out.append(_not_applicable("baseline_eigvec_walk", "upper", reason, {"k": k}))
+            if 2 * k <= m_w.max_index:
+                out.append(_not_applicable("baseline_eigvec_walk", "upper", reason, {"k": k}))
             out.append(_not_applicable("baseline_van_mieghem", "upper", reason, {"k": k}))
         return out
 

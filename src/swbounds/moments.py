@@ -45,15 +45,11 @@ class HankelPair:
     scale: int
 
 
-def sorted_positions(index_set: Iterable[int]) -> tuple[int, ...]:
-    """The distinct positions of an index set J, in increasing order."""
-    return tuple(sorted(set(int(j) for j in index_set)))
-
-
 def _validated_indices(m: MomentSequence, index_set: Iterable[int],
                        top_offset: int) -> tuple[int, ...]:
-    """Sorted 1-based J, checked to need no moment beyond m_{2*max(J) - 2 + top_offset}."""
-    indices = sorted_positions(index_set)
+    """The distinct positions of J in increasing order, checked to be 1-based
+    and to need no moment beyond m_{2*max(J) - 2 + top_offset}."""
+    indices = tuple(sorted(set(int(j) for j in index_set)))
     if not indices:
         raise MomentError("empty index set")
     if indices[0] < 1:

@@ -62,7 +62,7 @@ from .graph import (
     star_graph,
     triangle_counts,
 )
-from .moments import hamburger_check, sorted_positions, stieltjes_feasible
+from .moments import _validated_indices, hamburger_check, stieltjes_feasible
 from .spectrum import (
     SpectralSummary,
     adjacency_array,
@@ -193,13 +193,13 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
 
     This is the one place that decides which (bound, parameters) rows exist:
     a combination that needs moments beyond the computed horizon is skipped,
-    the classical rows (`triangle_edge`, `baseline_*`, ...) included. A
-    family on the rooted measure runs its value routine (`ratio_value`, ...)
-    over every vertex, which yields floats. With
-    vertex_mode="aggregate" the sweep then builds the record of the one
-    vertex `reported_vertex` picks, timed as the whole pass; "all" builds
-    and times one per vertex (what the soundness checks want). The rooted
-    labelled rows (`local_triangle`, `baseline_sqrt_max_degree`,
+    the classical rows (`triangle_edge`, `baseline_*`, ...) included, and a
+    labelled row needs its measure in `measures`. Each bound column (family
+    and parameters on one measure) is one timed pass of its value routine
+    (`ratio_value`, ...) over the measure's sequences; its records, of the
+    vertex `reported_vertex` picks (vertex_mode="aggregate") or of every
+    vertex ("all", what the soundness checks want), share the pass's time.
+    The rooted labelled rows (`local_triangle`, `baseline_sqrt_max_degree`,
     `eigvec_degree`) read the outcomes of the hierarchy columns they label.
     In aggregate mode the root-based families (`sdp`, `stieltjes_root`,
     `hankel_root`) pass each vertex after a positive live one a cutoff one
@@ -228,33 +228,30 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
         rows.extend((r, ms / len(batch)) for r in batch)
 
     def per_vertex(kind, value, row, heads, *args, prune: bool = False) -> None:
-        """Run `value` over the sequences. With one sequence, or with
-        vertex_mode "all", each gets its row and its own time; otherwise
-        one timed pass builds the row of the reported vertex only, and a
-        pruned pass gives each vertex the cutoff one float beyond the best
-        positive live value so far. A rooted column's outcomes are kept."""
-        if len(heads) == 1 or vertex_mode == "all":
+        """One timed pass of `value` over the sequences, then the records of
+        the vertex `reported_vertex` picks (aggregate) or of every vertex
+        ("all"), which share the pass's time. A pruned aggregate pass gives
+        each vertex the cutoff one float beyond the best positive live value
+        so far. A rooted column's outcomes are kept."""
+        t0 = time.perf_counter()
+        if prune and vertex_mode != "all":
+            toward = math.inf if kind == "lower" else 0.0
             outcomes = []
+            cutoff = None
             for head in heads:
-                t0 = time.perf_counter()
-                res = value(*head, *args)
+                res = value(*head, *args, cutoff=cutoff)
                 outcomes.append(res)
-                rows.append((row(*head, *args, res), (time.perf_counter() - t0) * 1000.0))
+                if not isinstance(res, Dead) and res > 0.0:
+                    # not ruled out, so better than the best so far
+                    cutoff = math.nextafter(res, toward)
         else:
-            t0 = time.perf_counter()
-            if prune:
-                toward = math.inf if kind == "lower" else 0.0
-                outcomes = []
-                cutoff = None
-                for head in heads:
-                    res = value(*head, *args, cutoff=cutoff)
-                    outcomes.append(res)
-                    if not isinstance(res, Dead) and res > 0.0:
-                        # not ruled out, so better than the best so far
-                        cutoff = math.nextafter(res, toward)
-            else:
-                outcomes = [value(*head, *args) for head in heads]
-            i = reported_vertex(outcomes, kind)
+            outcomes = [value(*head, *args) for head in heads]
+        if vertex_mode == "all":
+            records = [row(*head, *args, res) for head, res in zip(heads, outcomes)]
+            ms = (time.perf_counter() - t0) * 1000.0 / len(records)
+            rows.extend((r, ms) for r in records)
+        else:
+            i = reported_vertex(outcomes, kind) if len(heads) > 1 else 0
             rows.append((row(*heads[i], *args, outcomes[i]), (time.perf_counter() - t0) * 1000.0))
         if heads[0][0].kind == KIND_CLOSED_AT:
             rooted_columns[(value, *args)] = outcomes
@@ -262,6 +259,9 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
     by_measure = {"walks": [prep.walks_seq], "closed": [prep.closed_seq],
                   "vertex": list(prep.rooted_seqs)}
     sequences = [by_measure[m] for m in MEASURES if m in measures]
+    # every sequence reaches the horizon: one check (MomentError) covers a J's columns
+    j_positions = [_validated_indices(prep.walks_seq, j_set, 0) for j_set in j_sets
+                   if 2 * max(j_set) - 1 <= horizon]
 
     for seqs in sequences:
         weights = [atom_weight_for(s, summary) for s in seqs]
@@ -291,17 +291,19 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
                 per_vertex("upper", stieltjes_root_value, stieltjes_root_row, weighted, k,
                            prune=True)
 
-        for j_set in j_sets:
-            if 2 * max(j_set) - 1 <= horizon:
-                per_vertex("upper", hankel_root_value, hankel_root_row, weighted,
-                           sorted_positions(j_set), prune=True)
+        for indices in j_positions:
+            per_vertex("upper", hankel_root_value, hankel_root_row, weighted, indices,
+                       prune=True)
 
+    rooted = prep.rooted_seqs if "vertex" in measures else ()
     if 3 <= horizon:
-        emit(triangle_edge_lower_bound, prep.closed_seq)
-        emit(local_triangle_lower_bound, prep.rooted_seqs,
-             rooted_columns.get((quadratic_root_value, 0, 1)))
+        if "closed" in measures:
+            emit(triangle_edge_lower_bound, prep.closed_seq)
+        if rooted:
+            emit(local_triangle_lower_bound, rooted,
+                 rooted_columns.get((quadratic_root_value, 0, 1)))
     if "walks" in measures:
-        emit(baseline_lower_bounds, prep.walks_seq, prep.rooted_seqs,
+        emit(baseline_lower_bounds, prep.walks_seq, rooted,
              rooted_columns.get((ratio_value, 0, 2)))
         if prep.omega is not None:
             for k in range(0, k_max + 1):
@@ -310,8 +312,8 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
         ks = tuple(k for k in range(1, k_max + 1) if k <= horizon)
         emit(baseline_upper_bounds, prep.walks_seq, summary, prep.omega, prep.connected, ks)
 
-    if 2 <= horizon:
-        emit(eigvec_degree_upper_bound, prep.rooted_seqs, summary,
+    if rooted and 2 <= horizon:
+        emit(eigvec_degree_upper_bound, rooted, summary,
              rooted_columns.get((two_point_value, 1)))
 
     rows.sort(key=lambda pair: _sort_key(pair[0]))

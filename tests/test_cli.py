@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swbounds import bounds_lower, bounds_upper, report, roots
+from swbounds import bounds_lower, bounds_upper, moments, report, roots
 from swbounds.bounds_lower import VERTEX_TIE_TOL, BoundResult, Dead
 from swbounds.cli import main
 from swbounds.graph import (
@@ -194,6 +194,19 @@ class TestCommands:
         measures = {b["params"].get("measure") for b in payload["bounds"]
                     if "measure" in b["params"]}
         assert measures == {"closed_walks"}
+        # the labelled rows of an unswept measure stay out too
+        assert not any("vertex" in b["params"] for b in payload["bounds"])
+        names = {b["name"] for b in payload["bounds"]}
+        assert not names & {"local_triangle", "baseline_sqrt_max_degree", "eigvec_degree"}
+        assert "triangle_edge" in names
+
+    def test_walk_measure_filter_keeps_closed_and_rooted_rows_out(self, capsys):
+        code, doc = _bounds_json(capsys, "--gen", "path:3", "--measures", "walks")
+        assert code == 0
+        names = {b["name"] for b in doc["bounds"]}
+        assert "baseline_sqrt_w2_w0" in names
+        assert not names & {"triangle_edge", "local_triangle", "baseline_sqrt_max_degree",
+                            "eigvec_degree"}
 
     def test_gen_round_trip(self, capsys):
         assert main(["gen", "erdos_renyi:10:0.5", "--seed", "7"]) == 0
@@ -338,6 +351,15 @@ class TestCommands:
         assert ("baseline_sqrt_max_degree" in names) == (k >= 2)
         # eigvec_degree is the rooted two-point row at k = 1, which needs m_2
         assert ("eigvec_degree" in names) == (k >= 2)
+
+    def test_disconnected_graph_gets_no_eigvec_walk_row_past_the_horizon(self, capsys):
+        # baseline_eigvec_walk at k needs w_{2k}: at K = 3 only k = 1 exists,
+        # connected or not
+        code, doc = _bounds_json(capsys, "--gen", "erdos_renyi:12:0.15", "--seed", "1729",
+                                 "--K", "3")
+        assert code == 0 and not doc["graph"]["connected"]
+        ks = [b["params"]["k"] for b in doc["bounds"] if b["name"] == "baseline_eigvec_walk"]
+        assert ks == [1]
 
     def test_verify_at_a_short_horizon(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -577,6 +599,34 @@ class TestVertexReduction:
             rows = [r for r, _ in sweep_bounds(prep, measures=("vertex",), vertex_mode=mode)
                     if r.name == name]
             assert _reduce_vertex_results(rows, kind).params["vertex"] == 1
+
+    @pytest.mark.parametrize("spec", ["star:6", "erdos_renyi:12:0.4"])
+    def test_per_vertex_rows_share_their_column_time(self, spec):
+        # one timed pass per column: its rows carry equal shares of its time
+        prep = prepare_graph(CorpusEntry("g", "test", generate(spec, 1)))
+        times: dict = {}
+        for r, ms in sweep_bounds(prep, vertex_mode="all"):
+            if r.params.get("measure") == KIND_CLOSED_AT:
+                times.setdefault(self._key(r), []).append(ms)
+        assert times
+        for key, shares in times.items():
+            assert len(shares) == prep.entry.graph.n and len(set(shares)) == 1, key
+
+    @pytest.mark.parametrize("vertex_mode", ["aggregate", "all"])
+    def test_each_index_set_is_checked_once(self, monkeypatch, vertex_mode):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1:])
+            return moments._validated_indices(*args)
+        monkeypatch.setattr(report, "_validated_indices", counted, raising=False)
+        monkeypatch.setattr(bounds_upper, "_validated_indices", counted)
+        prep = prepare_graph(CorpusEntry("g", "test", generate("erdos_renyi:12:0.4", 1)))
+        sweep_bounds(prep, vertex_mode=vertex_mode)
+        # one check covers the walk, closed-walk and rooted columns of a J
+        assert sorted(calls) == [((1, 2), 0), ((1, 2, 3), 0)]
+        with pytest.raises(moments.MomentError, match="1-based"):
+            sweep_bounds(prep, j_sets=((0, 1),), vertex_mode=vertex_mode)
 
     @pytest.mark.parametrize("spec, seed", [("erdos_renyi:60:0.1", 3), ("cycle:60", 0)])
     def test_aggregate_mode_builds_only_the_reported_rooted_rows(self, monkeypatch, spec, seed):
