@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-from .moments import orthogonal_polynomial
+from .moments import hankel_table, orthogonal_polynomial
 from .roots import _sign_at, largest_real_root_bracket, no_real_root_above
 from .walks import KIND_CLOSED, KIND_CLOSED_AT, KIND_WALKS, MomentSequence
 
@@ -274,7 +274,7 @@ def sdp_lower_bound(m: MomentSequence, order: int, *,
     inf) for a running best b, exactly the vertices whose value would be no
     more than b are ruled out.
     """
-    return sdp_row(m, order, sdp_value(m, order, cutoff=cutoff))
+    return sdp_row(m, None, order, sdp_value(m, hankel_table(m, order), order, cutoff=cutoff))
 
 
 def _zeros_below(poly: list[int], u: float) -> bool:
@@ -289,9 +289,10 @@ def _zeros_below(poly: list[int], u: float) -> bool:
     return no_real_root_above(poly, u)  # exact, since u is no zero
 
 
-def sdp_value(m: MomentSequence, order: int, *, cutoff: float | None = None) -> float | Dead:
-    """The outcome of `sdp_lower_bound`."""
-    c = orthogonal_polynomial(m, order)
+def sdp_value(m: MomentSequence, table: tuple, order: int, *,
+              cutoff: float | None = None) -> float | Dead:
+    """The outcome of `sdp_lower_bound`, read from m's `hankel_table` at any top >= order."""
+    c = orthogonal_polynomial(table, order)
     if c is None:
         return _HANKEL_NOT_PSD
     degree = len(c) - 1
@@ -311,7 +312,8 @@ def sdp_value(m: MomentSequence, order: int, *, cutoff: float | None = None) -> 
     return value
 
 
-def sdp_row(m: MomentSequence, order: int, outcome: float | Dead) -> BoundResult:
+def sdp_row(m: MomentSequence, table: tuple, order: int, outcome: float | Dead) -> BoundResult:
+    """The row of `sdp_lower_bound`; the table is taken only to match `sdp_value`."""
     return outcome_row("sdp", "lower", {**m.params_head, "n": order}, outcome)
 
 

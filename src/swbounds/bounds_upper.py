@@ -379,8 +379,13 @@ def clique_root_upper_bound(m_w: MomentSequence, omega: int, k: int) -> BoundRes
     """Largest root of w_{2k} r + w_{2k+1} - 2 (omega/(omega-1)) r**(2k+2).
 
     Replaces the fundamental-weight mass with the clique-number bound on it,
-    so no spectral data is needed. Always at least as tight as
-    ((1 - 1/omega) w_{2k}) ** (1/(2k+1)).
+    so no spectral data is needed. The polynomial is concave on r > 0 and
+    equals w_{2k+1} - w_{2k} N at N = ((1 - 1/omega) w_{2k}) ** (1/(2k+1)),
+    so the root is at most N exactly when
+    omega w_{2k+1}^{2k+1} <= (omega - 1) w_{2k}^{2k+2}. The true clique
+    number passes this integer test (w_{2k+1}/w_{2k} <= rho <= N, by
+    Nikiforov's bound; at k = 0 it is Turan's); an omega that fails it is too
+    small, and raises ValueError.
     """
     if m_w.kind != KIND_WALKS:
         raise ValueError("clique-based bound needs the total-walk sequence")
@@ -396,13 +401,14 @@ def clique_root_upper_bound(m_w: MomentSequence, omega: int, k: int) -> BoundRes
     w2k1 = m_w.values[2 * k + 1]
     if w2k == 0 and w2k1 == 0:
         return BoundResult("clique_root", "upper", 0.0, params)
+    if omega * w2k1 ** (2 * k + 1) > (omega - 1) * w2k ** (2 * k + 2):
+        raise ValueError(f"clique number {omega} is too small for the walk counts "
+                         f"w_{2 * k} and w_{2 * k + 1}")
     coeffs = [0] * (2 * k + 3)
     coeffs[0] = (omega - 1) * w2k1
     coeffs[1] = (omega - 1) * w2k
     coeffs[2 * k + 2] = -2 * omega
-    root = largest_real_root_bracket(coeffs)[1]
-    assert root <= nikiforov_clique_value(m_w, omega, 2 * k) * (1.0 + 1e-12) + 1e-9
-    return BoundResult("clique_root", "upper", root, params)
+    return BoundResult("clique_root", "upper", largest_real_root_bracket(coeffs)[1], params)
 
 
 def nikiforov_clique_value(m_w: MomentSequence, omega: int, j: int) -> float:

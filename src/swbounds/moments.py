@@ -1,11 +1,11 @@
 """Hankel machinery of the moment problem: pair assembly and feasibility tests.
 
 Every positivity question on walk-count Hankel blocks is decided exactly, by
-one fraction-free elimination on the integer matrices (`exact_psd`), and the
-same elimination yields the measure's orthogonal polynomial for the
-semidefinite bound. The float blocks (`hankel_pair`, `hankel_matrix`) and the
-spectral `is_psd` are on no bound's path; they remain for float callers, and
-`perfbench/tracing.py` wraps them by name.
+fraction-free elimination on the integer matrices (`exact_psd`); one
+elimination of H_top (`hankel_table`) gives the Hamburger check and the
+semidefinite bound's orthogonal polynomial at every order up to top. The float
+blocks (`hankel_pair`, `hankel_matrix`) and the spectral `is_psd` are on no
+bound's path; they stay for float callers and `perfbench/tracing.py`.
 """
 
 from __future__ import annotations
@@ -139,40 +139,38 @@ def exact_determinant(matrix: Sequence[Sequence[int]]) -> int:
     return sign * a[-1][-1] if size else 1
 
 
-def _eliminate(a: list[list[int]], size: int) -> Optional[int]:
+def _eliminate(a: list[list[int]], size: int) -> tuple[int, int]:
     """Fraction-free symmetric elimination of the leading size x size block of a.
 
     Works in place on the upper triangle (a[i][j] with j >= i), pivoting in
     natural order; columns of a past `size` are carried along like the
-    others. A negative pivot, or a zero pivot whose remaining row is nonzero,
-    means the block is not PSD, and the result is None. A zero pivot whose
-    row is zero drops that index, and the last nonzero pivot stays the
-    divisor (Sylvester's identity holds for any set of eliminated indices).
-    Otherwise the result is the number of positive leading principal minors:
-    the pivots before the first zero one. For i below that count, a[i][i] is
+    others. Row i holds minors on rows 0..i only, so one elimination decides
+    every leading block. A negative pivot k fails the blocks that hold it; a
+    zero pivot k whose row first turns nonzero at column j fails those that
+    reach j and drops index k from the smaller ones, where the last nonzero
+    pivot stays the divisor (Sylvester's identity). Returns (psd, leading):
+    the s x s block is PSD exactly when s <= psd, and then min(s, leading)
+    of its leading minors are positive. For i below that count, a[i][i] is
     the (i+1)-th leading minor and a[i][j] the minor on rows 0..i and
     columns 0..i-1, j, so those rows form the Bareiss triangular system.
     """
     previous = 1
-    leading = None
+    psd = size
     for k in range(size):
+        if k >= psd:
+            break
         row = a[k]
         pivot = row[k]
-        if pivot < 0:
-            return None
-        if pivot == 0:
-            if any(row[k + 1:size]):
-                return None
-            if leading is None:
-                leading = k
+        if pivot <= 0:
+            psd = k if pivot < 0 else next((j for j in range(k + 1, psd) if row[j]), psd)
             continue
-        for i in range(k + 1, size):
+        for i in range(k + 1, psd):
             factor = row[i]
             target = a[i]
             for j in range(i, len(target)):
                 target[j] = (target[j] * pivot - factor * row[j]) // previous
         previous = pivot
-    return size if leading is None else leading
+    return psd, next((k for k in range(psd) if not a[k][k]), psd)
 
 
 def exact_psd(matrix: Sequence[Sequence[int]]) -> Optional[int]:
@@ -185,7 +183,8 @@ def exact_psd(matrix: Sequence[Sequence[int]]) -> Optional[int]:
     upper triangle is read.
     """
     a = [list(row) for row in matrix]
-    return _eliminate(a, len(a))
+    psd, leading = _eliminate(a, len(a))
+    return leading if psd == len(a) else None
 
 
 def is_psd(matrix: np.ndarray, tol: float = PSD_TOL) -> bool:
@@ -212,12 +211,19 @@ def _require_order(m: MomentSequence, order: int, top: int) -> None:
                           f"have up to m_{m.max_index}")
 
 
+def hankel_table(m: MomentSequence, top: int) -> tuple[list[list[int]], int, int]:
+    """(rows, psd, leading) of `_eliminate` on H_top, which answer every order
+    up to top: H_order is PSD exactly when order < psd. The rows carry column
+    top + 1 (m_{top+1}, ..., m_{2*top+1}) when the moments reach it."""
+    _require_order(m, top, 2 * top)
+    a = [[m[i + j] for j in range(min(top + 2, m.max_index - top + 1))] for i in range(top + 1)]
+    return (a, *_eliminate(a, top + 1))
+
+
 def hamburger_check(m: MomentSequence, order: int) -> bool:
     """Necessary moment-sequence condition: H_order is positive semidefinite,
     decided exactly."""
-    _require_order(m, order, 2 * order)
-    size = order + 1
-    return exact_psd([[m[i + j] for j in range(size)] for i in range(size)]) is not None
+    return order < hankel_table(m, order)[1]
 
 
 def stieltjes_feasible(m: MomentSequence, index_set: Iterable[int], u: float) -> bool:
@@ -233,26 +239,26 @@ def stieltjes_feasible(m: MomentSequence, index_set: Iterable[int], u: float) ->
                for sign in (-1, 1))
 
 
-def orthogonal_polynomial(m: MomentSequence, order: int) -> Optional[list[int]]:
-    """The Gauss-node polynomial of H_order on exact integers, or None when
-    H_order is not PSD.
+def orthogonal_polynomial(table: tuple, order: int) -> Optional[list[int]]:
+    """The Gauss-node polynomial of H_order on exact integers, read from a
+    `hankel_table` of any top >= order, or None when H_order is not PSD.
 
     With r + 1 the number of positive leading principal minors of H_order,
     the result holds the ascending coefficients of
     c(x) = det(x*H_r - S_r) = det(H_r) * P_{r+1}(x), where P_{r+1} is the
     monic degree-(r+1) orthogonal polynomial of the measure:
     c(x) = det(H_r) x^(r+1) - sum_j det(H_r) y_j x^j with H_r y = b,
-    b = (m_{r+1}, ..., m_{2r+1}). Its zeros are real and simple. One
-    elimination of the top order + 1 rows of H_{order+1} both decides PSD and
-    triangularizes that system (their column r + 1 is b); back substitution
-    with exact divisions gives det(H_r) * y, whose entries are integers by
-    Cramer's rule. Needs moments through m_{2*order+1}.
+    b = (m_{r+1}, ..., m_{2r+1}). Its zeros are real and simple. The table's
+    top r + 1 rows are that system triangularized (their column r + 1 is b);
+    back substitution with exact divisions gives det(H_r) * y, whose entries
+    are integers by Cramer's rule. Needs moments through m_{2*order+1}.
     """
-    _require_order(m, order, 2 * order + 1)
-    a = [[m[i + j] for j in range(order + 2)] for i in range(order + 1)]
-    size = _eliminate(a, order + 1)
-    if size is None:
+    a, psd, leading = table
+    if not 0 <= order < len(a[0]) - 1:
+        raise MomentError(f"insufficient moments for order {order}")
+    if order >= psd:
         return None
+    size = min(leading, order + 1)
     if size == 0:
         return [1]
     det = a[size - 1][size - 1]

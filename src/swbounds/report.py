@@ -62,7 +62,7 @@ from .graph import (
     star_graph,
     triangle_counts,
 )
-from .moments import _validated_indices, hamburger_check, stieltjes_feasible
+from .moments import _validated_indices, hankel_table, stieltjes_feasible
 from .spectrum import (
     SpectralSummary,
     adjacency_array,
@@ -145,14 +145,14 @@ class Report:
 def prepare_graph(entry: CorpusEntry, max_length: int = DEFAULT_MAX_LENGTH,
                   omega: Optional[int] = None) -> PreparedGraph:
     g = entry.graph
+    total_triangles, _ = triangle_counts(g)
     if omega is None:
         if g.n <= CLIQUE_SEARCH_LIMIT:
             omega = clique_number(g)
-    elif not (2 if g.edge_count else 1) <= omega <= g.n:
-        raise ValueError(f"clique number {omega} is impossible on a graph with {g.n} vertices "
-                         f"and {g.edge_count} edges")
+    elif not (3 if total_triangles else 2 if g.edge_count else 1) <= omega <= g.n:
+        raise ValueError(f"clique number {omega} is impossible on a graph with {g.n} vertices, "
+                         f"{g.edge_count} edges and {total_triangles} triangles")
     _, max_degree = degrees(g)
-    total_triangles, _ = triangle_counts(g)
     flag, _ = is_bipartite(g)
     rooted = tuple(all_rooted_closed_counts(g, max_length))
     return PreparedGraph(
@@ -276,9 +276,10 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
                     per_vertex("lower", det_ratio_value, det_ratio_row, alone, s, k)
                     per_vertex("lower", quadratic_root_value, quadratic_root_row, alone, s, k)
 
-        for order in sdp_orders:
-            if 2 * order + 1 <= horizon:
-                per_vertex("lower", sdp_value, sdp_row, alone, order, prune=True)
+        orders = [order for order in sdp_orders if 2 * order + 1 <= horizon]
+        tables = [(m, hankel_table(m, max(orders))) for m in seqs] if orders else []
+        for order in orders:
+            per_vertex("lower", sdp_value, sdp_row, tables, order, prune=True)
 
         for k in range(1, k_max + 1):
             if 2 * k <= horizon:
@@ -671,8 +672,9 @@ def _verify_moment_machinery(out: VerificationOutcome, prep: PreparedGraph,
     if full and full not in tested_sets:
         tested_sets.append(full)
     for m in [prep.walks_seq, prep.closed_seq, *prep.rooted_seqs]:
+        psd = hankel_table(m, horizon // 2)[1]
         for order in range(horizon // 2 + 1):
-            out.check(hamburger_check(m, order),
+            out.check(order < psd,
                       f"{name}: Hankel matrix of {m.kind} not PSD at order {order}")
         for j_set in tested_sets:
             if 2 * max(j_set) - 1 <= horizon:

@@ -29,7 +29,7 @@ from swbounds.graph import (
     star_graph,
     triangle_counts,
 )
-from swbounds.moments import exact_psd, orthogonal_polynomial
+from swbounds.moments import exact_psd, hankel_table, orthogonal_polynomial
 from swbounds.report import er_corpus, family_corpus, find_violations, prepare_graph
 from swbounds.roots import largest_real_root_bracket, no_real_root_above
 from swbounds.spectrum import eigen_decompose
@@ -407,7 +407,8 @@ class TestSdpExactSandwich:
         # but too ill-conditioned for a float Cholesky factorisation
         entry = next(e for e in er_corpus() if e.name == f"er_15_0.3_{seed}")
         m = walk_counts(entry.graph, 24)
-        assert len(orthogonal_polynomial(m, 11)) == 13  # degree 12: no order dropped
+        # degree 12: no order dropped
+        assert len(orthogonal_polynomial(hankel_table(m, 11), 11)) == 13
         res = sdp_lower_bound(m, 11)
         assert res.applicable and res.params["n"] == 11
         assert _at_most_rho(entry.graph, res.value)

@@ -39,6 +39,7 @@ from swbounds.walks import (
     KIND_CLOSED_AT,
     KIND_WALKS,
     MomentSequence,
+    walk_counts,
 )
 
 
@@ -318,10 +319,31 @@ class TestCommands:
         ("--gen", "path:3", "--omega", "0"),
         ("--gen", "path:3", "--omega", "4"),
         ("--gen", "path:1", "--omega", "0"),
+        # Turan's bound (clique_root at k = 0) rules these out
+        ("--gen", "complete:5", "--omega", "3"),
+        ("--gen", "complete:5", "--omega", "4"),
+        # 15 triangles
+        ("--gen", "erdos_renyi:30:0.15", "--seed", "1", "--omega", "2"),
     ])
     def test_impossible_clique_number_exit_code(self, capsys, argv):
         assert main(["bounds", *argv]) == 1
-        assert "clique number" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == "" and "clique number" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_true_clique_number_given_changes_nothing(self, capsys):
+        argv = ["bounds", "--gen", "complete:5", "--no-timing", "--format", "json"]
+        assert main(argv) == 0
+        found = capsys.readouterr().out
+        assert main([*argv, "--omega", "5"]) == 0
+        assert capsys.readouterr().out == found
+
+    @pytest.mark.parametrize("omega", [3, 4])
+    def test_clique_root_rejects_a_clique_number_below_the_walk_counts(self, omega):
+        m = walk_counts(complete_graph(5), 3)
+        with pytest.raises(ValueError, match="too small"):
+            bounds_upper.clique_root_upper_bound(m, omega, 0)
+        assert bounds_upper.clique_root_upper_bound(m, 5, 1).applicable
 
     @pytest.mark.parametrize("argv", [("--gen", "cycle:30", "--omega", "2"),
                                       ("--gen", "path:1", "--omega", "1")])
@@ -534,6 +556,27 @@ class TestVerificationEngine:
         assert calls == {"stieltjes_root_value": 4 * sequences,
                          "sdp_value": 3 * sequences}
 
+    def test_one_hankel_elimination_per_sequence(self, monkeypatch):
+        # one table decides every Hamburger order and one serves every sdp
+        # order; each Stieltjes test eliminates u*H_J - S_J and u*H_J + S_J
+        calls = {"_eliminate": 0, "stieltjes_feasible": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(moments, "_eliminate")
+        counted(report, "stieltjes_feasible")
+        entries = [CorpusEntry("k4", "complete", complete_graph(4)), er_corpus(1)[0]]
+        assert run_verification(entries).violations == []
+        sequences = sum(2 + entry.graph.n for entry in entries)
+        assert calls["stieltjes_feasible"] > 0
+        assert calls["_eliminate"] == 2 * sequences + 2 * calls["stieltjes_feasible"]
+
 
 class TestVertexReduction:
     def test_vertex_transitive_tie_reports_the_lowest_vertex(self):
@@ -683,8 +726,9 @@ class TestVertexReduction:
         checked = 0
         for m in (prep.walks_seq, prep.closed_seq, *prep.rooted_seqs):
             weight = bounds_upper.atom_weight_for(m, prep.summary)
+            table = moments.hankel_table(m, 2)  # one table serves both sdp orders
             for kind, value, arg in families:
-                args = (m, arg) if kind == "lower" else (m, weight, arg)
+                args = (m, table, arg) if kind == "lower" else (m, weight, arg)
                 v = value(*args)
                 if isinstance(v, Dead) or v <= 0.0:
                     continue

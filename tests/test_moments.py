@@ -14,6 +14,7 @@ from swbounds.moments import (
     hankel_matrix,
     hankel_pair,
     hankel_pair_exact,
+    hankel_table,
     is_psd,
     orthogonal_polynomial,
     stieltjes_feasible,
@@ -173,19 +174,75 @@ class TestExactPsd:
 class TestOrthogonalPolynomial:
     def test_k3_closed_walks(self):
         # atoms 2 (weight 1) and -1 (weight 2): 18 (x - 2)(x + 1)
-        assert orthogonal_polynomial(closed_walk_counts(complete_graph(3), 3), 1) == [-36, -18, 18]
+        m = closed_walk_counts(complete_graph(3), 3)
+        assert orthogonal_polynomial(hankel_table(m, 1), 1) == [-36, -18, 18]
 
     def test_degree_drops_with_the_atom_count(self):
         # walks on K_4 sit on the single atom 3: 4 x - 12 at every order
         m = walk_counts(complete_graph(4), 7)
-        assert orthogonal_polynomial(m, 3) == [-12, 4]
+        assert orthogonal_polynomial(hankel_table(m, 3), 3) == [-12, 4]
 
     def test_not_psd(self):
-        assert orthogonal_polynomial(seq(1, 2, 1, 0), 1) is None
+        assert orthogonal_polynomial(hankel_table(seq(1, 2, 1, 0), 1), 1) is None
 
     def test_insufficient(self):
         with pytest.raises(MomentError):
-            orthogonal_polynomial(seq(3, 0, 6), 1)
+            orthogonal_polynomial(hankel_table(seq(3, 0, 6), 1), 1)
+
+
+def _atomic_moments(atoms, perturb, length):
+    """m_0..m_{length-1} of the integer atoms (value, weight), then m_index += delta,
+    with negative moments raised to 0."""
+    values = [sum(w * x ** k for x, w in atoms) for k in range(length)]
+    for index, delta in perturb:
+        values[index % length] += delta
+    return MomentSequence(KIND_CLOSED, tuple(max(v, 0) for v in values))
+
+
+class TestHankelTable:
+    """One elimination of H_top answers every order up to top."""
+
+    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 3)), min_size=1, max_size=4),
+           st.lists(st.tuples(st.integers(0, 13), st.integers(-3, 3)), max_size=2),
+           st.integers(0, 6), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_every_order_agrees_with_its_own_block(self, atoms, perturb, top, odd):
+        # few atoms give singular PSD blocks (zero pivots); perturbed moments
+        # give zero pivots with nonzero rows and negative pivots
+        m = _atomic_moments(atoms, perturb, 2 * top + 1 + odd)
+        table = hankel_table(m, top)
+        _, psd, leading = table
+        for order in range(top + 1):
+            count = exact_psd([[m[i + j] for j in range(order + 1)] for i in range(order + 1)])
+            assert (order < psd) == (count is not None), (m, order)
+            if count is not None:
+                assert min(leading, order + 1) == count
+            if 2 * order + 1 > m.max_index:
+                continue
+            c = orthogonal_polynomial(table, order)
+            assert c == orthogonal_polynomial(hankel_table(m, order), order)
+            if c is not None:
+                # det(H_r) x^(r+1) + ...: orthogonal to 1, x, ..., x^r
+                size = len(c) - 1
+                assert c[-1] == exact_determinant([[m[i + j] for j in range(size)]
+                                                   for i in range(size)])
+                assert all(sum(cj * m[i + j] for j, cj in enumerate(c)) == 0
+                           for i in range(size))
+
+    def test_zero_pivot_fails_from_the_column_where_its_row_turns_nonzero(self):
+        # H_3 of (1, 0, 0, 0, 1, 0, 1): pivot 1 is zero and its row
+        # (m_1, ..., m_4) is zero up to column 2, so index 1 drops from
+        # H_0..H_2, which are PSD, and H_3 is not
+        m = seq(1, 0, 0, 0, 1, 0, 1)
+        assert hankel_table(m, 3)[1:] == (3, 1)
+        assert [hamburger_check(m, order) for order in range(4)] == [True, True, True, False]
+        assert orthogonal_polynomial(hankel_table(m, 2), 2) == [0, 1]
+
+    def test_negative_pivot_fails_every_larger_order(self):
+        m = seq(1, 2, 1, 0, 5)
+        assert hankel_table(m, 2)[1:] == (1, 1)
+        assert orthogonal_polynomial(hankel_table(m, 1), 0) == [-2, 1]
+        assert orthogonal_polynomial(hankel_table(m, 1), 1) is None
 
 
 class TestHamburger:
