@@ -184,6 +184,20 @@ def _sort_key(r: BoundResult):
     )
 
 
+def _twin_classes(keys: Iterable) -> tuple[list[int], list[int]]:
+    """The first index of each distinct key, in order, and the class (its
+    position among those) of every index."""
+    classes: dict = {}
+    firsts: list[int] = []
+    of = []
+    for i, key in enumerate(keys):
+        c = classes.setdefault(key, len(firsts))
+        if c == len(firsts):
+            firsts.append(i)
+        of.append(c)
+    return firsts, of
+
+
 def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = DEFAULT_K_MAX,
                  j_sets: Sequence[tuple[int, ...]] = DEFAULT_J_SETS,
                  sdp_orders: Sequence[int] = DEFAULT_SDP_ORDERS,
@@ -210,6 +224,16 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
     good, so it would not have been reported, and the reported vertex and
     value are those of the full sweep. Returns (result, milliseconds)
     pairs in a deterministic order.
+
+    A rooted bound depends on the vertex only through its moments and, for
+    an upper one, its atom weight, so twin vertices (identical `values`,
+    or identical values and alpha1) share every outcome: each column, the
+    cutoff pass included, evaluates the first vertex of each class and
+    copies its outcome to the others. A later twin never moves the cutoff
+    and never displaces the lowest tied vertex, so no reported row
+    changes; each record is still built from its own vertex's head. The
+    `sdp` Hankel tables are built once per class, timed with the first
+    `sdp` column.
     """
     if s_max < 0 or k_max < 0:
         raise ValueError(f"s_max and k_max must be non-negative, got {s_max} and {k_max}")
@@ -227,25 +251,31 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
         batch = res if isinstance(res, list) else [res]
         rows.extend((r, ms / len(batch)) for r in batch)
 
-    def per_vertex(kind, value, row, heads, *args, prune: bool = False) -> None:
-        """One timed pass of `value` over the sequences, then the records of
-        the vertex `reported_vertex` picks (aggregate) or of every vertex
-        ("all"), which share the pass's time. A pruned aggregate pass gives
-        each vertex the cutoff one float beyond the best positive live value
-        so far. A rooted column's outcomes are kept."""
-        t0 = time.perf_counter()
+    def per_vertex(kind, value, row, heads, classes, *args, prune: bool = False,
+                   start: Optional[float] = None) -> None:
+        """One timed pass of `value` over the first sequence of each of the
+        `_twin_classes`, its outcomes copied to the class, then the records
+        of the vertex `reported_vertex` picks (aggregate) or of every vertex
+        ("all"), which share the pass's time (counted from `start` when
+        given). A pruned aggregate pass gives each vertex it evaluates the
+        cutoff one float beyond the best positive live value so far. A
+        rooted column's outcomes are kept."""
+        t0 = time.perf_counter() if start is None else start
+        firsts, of = classes
+        run = [heads[i] for i in firsts]
         if prune and vertex_mode != "all":
             toward = math.inf if kind == "lower" else 0.0
             outcomes = []
             cutoff = None
-            for head in heads:
+            for head in run:
                 res = value(*head, *args, cutoff=cutoff)
                 outcomes.append(res)
                 if not isinstance(res, Dead) and res > 0.0:
                     # not ruled out, so better than the best so far
                     cutoff = math.nextafter(res, toward)
         else:
-            outcomes = [value(*head, *args) for head in heads]
+            outcomes = [value(*head, *args) for head in run]
+        outcomes = [outcomes[c] for c in of]
         if vertex_mode == "all":
             records = [row(*head, *args, res) for head, res in zip(heads, outcomes)]
             ms = (time.perf_counter() - t0) * 1000.0 / len(records)
@@ -267,34 +297,43 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
         weights = [atom_weight_for(s, summary) for s in seqs]
         alone = [(s,) for s in seqs]
         weighted = list(zip(seqs, weights))
+        classes = _twin_classes([s.values for s in seqs])
+        weighted_classes = _twin_classes(zip(classes[1], (w.alpha1 for w in weights)))
 
         for s in range(s_max + 1):
             for k in range(1, k_max + 1):
                 if 2 * s + k <= horizon:
-                    per_vertex("lower", ratio_value, ratio_row, alone, s, k)
+                    per_vertex("lower", ratio_value, ratio_row, alone, classes, s, k)
                 if 2 * s + 3 * k <= horizon:
-                    per_vertex("lower", det_ratio_value, det_ratio_row, alone, s, k)
-                    per_vertex("lower", quadratic_root_value, quadratic_root_row, alone, s, k)
+                    per_vertex("lower", det_ratio_value, det_ratio_row, alone, classes, s, k)
+                    per_vertex("lower", quadratic_root_value, quadratic_root_row, alone, classes,
+                               s, k)
 
         orders = [order for order in sdp_orders if 2 * order + 1 <= horizon]
-        tables = [(m, hankel_table(m, max(orders))) for m in seqs] if orders else []
-        for order in orders:
-            per_vertex("lower", sdp_value, sdp_row, tables, order, prune=True)
+        if orders:
+            start = time.perf_counter()
+            built = [hankel_table(seqs[i], max(orders)) for i in classes[0]]
+            tables = [(m, built[c]) for m, c in zip(seqs, classes[1])]
+            for order in orders:
+                per_vertex("lower", sdp_value, sdp_row, tables, classes, order, prune=True,
+                           start=start)
+                start = None
 
         for k in range(1, k_max + 1):
             if 2 * k <= horizon:
-                per_vertex("upper", even_moment_value, even_moment_row, weighted, k)
-                per_vertex("upper", two_point_value, two_point_row, weighted, k)
+                per_vertex("upper", even_moment_value, even_moment_row, weighted,
+                           weighted_classes, k)
+                per_vertex("upper", two_point_value, two_point_row, weighted, weighted_classes, k)
                 if seqs[0].kind != KIND_WALKS:
-                    per_vertex("upper", bipartite_value, bipartite_row, weighted, k,
-                               prep.bipartite)
+                    per_vertex("upper", bipartite_value, bipartite_row, weighted,
+                               weighted_classes, k, prep.bipartite)
             if 2 * k + 1 <= horizon:
-                per_vertex("upper", stieltjes_root_value, stieltjes_root_row, weighted, k,
-                           prune=True)
+                per_vertex("upper", stieltjes_root_value, stieltjes_root_row, weighted,
+                           weighted_classes, k, prune=True)
 
         for indices in j_positions:
-            per_vertex("upper", hankel_root_value, hankel_root_row, weighted, indices,
-                       prune=True)
+            per_vertex("upper", hankel_root_value, hankel_root_row, weighted, weighted_classes,
+                       indices, prune=True)
 
     rooted = prep.rooted_seqs if "vertex" in measures else ()
     if 3 <= horizon:
@@ -664,6 +703,11 @@ def _verify_spectrum(out: VerificationOutcome, prep: PreparedGraph) -> None:
 
 def _verify_moment_machinery(out: VerificationOutcome, prep: PreparedGraph,
                              tol: float) -> None:
+    """Check every Hamburger order up to K//2 and the support conditions at
+    rho + tol for each tested J, on the walk, closed-walk and rooted
+    sequences. Each distinct sequence is decided once, by one `hankel_table`
+    and one `stieltjes_feasible` test per J, and its checks are counted
+    once for every sequence that has it."""
     name = prep.entry.name
     horizon = prep.closed_seq.max_index
     rho = prep.summary.rho
@@ -671,15 +715,18 @@ def _verify_moment_machinery(out: VerificationOutcome, prep: PreparedGraph,
     full = tuple(range(1, horizon // 2 + 1))
     if full and full not in tested_sets:
         tested_sets.append(full)
+    tested_sets = [j_set for j_set in tested_sets if 2 * max(j_set) - 1 <= horizon]
+    decided: dict = {}  # (psd, feasible per J) by sequence values
     for m in [prep.walks_seq, prep.closed_seq, *prep.rooted_seqs]:
-        psd = hankel_table(m, horizon // 2)[1]
+        if m.values not in decided:
+            decided[m.values] = (hankel_table(m, horizon // 2)[1],
+                                 [stieltjes_feasible(m, j, rho + tol) for j in tested_sets])
+        psd, feasible = decided[m.values]
         for order in range(horizon // 2 + 1):
             out.check(order < psd,
                       f"{name}: Hankel matrix of {m.kind} not PSD at order {order}")
-        for j_set in tested_sets:
-            if 2 * max(j_set) - 1 <= horizon:
-                out.check(stieltjes_feasible(m, j_set, rho + tol),
-                          f"{name}: support conditions fail for {m.kind} at J={j_set}")
+        for j_set, ok in zip(tested_sets, feasible):
+            out.check(ok, f"{name}: support conditions fail for {m.kind} at J={j_set}")
 
 
 def _verify_sandwich(out: VerificationOutcome, prep: PreparedGraph,

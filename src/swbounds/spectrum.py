@@ -55,10 +55,8 @@ def eigen_decompose(g: Graph) -> SpectralSummary:
     values, vectors = np.linalg.eigh(adjacency_array(g))
     order = np.argsort(-values, kind="stable")
     values, vectors = values[order], vectors[:, order]
-    for l in range(g.n):
-        pivot = int(np.argmax(np.abs(vectors[:, l])))
-        if vectors[pivot, l] < 0.0:
-            vectors[:, l] = -vectors[:, l]
+    pivots = np.argmax(np.abs(vectors), axis=0)
+    vectors[:, vectors[pivots, np.arange(g.n)] < 0.0] *= -1.0
     column_sums = vectors.sum(axis=0)
     return SpectralSummary(
         eigenvalues=values,

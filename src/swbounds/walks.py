@@ -189,7 +189,9 @@ def enumerate_walks_bruteforce(g: Graph, length: int) -> tuple[int, int, list[in
 
     Returns (total walks, total closed walks, closed walks per start vertex).
     This is the independent oracle for the matrix-power counters and is
-    deliberately exponential, so it refuses large inputs.
+    deliberately exponential, so it refuses large inputs. The walks from one
+    start are extended level by level: a list holds the end vertex of each
+    walk so far, and every step replaces each end by its neighbours.
     """
     if g.n > BRUTE_FORCE_VERTEX_LIMIT or length > BRUTE_FORCE_LENGTH_LIMIT:
         raise ValueError(
@@ -198,19 +200,13 @@ def enumerate_walks_bruteforce(g: Graph, length: int) -> tuple[int, int, list[in
         )
     if length < 0:
         raise ValueError("walk length must be non-negative")
+    neighbors = g.neighbors
     closed_at = [0] * g.n
     total = 0
-
-    def visit(start: int, u: int, depth: int) -> None:
-        nonlocal total
-        if depth == length:
-            total += 1
-            if u == start:
-                closed_at[start] += 1
-            return
-        for w in g.neighbors[u]:
-            visit(start, w, depth + 1)
-
     for start in range(g.n):
-        visit(start, start, 0)
+        ends = [start]
+        for _ in range(length):
+            ends = [w for u in ends for w in neighbors[u]]
+        total += len(ends)
+        closed_at[start] = ends.count(start)
     return total, sum(closed_at), closed_at

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -57,6 +58,11 @@ def _reduce_vertex_results(results: list[BoundResult], kind: str) -> BoundResult
     if trivial:
         return trivial[0]
     return results[0]
+
+
+# Graphs whose vertices fall into classes of twins: vertices with identical
+# rooted closed-walk counts, hence identical rooted measures.
+_TWIN_SPECS = ["star:6", "cycle:8", "complete_bipartite:3:4", "path:6"]
 
 
 @pytest.fixture
@@ -550,11 +556,17 @@ class TestVerificationEngine:
         entries = [CorpusEntry("k4", "complete", complete_graph(4)), er_corpus(1)[0]]
         outcome = run_verification(entries)
         assert outcome.violations == []
-        # walks, closed and one rooted sequence per vertex; at K = 12 the
-        # sweep takes k = 1..4 (k_max) and SDP orders 0, 1 and 2
-        sequences = sum(2 + entry.graph.n for entry in entries)
-        assert calls == {"stieltjes_root_value": 4 * sequences,
-                         "sdp_value": 3 * sequences}
+        # walks, closed and one rooted class per distinct sequence (and atom
+        # weight, for an upper bound); at K = 12 the sweep takes k = 1..4
+        # (k_max) and SDP orders 0, 1 and 2
+        sequences = weighted = 0
+        for entry in entries:
+            prep = prepare_graph(entry)
+            sequences += 2 + len({m.values for m in prep.rooted_seqs})
+            weighted += 2 + len({(m.values, bounds_upper.atom_weight_for(m, prep.summary).alpha1)
+                                 for m in prep.rooted_seqs})
+        assert sequences < sum(2 + entry.graph.n for entry in entries)
+        assert calls == {"stieltjes_root_value": 4 * weighted, "sdp_value": 3 * sequences}
 
     def test_one_hankel_elimination_per_sequence(self, monkeypatch):
         # one table decides every Hamburger order and one serves every sdp
@@ -573,9 +585,34 @@ class TestVerificationEngine:
         counted(report, "stieltjes_feasible")
         entries = [CorpusEntry("k4", "complete", complete_graph(4)), er_corpus(1)[0]]
         assert run_verification(entries).violations == []
-        sequences = sum(2 + entry.graph.n for entry in entries)
+        # one Hamburger and one sdp table per distinct sequence
+        sequences = sum(len({m.values for m in (prep.walks_seq, prep.closed_seq,
+                                                *prep.rooted_seqs)})
+                        for prep in map(prepare_graph, entries))
         assert calls["stieltjes_feasible"] > 0
         assert calls["_eliminate"] == 2 * sequences + 2 * calls["stieltjes_feasible"]
+
+    @pytest.mark.parametrize("spec", _TWIN_SPECS)
+    def test_each_support_test_runs_once_per_distinct_sequence(self, monkeypatch, spec):
+        calls = []
+
+        def counted(m, j_set, u):
+            calls.append((m.values, tuple(j_set)))
+            return moments.stieltjes_feasible(m, j_set, u)
+        monkeypatch.setattr(report, "stieltjes_feasible", counted)
+        entry = CorpusEntry("g", "test", generate(spec))
+        outcome = run_verification([entry])
+        assert outcome.violations == []
+        prep = prepare_graph(entry)
+        distinct = {m.values for m in (prep.walks_seq, prep.closed_seq, *prep.rooted_seqs)}
+        # at K = 12: J = (1, 2), (1, 2, 3) and (1, ..., 6)
+        j_sets = [(1, 2), (1, 2, 3), tuple(range(1, 7))]
+        assert sorted(calls) == sorted((values, j) for values in distinct for j in j_sets)
+        # every sequence's checks are still counted: Hamburger orders 0..6
+        # and the three J
+        machinery = VerificationOutcome()
+        _verify_moment_machinery(machinery, prep, 1e-7)
+        assert machinery.checks == (2 + entry.graph.n) * (7 + len(j_sets))
 
 
 class TestVertexReduction:
@@ -626,9 +663,10 @@ class TestVertexReduction:
 
     @pytest.mark.parametrize("name, kind, values", [
         # the best is vertex 2, and vertices 1 and 3 are within the tie
-        # tolerance of it, but vertex 0 is not: vertex 1 is reported
-        ("sdp", "lower", (1.0, 1.0 + 6e-13, 1.0 + 1.2e-12, 1.0 + 3e-13)),
-        ("hankel_root", "upper", (1.0 + 1.2e-12, 1.0 + 6e-13, 1.0, 1.0 + 9e-13)),
+        # tolerance of it, but vertices 0, 4 and 5 are not: vertex 1 is reported
+        ("sdp", "lower", (1.0, 1.0 + 6e-13, 1.0 + 1.2e-12, 1.0 + 3e-13, 1.0, 1.0)),
+        ("hankel_root", "upper", (1.0 + 1.2e-12, 1.0 + 6e-13, 1.0, 1.0 + 9e-13,
+                                  1.0 + 1.2e-12, 1.0 + 1.2e-12)),
     ])
     def test_cutoff_keeps_the_lowest_tied_vertex(self, monkeypatch, name, kind, values):
         def value_of(m, *args, cutoff=None):
@@ -637,11 +675,125 @@ class TestVertexReduction:
                 return Dead("ruled out by the cutoff")
             return value
         monkeypatch.setattr(report, f"{name}_value", value_of)
-        prep = prepare_graph(CorpusEntry("path_4", "path", generate("path:4")))
+        # the path 0-1-2-3-4-5 with the chord (2, 4): no two rooted sequences
+        # are equal, so each vertex may have a value of its own
+        graph = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 4)])
+        prep = prepare_graph(CorpusEntry("path_6_chord", "test", graph))
+        assert len({m.values for m in prep.rooted_seqs}) == 6
         for mode in ("aggregate", "all"):
             rows = [r for r, _ in sweep_bounds(prep, measures=("vertex",), vertex_mode=mode)
                     if r.name == name]
             assert _reduce_vertex_results(rows, kind).params["vertex"] == 1
+
+    # Each value routine with the length of the head it takes from a sequence
+    # ((m,), (m, table) or (m, weight)), and whether the atom weight is part
+    # of what it depends on.
+    _VALUE_ROUTINES = {
+        "ratio_value": (1, False), "det_ratio_value": (1, False),
+        "quadratic_root_value": (1, False), "sdp_value": (2, False),
+        "even_moment_value": (2, True), "two_point_value": (2, True),
+        "bipartite_value": (2, True), "stieltjes_root_value": (2, True),
+        "hankel_root_value": (2, True),
+    }
+
+    @pytest.mark.parametrize("vertex_mode", ["aggregate", "all"])
+    @pytest.mark.parametrize("spec", _TWIN_SPECS)
+    def test_each_value_routine_runs_once_per_distinct_measure(self, monkeypatch, spec,
+                                                               vertex_mode):
+        # twins share every outcome: a lower column evaluates each distinct
+        # sequence once, an upper one each distinct (sequence, alpha1)
+        calls: dict = {}
+
+        def counted(name, head, weighted):
+            fn = getattr(report, name)
+
+            def wrapper(*args, **kwargs):
+                m = args[0]
+                key = (m.values, args[1].alpha1) if weighted else m.values
+                calls.setdefault((name, m.kind, *args[head:]), []).append(key)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(report, name, wrapper)
+
+        for name, (head, weighted) in self._VALUE_ROUTINES.items():
+            counted(name, head, weighted)
+        prep = prepare_graph(CorpusEntry("g", "test", generate(spec)))
+        sweep_bounds(prep, vertex_mode=vertex_mode)
+        distinct = {}
+        for m in (prep.walks_seq, prep.closed_seq, *prep.rooted_seqs):
+            alpha1 = bounds_upper.atom_weight_for(m, prep.summary).alpha1
+            distinct.setdefault((m.kind, False), set()).add(m.values)
+            distinct.setdefault((m.kind, True), set()).add((m.values, alpha1))
+        assert len(distinct[(KIND_CLOSED_AT, False)]) < prep.entry.graph.n
+        assert {name for name, *_ in calls} == self._VALUE_ROUTINES.keys()
+        for (name, kind, *_), keys in calls.items():
+            expected = distinct[(kind, self._VALUE_ROUTINES[name][1])]
+            assert sorted(keys) == sorted(expected), (name, kind)
+
+    # The public kernel of each swept family, on one sequence, its atom weight
+    # and the params of a swept row, with no cutoff.
+    _KERNELS = {
+        "ratio": lambda m, w, p, prep: bounds_lower.ratio_lower_bound(m, p["s"], p["k"]),
+        "det_ratio": lambda m, w, p, prep: bounds_lower.det_ratio_lower_bound(m, p["s"], p["k"]),
+        "quadratic_root": lambda m, w, p, prep: bounds_lower.quadratic_root_lower_bound(
+            m, p["s"], p["k"]),
+        "sdp": lambda m, w, p, prep: bounds_lower.sdp_lower_bound(m, p["n"]),
+        "even_moment": lambda m, w, p, prep: bounds_upper.even_moment_upper_bound(m, w, p["k"]),
+        "two_point": lambda m, w, p, prep: bounds_upper.two_point_upper_bound(m, w, p["k"]),
+        "bipartite_half": lambda m, w, p, prep: bounds_upper.bipartite_upper_bound(
+            m, w, p["k"], prep.bipartite),
+        "stieltjes_root": lambda m, w, p, prep: bounds_upper.stieltjes_root_upper_bound(
+            m, w, p["k"]),
+        "hankel_root": lambda m, w, p, prep: bounds_upper.hankel_root_upper_bound(
+            m, w, p["J"]),
+    }
+
+    @pytest.mark.parametrize("name, graph", [
+        *((spec, generate(spec)) for spec in _TWIN_SPECS),
+        ("complete_5", complete_graph(5)),
+        ("cycle_30", cycle_graph(30)),
+        # vertices 0 and 6 are isolated twins: zero atom weight, inapplicable rows
+        ("isolated_0_6", Graph(7, [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5)])),
+    ])
+    def test_rooted_rows_match_the_kernels_vertex_by_vertex(self, name, graph):
+        prep = prepare_graph(CorpusEntry(name, "test", graph))
+        weights = [bounds_upper.atom_weight_for(m, prep.summary) for m in prep.rooted_seqs]
+        groups: dict = {}
+        for r, _ in sweep_bounds(prep, vertex_mode="all"):
+            if r.params.get("measure") == KIND_CLOSED_AT and r.name in self._KERNELS:
+                groups.setdefault(self._key(r), []).append(r)
+        assert groups
+        aggregate = {self._key(r): r for r, _ in sweep_bounds(prep)
+                     if r.params.get("measure") == KIND_CLOSED_AT and r.name in self._KERNELS}
+        assert aggregate.keys() == groups.keys()
+        for key, rows in groups.items():
+            kernel = self._KERNELS[key[0]]
+            expected = [kernel(m, w, rows[0].params, prep)
+                        for m, w in zip(prep.rooted_seqs, weights)]
+            assert rows == expected, key
+            assert aggregate[key] == _reduce_vertex_results(expected, rows[0].kind), key
+
+    @pytest.mark.parametrize("vertex_mode", ["aggregate", "all"])
+    def test_the_hankel_tables_are_timed_with_the_first_sdp_column(self, monkeypatch,
+                                                                   vertex_mode):
+        built = []
+        sleep_ms = 20.0
+
+        def slow_table(m, top):
+            time.sleep(sleep_ms / 1000.0)
+            built.append(m.kind)
+            return moments.hankel_table(m, top)
+        monkeypatch.setattr(report, "hankel_table", slow_table)
+        prep = prepare_graph(CorpusEntry("g", "test", generate("star:6")))
+        first_order = min(report.DEFAULT_SDP_ORDERS)
+        column_ms: dict = {}
+        for r, ms in sweep_bounds(prep, vertex_mode=vertex_mode):
+            if r.name == "sdp" and r.params["n"] == first_order:
+                measure = r.params["measure"]
+                column_ms[measure] = column_ms.get(measure, 0.0) + ms
+        # one table for walks and closed walks, one per class of the rooted
+        assert sorted(built) == sorted([KIND_WALKS, KIND_CLOSED] + [KIND_CLOSED_AT] * 2)
+        for measure, ms in column_ms.items():
+            assert ms >= sleep_ms * built.count(measure) - 1e-9, measure
 
     @pytest.mark.parametrize("spec", ["star:6", "erdos_renyi:12:0.4"])
     def test_per_vertex_rows_share_their_column_time(self, spec):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from swbounds.graph import complete_graph, cycle_graph, path_graph, star_graph
+from swbounds.graph import complete_graph, cycle_graph, generate, path_graph, star_graph
 from swbounds.spectrum import (
     adjacency_array,
     eigen_decompose,
@@ -61,6 +61,21 @@ class TestJacobi:
     def test_leading_eigenvector_nonnegative(self):
         summary = eigen_decompose(star_graph(5))
         assert float(np.min(summary.eigenvectors[:, 0])) >= -1e-12
+
+    @pytest.mark.parametrize("spec", ["path:1", "path:7", "cycle:12", "star:9", "complete:6",
+                                      "complete_bipartite:3:5", "erdos_renyi:40:0.1"])
+    def test_signs_match_the_per_column_reference(self, spec):
+        # each column flipped so its largest-magnitude entry is positive, as
+        # a loop over the columns would do it: negation is exact, so the
+        # vectors are bit-identical
+        g = generate(spec, 3)
+        values, vectors = np.linalg.eigh(adjacency_array(g))
+        vectors = vectors[:, np.argsort(-values, kind="stable")]
+        for col in range(g.n):
+            pivot = int(np.argmax(np.abs(vectors[:, col])))
+            if vectors[pivot, col] < 0.0:
+                vectors[:, col] = -vectors[:, col]
+        assert eigen_decompose(g).eigenvectors.tobytes() == vectors.tobytes()
 
 
 class TestWeights:
