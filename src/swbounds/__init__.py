@@ -17,7 +17,6 @@ from .bounds_lower import (
     triangle_edge_lower_bound,
 )
 from .bounds_upper import (
-    AtomWeight,
     atom_weight_for,
     baseline_upper_bounds,
     bipartite_upper_bound,

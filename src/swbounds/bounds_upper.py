@@ -4,10 +4,11 @@ leading-atom weight.
 Every bound here removes the mass alpha_1 sitting at the top eigenvalue from
 a walk measure and applies positivity of the remaining Hankel blocks. For
 closed walks alpha_1 = 1 needs no spectral data; the walks and per-vertex
-variants take their weight from the eigensolver and are flagged
-oracle-assisted. No bound reads a graph: `eigvec_degree` is the rooted
-`two_point` row at k = 1, and `baseline_eigvec_walk` the walk `even_moment`
-row with the weight floor 1/umax^2.
+variants read it from the eigensolver (`atom_weight_for`, a plain float),
+so their rows are flagged oracle-assisted. No bound reads a graph:
+`eigvec_degree` is the rooted `two_point` row at k = 1, and
+`baseline_eigvec_walk` the walk `even_moment` row with the weight floor
+1/umax^2.
 
 The Hankel, Stieltjes and clique root bounds are the largest real roots of
 polynomials with exact integer coefficients (the weight enters as the exact
@@ -19,7 +20,6 @@ beyond the reported value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .bounds_lower import BoundResult, Dead, _not_applicable, outcome_row, reported_vertex
@@ -41,32 +41,17 @@ _ZERO_EVEN_NONZERO_ODD = Dead("zero even moment with non-zero odd moment")
 _RISING_LINEAR = Dead("degenerate linear case: non-negative leading coefficient")
 
 
-@dataclass(frozen=True)
-class AtomWeight:
-    """Mass alpha_1 that a walk measure places on the top eigenvalue.
-
-    source records which measure kind produced it: 1 for closed walks, the
-    squared leading-eigenvector entry for a rooted measure, the squared
-    eigenvector sum for total walks.
-    """
-
-    alpha1: float
-    source: str
-
-
-def atom_weight_for(m: MomentSequence, summary: Optional[SpectralSummary] = None) -> AtomWeight:
-    """The leading-atom weight matching a moment sequence's kind."""
+def atom_weight_for(m: MomentSequence, summary: Optional[SpectralSummary] = None) -> float:
+    """The leading-atom weight alpha_1 matching a moment sequence's kind: 1
+    for closed walks, the squared leading-eigenvector entry for a rooted
+    measure, the squared eigenvector sum for total walks."""
     if m.kind == KIND_CLOSED:
-        return AtomWeight(1.0, KIND_CLOSED)
+        return 1.0
     if summary is None:
         raise ValueError("walks and rooted measures need an eigendecomposition")
     if m.kind == KIND_CLOSED_AT:
-        return AtomWeight(float(summary.vertex_weights[m.vertex, 0]), KIND_CLOSED_AT)
-    return AtomWeight(float(summary.weight_sums[0]), KIND_WALKS)
-
-
-def _oracle_assisted(weight: AtomWeight) -> bool:
-    return weight.source != KIND_CLOSED
+        return float(summary.vertex_weights[m.vertex, 0])
+    return float(summary.weight_sums[0])
 
 
 def _sqrt_big(x: int) -> float:
@@ -93,26 +78,25 @@ def _require_even_moment(m: MomentSequence, k: int) -> None:
         raise ValueError(f"need m_{2 * k}, have up to m_{m.max_index}")
 
 
-def even_moment_upper_bound(m: MomentSequence, weight: AtomWeight, k: int) -> BoundResult:
+def even_moment_upper_bound(m: MomentSequence, alpha: float, k: int) -> BoundResult:
     """Single-position bound: rho <= (m_{2k} / alpha_1) ** (1/2k)."""
     _require_even_moment(m, k)
-    return even_moment_row(m, weight, k, even_moment_value(m, weight, k))
+    return even_moment_row(m, alpha, k, even_moment_value(m, alpha, k))
 
 
-def even_moment_value(m: MomentSequence, weight: AtomWeight, k: int) -> float | Dead:
+def even_moment_value(m: MomentSequence, alpha: float, k: int) -> float | Dead:
     """The outcome of `even_moment_upper_bound` (no range check)."""
-    if weight.alpha1 <= MIN_ATOM_WEIGHT:
+    if alpha <= MIN_ATOM_WEIGHT:
         return _VANISHING_WEIGHT
-    return _ratio_root(m.values[2 * k], weight.alpha1, 1.0 / (2 * k))
+    return _ratio_root(m.values[2 * k], alpha, 1.0 / (2 * k))
 
 
-def even_moment_row(m: MomentSequence, weight: AtomWeight, k: int,
-                    outcome: float | Dead) -> BoundResult:
-    params = {**m.params_head, "k": k, "alpha1": weight.alpha1}
-    return outcome_row("even_moment", "upper", params, outcome, _oracle_assisted(weight))
+def even_moment_row(m: MomentSequence, alpha: float, k: int, outcome: float | Dead) -> BoundResult:
+    params = {**m.params_head, "k": k, "alpha1": alpha}
+    return outcome_row("even_moment", "upper", params, outcome, m.kind != KIND_CLOSED)
 
 
-def two_point_upper_bound(m: MomentSequence, weight: AtomWeight, k: int) -> BoundResult:
+def two_point_upper_bound(m: MomentSequence, alpha: float, k: int) -> BoundResult:
     """Two-position refinement of the even-moment bound.
 
     rho**k <= (m_k + sqrt((m_0/alpha_1 - 1)(m_0 m_{2k} - m_k^2))) / m_0.
@@ -120,20 +104,20 @@ def two_point_upper_bound(m: MomentSequence, weight: AtomWeight, k: int) -> Boun
     weight factor (rounded eigenvector data) are clamped to zero.
     """
     _require_even_moment(m, k)
-    return two_point_row(m, weight, k, two_point_value(m, weight, k))
+    return two_point_row(m, alpha, k, two_point_value(m, alpha, k))
 
 
-def two_point_value(m: MomentSequence, weight: AtomWeight, k: int) -> float | Dead:
+def two_point_value(m: MomentSequence, alpha: float, k: int) -> float | Dead:
     """The outcome of `two_point_upper_bound` (no range check); raises
     ValueError on a measure with no mass or less mass than its atom."""
     m0, mk, m2k = m.values[0], m.values[k], m.values[2 * k]
     if m0 <= 0:
         raise ValueError("zero total mass")
-    if weight.alpha1 <= MIN_ATOM_WEIGHT:
+    if alpha <= MIN_ATOM_WEIGHT:
         return _VANISHING_WEIGHT
-    if weight.alpha1 > m0 * (1.0 + 1e-9):
+    if alpha > m0 * (1.0 + 1e-9):
         raise ValueError("atom weight exceeds the measure's total mass")
-    factor = max(0.0, m0 / weight.alpha1 - 1.0)
+    factor = max(0.0, m0 / alpha - 1.0)
     gram = m0 * m2k - mk * mk
     if gram < 0:
         gram = 0
@@ -141,10 +125,9 @@ def two_point_value(m: MomentSequence, weight: AtomWeight, k: int) -> float | De
     return root_k ** (1.0 / k)
 
 
-def two_point_row(m: MomentSequence, weight: AtomWeight, k: int,
-                  outcome: float | Dead) -> BoundResult:
-    params = {**m.params_head, "k": k, "alpha1": weight.alpha1}
-    return outcome_row("two_point", "upper", params, outcome, _oracle_assisted(weight))
+def two_point_row(m: MomentSequence, alpha: float, k: int, outcome: float | Dead) -> BoundResult:
+    params = {**m.params_head, "k": k, "alpha1": alpha}
+    return outcome_row("two_point", "upper", params, outcome, m.kind != KIND_CLOSED)
 
 
 def eigvec_degree_upper_bound(rooted: Sequence[MomentSequence], summary: SpectralSummary,
@@ -165,17 +148,16 @@ def eigvec_degree_upper_bound(rooted: Sequence[MomentSequence], summary: Spectra
         outcomes = [two_point_value(m, w, 1) for m, w in zip(rooted, weights)]
     rho = summary.rho
     rearranged_ok = not any(
-        w.alpha1 > MIN_ATOM_WEIGHT and m.values[2] > 0
-        and math.sqrt(w.alpha1) > 1.0 / math.sqrt(1.0 + rho * rho / m.values[2]) + 1e-9
+        w > MIN_ATOM_WEIGHT and m.values[2] > 0
+        and math.sqrt(w) > 1.0 / math.sqrt(1.0 + rho * rho / m.values[2]) + 1e-9
         for m, w in zip(rooted, weights))
     i = reported_vertex(outcomes, "upper")
-    params = {"vertex": i, "skipped": sum(isinstance(o, Dead) for o in outcomes),
+    params = {"vertex": rooted[i].vertex, "skipped": sum(isinstance(o, Dead) for o in outcomes),
               "rearranged_ok": rearranged_ok}
     return outcome_row("eigvec_degree", "upper", params, outcomes[i], oracle_assisted=True)
 
 
-def bipartite_upper_bound(m: MomentSequence, weight: AtomWeight, k: int,
-                          bipartite: bool) -> BoundResult:
+def bipartite_upper_bound(m: MomentSequence, alpha: float, k: int, bipartite: bool) -> BoundResult:
     """Halved even-moment bound on bipartite graphs.
 
     Eigenvalues of a bipartite graph come in +/- pairs, so the even moments
@@ -186,26 +168,25 @@ def bipartite_upper_bound(m: MomentSequence, weight: AtomWeight, k: int,
     if m.kind == KIND_WALKS:
         raise ValueError("the halved bound applies to closed-walk measures only")
     _require_even_moment(m, k)
-    return bipartite_row(m, weight, k, bipartite, bipartite_value(m, weight, k, bipartite))
+    return bipartite_row(m, alpha, k, bipartite, bipartite_value(m, alpha, k, bipartite))
 
 
-def bipartite_value(m: MomentSequence, weight: AtomWeight, k: int,
-                    bipartite: bool) -> float | Dead:
+def bipartite_value(m: MomentSequence, alpha: float, k: int, bipartite: bool) -> float | Dead:
     """The outcome of `bipartite_upper_bound` on a graph that is `bipartite`
     or not (no range or measure check)."""
     if not bipartite:
         return _NOT_BIPARTITE
-    if weight.alpha1 <= MIN_ATOM_WEIGHT:
+    if alpha <= MIN_ATOM_WEIGHT:
         return _VANISHING_WEIGHT
-    return _ratio_root(m.values[2 * k], 2.0 * weight.alpha1, 1.0 / (2 * k))
+    return _ratio_root(m.values[2 * k], 2.0 * alpha, 1.0 / (2 * k))
 
 
-def bipartite_row(m: MomentSequence, weight: AtomWeight, k: int, bipartite: bool,
+def bipartite_row(m: MomentSequence, alpha: float, k: int, bipartite: bool,
                   outcome: float | Dead) -> BoundResult:
     """The row of `bipartite_upper_bound`; `bipartite` takes no part in its
     params, and is taken so that the row has the value routine's arguments."""
-    params = {**m.params_head, "k": k, "alpha1": weight.alpha1}
-    return outcome_row("bipartite_half", "upper", params, outcome, _oracle_assisted(weight))
+    params = {**m.params_head, "k": k, "alpha1": alpha}
+    return outcome_row("bipartite_half", "upper", params, outcome, m.kind != KIND_CLOSED)
 
 
 def _adjugate(h: list[list[int]]) -> list[list[int]]:
@@ -227,8 +208,7 @@ def _adjugate(h: list[list[int]]) -> list[list[int]]:
     return adj
 
 
-def hankel_root_upper_bound(m: MomentSequence, weight: AtomWeight,
-                            index_set: Iterable[int], *,
+def hankel_root_upper_bound(m: MomentSequence, alpha: float, index_set: Iterable[int], *,
                             cutoff: float | None = None) -> BoundResult:
     """Largest root of det(H_J - alpha_1 * R_J(r)) as an upper bound.
 
@@ -252,17 +232,16 @@ def hankel_root_upper_bound(m: MomentSequence, weight: AtomWeight,
     bound would be no less than b are ruled out.
     """
     indices = _validated_indices(m, index_set, 0)
-    return hankel_root_row(m, weight, indices,
-                           hankel_root_value(m, weight, indices, cutoff=cutoff))
+    return hankel_root_row(m, alpha, indices, hankel_root_value(m, alpha, indices, cutoff=cutoff))
 
 
-def hankel_root_value(m: MomentSequence, weight: AtomWeight, indices: tuple[int, ...], *,
+def hankel_root_value(m: MomentSequence, alpha: float, indices: tuple[int, ...], *,
                       cutoff: float | None = None) -> float | Dead:
     """The outcome of `hankel_root_upper_bound` for the sorted positions
     `indices`, already checked against m's horizon (`_validated_indices`)."""
     if len(indices) < 2:
         return _ONE_POSITION
-    if weight.alpha1 <= MIN_ATOM_WEIGHT:
+    if alpha <= MIN_ATOM_WEIGHT:
         return _VANISHING_WEIGHT
     v = m.values
     h = [[v[ja + jb - 2] for jb in indices] for ja in indices]
@@ -270,7 +249,7 @@ def hankel_root_value(m: MomentSequence, weight: AtomWeight, indices: tuple[int,
     if adj[-1][-1] <= 0:
         return _LEADING_BLOCK_NOT_PD
     det_h = sum(h[0][b] * adj[b][0] for b in range(len(indices)))
-    num, den = weight.alpha1.as_integer_ratio()
+    num, den = alpha.as_integer_ratio()
     if cutoff is not None:
         # den det H_J - num v(u)' adj(H_J) v(u) at u = p / 2**e, times 2**(2e(top - 1))
         p, q = cutoff.as_integer_ratio()
@@ -300,13 +279,13 @@ def hankel_root_value(m: MomentSequence, weight: AtomWeight, indices: tuple[int,
     return largest_real_root_bracket(coeffs)[1]
 
 
-def hankel_root_row(m: MomentSequence, weight: AtomWeight, indices: tuple[int, ...],
+def hankel_root_row(m: MomentSequence, alpha: float, indices: tuple[int, ...],
                     outcome: float | Dead) -> BoundResult:
-    params = {**m.params_head, "J": list(indices), "alpha1": weight.alpha1}
-    return outcome_row("hankel_root", "upper", params, outcome, _oracle_assisted(weight))
+    params = {**m.params_head, "J": list(indices), "alpha1": alpha}
+    return outcome_row("hankel_root", "upper", params, outcome, m.kind != KIND_CLOSED)
 
 
-def stieltjes_root_upper_bound(m: MomentSequence, weight: AtomWeight, k: int, *,
+def stieltjes_root_upper_bound(m: MomentSequence, alpha: float, k: int, *,
                                cutoff: float | None = None) -> BoundResult:
     """Largest root of m_{2k} r + m_{2k+1} - 2 alpha_1 r**(2k+1).
 
@@ -327,13 +306,12 @@ def stieltjes_root_upper_bound(m: MomentSequence, weight: AtomWeight, k: int, *,
         raise ValueError("need k >= 0")
     if 2 * k + 1 > m.max_index:
         raise ValueError(f"need m_{2 * k + 1}, have up to m_{m.max_index}")
-    return stieltjes_root_row(m, weight, k, stieltjes_root_value(m, weight, k, cutoff=cutoff))
+    return stieltjes_root_row(m, alpha, k, stieltjes_root_value(m, alpha, k, cutoff=cutoff))
 
 
-def stieltjes_root_value(m: MomentSequence, weight: AtomWeight, k: int, *,
+def stieltjes_root_value(m: MomentSequence, alpha: float, k: int, *,
                          cutoff: float | None = None) -> float | Dead:
     """The outcome of `stieltjes_root_upper_bound` (no range check)."""
-    alpha = weight.alpha1
     if alpha <= MIN_ATOM_WEIGHT:
         return _VANISHING_WEIGHT
     m2k = m.values[2 * k]
@@ -347,7 +325,7 @@ def stieltjes_root_value(m: MomentSequence, weight: AtomWeight, k: int, *,
     if k == 0 and den * m2k >= 2 * num:
         return _RISING_LINEAR
     # the even-moment bound, which the root never exceeds
-    ceiling = even_moment_value(m, weight, k) * (1.0 + 1e-12) + 1e-9 if k else None
+    ceiling = even_moment_value(m, alpha, k) * (1.0 + 1e-12) + 1e-9 if k else None
     if cutoff is not None and _stieltjes_sign(m2k, m2k1, num, den, k, cutoff) > 0:
         assert ceiling is None or _stieltjes_sign(m2k, m2k1, num, den, k, ceiling) <= 0
         return _ROOT_ABOVE_CUTOFF
@@ -369,10 +347,10 @@ def _stieltjes_sign(m2k: int, m2k1: int, num: int, den: int, k: int, u: float) -
     return (diff > 0) - (diff < 0)
 
 
-def stieltjes_root_row(m: MomentSequence, weight: AtomWeight, k: int,
+def stieltjes_root_row(m: MomentSequence, alpha: float, k: int,
                        outcome: float | Dead) -> BoundResult:
-    params = {**m.params_head, "k": k, "alpha1": weight.alpha1}
-    return outcome_row("stieltjes_root", "upper", params, outcome, _oracle_assisted(weight))
+    params = {**m.params_head, "k": k, "alpha1": alpha}
+    return outcome_row("stieltjes_root", "upper", params, outcome, m.kind != KIND_CLOSED)
 
 
 def clique_root_upper_bound(m_w: MomentSequence, omega: int, k: int) -> BoundResult:
@@ -449,15 +427,14 @@ def baseline_upper_bounds(m_w: MomentSequence, summary: SpectralSummary, omega: 
         return out
 
     if omega is not None:
-        fundamental = float(summary.weight_sums[0])
-        wilf = 0.0 if omega < 2 else (1.0 - 1.0 / omega) * fundamental
+        wilf = 0.0 if omega < 2 else (1.0 - 1.0 / omega) * atom_weight_for(m_w, summary)
         out.append(BoundResult("baseline_wilf", "upper", wilf, {"omega": omega},
                                oracle_assisted=True))
 
     x = summary.eigenvectors[:, 0]
     umax = float(x.max())
     usum = float(x.sum())
-    floor = AtomWeight(1.0 / (umax * umax), KIND_WALKS)
+    floor = 1.0 / (umax * umax)
     for k in ks:
         if 2 * k <= m_w.max_index:
             out.append(outcome_row("baseline_eigvec_walk", "upper", {"k": k},

@@ -226,14 +226,14 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
     pairs in a deterministic order.
 
     A rooted bound depends on the vertex only through its moments and, for
-    an upper one, its atom weight, so twin vertices (identical `values`,
-    or identical values and alpha1) share every outcome: each column, the
-    cutoff pass included, evaluates the first vertex of each class and
-    copies its outcome to the others. A later twin never moves the cutoff
-    and never displaces the lowest tied vertex, so no reported row
-    changes; each record is still built from its own vertex's head. The
-    `sdp` Hankel tables are built once per class, timed with the first
-    `sdp` column.
+    an upper one, its atom weight alpha_1 (the float `atom_weight_for`
+    gives), so twin vertices (identical `values`, or identical values and
+    alpha_1) share every outcome: each column, the cutoff pass included,
+    evaluates the first vertex of each class and copies its outcome to the
+    others. A later twin never moves the cutoff and never displaces the
+    lowest tied vertex, so no reported row changes; each record is still
+    built from its own vertex's head. The `sdp` Hankel tables are built
+    once per class, timed with the first `sdp` column.
     """
     if s_max < 0 or k_max < 0:
         raise ValueError(f"s_max and k_max must be non-negative, got {s_max} and {k_max}")
@@ -298,7 +298,7 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
         alone = [(s,) for s in seqs]
         weighted = list(zip(seqs, weights))
         classes = _twin_classes([s.values for s in seqs])
-        weighted_classes = _twin_classes(zip(classes[1], (w.alpha1 for w in weights)))
+        weighted_classes = _twin_classes(zip(classes[1], weights))
 
         for s in range(s_max + 1):
             for k in range(1, k_max + 1):
@@ -736,13 +736,14 @@ def _verify_sandwich(out: VerificationOutcome, prep: PreparedGraph,
     bounds = [r for r, _ in sweep_bounds(prep, sdp_orders=VERIFY_SDP_ORDERS,
                                          vertex_mode="all")]
     for r in bounds:
-        if not r.applicable or not math.isfinite(r.value):
+        gap = _gap(r, rho)
+        if gap is None:
             continue
         out.checks += 1
         if r.kind == "lower":
-            out.worst_lower_margin = max(out.worst_lower_margin, r.value - rho)
+            out.worst_lower_margin = max(out.worst_lower_margin, -gap)
         else:
-            out.worst_upper_margin = max(out.worst_upper_margin, rho - r.value)
+            out.worst_upper_margin = max(out.worst_upper_margin, -gap)
     for message in find_violations(bounds, rho, tol):
         out.fail(f"{prep.entry.name}: {message}")
     return bounds

@@ -17,7 +17,6 @@ from swbounds.bounds_lower import (
     triangle_edge_lower_bound,
 )
 from swbounds.bounds_upper import (
-    AtomWeight,
     atom_weight_for,
     bipartite_upper_bound,
     even_moment_upper_bound,
@@ -30,14 +29,13 @@ from swbounds.moments import hamburger_check
 from swbounds.report import sweep_bounds
 from swbounds.spectrum import eigen_decompose, verify_moment_identities
 from swbounds.walks import (
-    KIND_CLOSED,
     all_rooted_closed_counts,
     closed_walk_counts,
     enumerate_walks_bruteforce,
     walk_counts,
 )
 
-UNIT = AtomWeight(1.0, KIND_CLOSED)
+UNIT = 1.0
 
 # connected graphs on 1..6 unlabeled vertices (classic counts)
 CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}

@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swbounds.bounds_lower import Dead
 from swbounds.bounds_upper import (
-    AtomWeight,
     _adjugate,
     atom_weight_for,
     baseline_upper_bounds,
@@ -36,7 +35,6 @@ from swbounds.report import sweep_bounds
 from swbounds.roots import largest_real_root_bracket, no_real_root_above
 from swbounds.spectrum import eigen_decompose
 from swbounds.walks import (
-    KIND_CLOSED,
     KIND_WALKS,
     MomentSequence,
     all_rooted_closed_counts,
@@ -48,21 +46,21 @@ from swbounds.walks import (
 K3 = complete_graph(3)
 P3 = path_graph(3)
 C4 = cycle_graph(4)
-UNIT = AtomWeight(1.0, KIND_CLOSED)
+UNIT = 1.0
 
 
 class TestAtomWeight:
     def test_closed_is_one(self):
-        assert atom_weight_for(closed_walk_counts(K3, 2)).alpha1 == 1.0
+        assert atom_weight_for(closed_walk_counts(K3, 2)) == 1.0
 
     def test_walks_uses_fundamental_weight(self):
         w = atom_weight_for(walk_counts(K3, 2), eigen_decompose(K3))
-        assert w.alpha1 == pytest.approx(3.0, abs=1e-10)
+        assert w == pytest.approx(3.0, abs=1e-10)
 
     def test_rooted_uses_vertex_weight(self):
         summary = eigen_decompose(star_graph(4))
         w = atom_weight_for(closed_walk_counts_at(star_graph(4), 0, 2), summary)
-        assert w.alpha1 == pytest.approx(0.5, abs=1e-10)
+        assert w == pytest.approx(0.5, abs=1e-10)
 
     def test_needs_summary(self):
         with pytest.raises(ValueError):
@@ -86,7 +84,7 @@ class TestEvenMoment:
         assert res.value == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_vanishing_weight(self):
-        res = even_moment_upper_bound(walk_counts(K3, 2), AtomWeight(0.0, "walks"), 1)
+        res = even_moment_upper_bound(walk_counts(K3, 2), 0.0, 1)
         assert not res.applicable
 
 
@@ -106,7 +104,7 @@ class TestTwoPoint:
 
     def test_excessive_weight_rejected(self):
         with pytest.raises(ValueError, match="total mass"):
-            two_point_upper_bound(closed_walk_counts(K3, 2), AtomWeight(4.0, KIND_CLOSED), 1)
+            two_point_upper_bound(closed_walk_counts(K3, 2), 4.0, 1)
 
     def test_dominates_even_moment(self):
         for g in (K3, P3, C4, star_graph(5), complete_graph(6)):
@@ -133,6 +131,14 @@ class TestEigvecDegree:
         assert res.value == pytest.approx(2.0, abs=1e-9)
         assert res.params["vertex"] == 0
         assert res.params["rearranged_ok"]
+
+    def test_reports_the_vertex_not_its_position(self):
+        # the centre of the star is vertex 0, passed second
+        g = star_graph(4)
+        rooted = [closed_walk_counts_at(g, v, 2) for v in (2, 0)]
+        res = eigvec_degree_upper_bound(rooted, eigen_decompose(g))
+        assert res.params["vertex"] == 0
+        assert res.value == pytest.approx(2.0, abs=1e-9)
 
     def test_star_leaf_value(self):
         g = star_graph(4)
@@ -388,7 +394,7 @@ class TestBaselines:
                 continue
             m_w = prep.walks_seq
             umax = float(prep.summary.eigenvectors[:, 0].max())
-            floor = AtomWeight(1.0 / (umax * umax), KIND_WALKS)
+            floor = 1.0 / (umax * umax)
             for r in baseline_upper_bounds(m_w, prep.summary, prep.omega, True, (1, 2, 3, 4)):
                 if r.name == "baseline_eigvec_walk":
                     even = even_moment_upper_bound(m_w, floor, r.params["k"])
@@ -464,6 +470,7 @@ class TestCutoffSign:
 
     @settings(max_examples=150, deadline=None)
     @given(data=stieltjes_data(), extra=_EXTRA)
+    @example(data=(0, 1.0, 1, 0), extra=[0.5])  # m_0 r - 2 r: linear, its root at 0
     def test_stieltjes_root_sign_matches_the_exact_test(self, data, extra):
         k, alpha, m2k, m2k1 = data
         num, den = alpha.as_integer_ratio()
@@ -472,28 +479,35 @@ class TestCutoffSign:
         if coeffs[-1] >= 0:
             return  # k = 0 with m_0 >= 2 alpha: inapplicable before any cutoff
         m = MomentSequence(KIND_WALKS, (1,) * (2 * k) + (m2k, m2k1))
-        weight = AtomWeight(alpha, KIND_WALKS)
         _assert_rules_out_a_root_above(
-            lambda u: stieltjes_root_value(m, weight, k, cutoff=u), coeffs, extra)
+            lambda u: stieltjes_root_value(m, alpha, k, cutoff=u), coeffs, extra)
 
     @settings(max_examples=150, deadline=None)
-    @given(atoms=st.lists(st.tuples(st.integers(0, 8), st.integers(1, 30)), min_size=3,
+    @given(atoms=st.lists(st.tuples(st.integers(0, 8), st.integers(1, 30)), min_size=2,
                           max_size=5, unique_by=lambda a: a[0]),
            indices=st.sampled_from(((1, 2), (1, 2, 3))), share=_DYADIC, extra=_EXTRA)
+    @example(atoms=[(2, 3), (5, 1)], indices=(1, 2, 3), share=1.0, extra=[3.0])
     def test_hankel_root_sign_matches_the_exact_test(self, atoms, indices, share, extra):
-        # moments of a measure with at least three atoms, so H_J is definite,
-        # and alpha at most the top atom's weight, so a real root exists
+        # moments of a measure with at least two atoms, so H_{J'} is definite,
+        # and alpha at most the top atom's weight, so a real root exists; two
+        # atoms at J = (1, 2, 3) make H_J singular, and the polynomial a
+        # negative multiple of the square of p = (last row of adj(H_J)) . v,
+        # whose simple roots are the atoms
         m = MomentSequence(KIND_WALKS, tuple(sum(w * x ** j for x, w in atoms)
                                              for j in range(5)))
         alpha = max(atoms)[1] * min(share, 1.0)
         h = [[m[a + b - 2] for b in indices] for a in indices]
         adj = _adjugate(h)
         num, den = alpha.as_integer_ratio()
-        coeffs = [0] * (2 * indices[-1] - 1)
-        coeffs[0] = den * sum(h[0][b] * adj[b][0] for b in range(len(indices)))
-        for a, ja in enumerate(indices):
-            for b, jb in enumerate(indices):
-                coeffs[ja + jb - 2] -= num * adj[a][b]
-        weight = AtomWeight(alpha, KIND_WALKS)
+        det_h = sum(h[0][b] * adj[b][0] for b in range(len(indices)))
+        assert (det_h == 0) == (len(atoms) < len(indices))
+        if det_h:
+            coeffs = [0] * (2 * indices[-1] - 1)
+            coeffs[0] = den * det_h
+            for a, ja in enumerate(indices):
+                for b, jb in enumerate(indices):
+                    coeffs[ja + jb - 2] -= num * adj[a][b]
+        else:
+            coeffs = adj[-1]  # p's coefficients: J = (1, 2, 3) puts r**(j - 1) at j - 1
         _assert_rules_out_a_root_above(
-            lambda u: hankel_root_value(m, weight, indices, cutoff=u), coeffs, extra)
+            lambda u: hankel_root_value(m, alpha, indices, cutoff=u), coeffs, extra)

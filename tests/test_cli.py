@@ -563,7 +563,7 @@ class TestVerificationEngine:
         for entry in entries:
             prep = prepare_graph(entry)
             sequences += 2 + len({m.values for m in prep.rooted_seqs})
-            weighted += 2 + len({(m.values, bounds_upper.atom_weight_for(m, prep.summary).alpha1)
+            weighted += 2 + len({(m.values, bounds_upper.atom_weight_for(m, prep.summary))
                                  for m in prep.rooted_seqs})
         assert sequences < sum(2 + entry.graph.n for entry in entries)
         assert calls == {"stieltjes_root_value": 4 * weighted, "sdp_value": 3 * sequences}
@@ -701,7 +701,7 @@ class TestVertexReduction:
     def test_each_value_routine_runs_once_per_distinct_measure(self, monkeypatch, spec,
                                                                vertex_mode):
         # twins share every outcome: a lower column evaluates each distinct
-        # sequence once, an upper one each distinct (sequence, alpha1)
+        # sequence once, an upper one each distinct (sequence, alpha_1)
         calls: dict = {}
 
         def counted(name, head, weighted):
@@ -709,7 +709,7 @@ class TestVertexReduction:
 
             def wrapper(*args, **kwargs):
                 m = args[0]
-                key = (m.values, args[1].alpha1) if weighted else m.values
+                key = (m.values, args[1]) if weighted else m.values
                 calls.setdefault((name, m.kind, *args[head:]), []).append(key)
                 return fn(*args, **kwargs)
             monkeypatch.setattr(report, name, wrapper)
@@ -720,7 +720,7 @@ class TestVertexReduction:
         sweep_bounds(prep, vertex_mode=vertex_mode)
         distinct = {}
         for m in (prep.walks_seq, prep.closed_seq, *prep.rooted_seqs):
-            alpha1 = bounds_upper.atom_weight_for(m, prep.summary).alpha1
+            alpha1 = bounds_upper.atom_weight_for(m, prep.summary)
             distinct.setdefault((m.kind, False), set()).add(m.values)
             distinct.setdefault((m.kind, True), set()).add((m.values, alpha1))
         assert len(distinct[(KIND_CLOSED_AT, False)]) < prep.entry.graph.n
