@@ -131,10 +131,12 @@ def two_point_row(m: MomentSequence, alpha: float, k: int, outcome: float | Dead
 
 
 def eigvec_degree_upper_bound(rooted: Sequence[MomentSequence], summary: SpectralSummary,
-                              outcomes: Sequence | None = None) -> BoundResult:
+                              outcomes: Sequence | None = None,
+                              weights: Sequence[float] | None = None) -> BoundResult:
     """rho <= sqrt((1/x_i^2 - 1) d_i) at the vertex `reported_vertex` picks:
     the k = 1 `two_point` row of the rooted sequence (1, 0, d_i, ...).
-    `outcomes` are those rows' outcomes, when the caller has them.
+    `outcomes` are those rows' outcomes and `weights` the sequences'
+    `atom_weight_for` values, when the caller has them.
 
     x_i^2 is at most the rooted mass at rho (Bessel's inequality) and the
     bound falls as the weight grows, so it holds on any graph. Vertices
@@ -143,7 +145,8 @@ def eigvec_degree_upper_bound(rooted: Sequence[MomentSequence], summary: Spectra
     """
     if any(m.kind != KIND_CLOSED_AT or m.max_index < 2 for m in rooted):
         raise ValueError("the eigenvector-degree bound needs rooted sequences up to m_2")
-    weights = [atom_weight_for(m, summary) for m in rooted]
+    if weights is None:
+        weights = [atom_weight_for(m, summary) for m in rooted]
     if outcomes is None:
         outcomes = [two_point_value(m, w, 1) for m, w in zip(rooted, weights)]
     rho = summary.rho

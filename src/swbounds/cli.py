@@ -192,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--gen", help="generator spec, e.g. star:4 or erdos_renyi:10:0.5")
     bounds.add_argument("--K", type=int, default=DEFAULT_MAX_LENGTH,
                         help="moment horizon (default 12)")
-    bounds.add_argument("--measures", nargs="+", default=list(MEASURES), choices=MEASURES)
+    bounds.add_argument("--measures", nargs="+", default=MEASURES, choices=MEASURES)
     bounds.add_argument("--J", action="append",
                         help="index set like 1,2,3 (repeatable; default 1,2 and 1,2,3)")
     bounds.add_argument("--s-max", type=int, default=DEFAULT_S_MAX)
@@ -208,7 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--no-timing", action="store_true",
                         help="zero out timing fields for byte-stable output")
     bounds.add_argument("--out", default=None)
-    bounds.set_defaults(func=cmd_bounds)
 
     verify = sub.add_parser("verify", help="invariant suite over a corpus")
     verify.add_argument("--families-max", type=int, default=12,
@@ -221,7 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     verify.add_argument("--dump-dir", default=".",
                         help="where to write offending graphs on violation")
-    verify.set_defaults(func=cmd_verify)
 
     bench = sub.add_parser("bench", help="tightness CSV over family sweeps")
     bench.add_argument("--families", default="path,cycle,complete,star")
@@ -237,22 +235,33 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--tol", type=float, default=DEFAULT_TOL)
     bench.add_argument("--no-timing", action="store_true")
     bench.add_argument("--out", default=None)
-    bench.set_defaults(func=cmd_bench)
 
     gen = sub.add_parser("gen", help="emit an edge list for a generator spec")
     gen.add_argument("spec")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default=None)
-    gen.set_defaults(func=cmd_gen)
 
     return parser
 
 
+# The `swb` parser, built by the first `main` call and reused by later ones.
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one `swb` command and return its exit code.
+
+    The parser is built on the first call, not at import, and reused; its
+    defaults are immutable, so a call cannot change the next one's. The
+    subcommand runs as this module's `cmd_<name>`, looked up at each call,
+    so a function patched in after the first call is the one that runs.
+    """
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (GraphError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -232,10 +232,18 @@ def stieltjes_feasible(m: MomentSequence, index_set: Iterable[int], u: float) ->
     Decided exactly: with u = p/q, the tests run on the integer matrices
     p*H_J -/+ q*S_J.
     """
+    indices = _validated_indices(m, index_set, 1)
+    return stieltjes_prefix(m, indices, u) == len(indices)
+
+
+def stieltjes_prefix(m: MomentSequence, index_set: Iterable[int], u: float) -> int:
+    """The largest r for which `stieltjes_feasible` holds on the first r
+    positions of J, from one `_eliminate` per sign of p*H_J -/+ q*S_J, with
+    u = p/q: the blocks of those prefixes are the leading blocks of J's."""
     h, s = hankel_pair_exact(m, index_set)
     p, q = u.as_integer_ratio()
-    return all(exact_psd([[p * x + sign * q * y for x, y in zip(h_row, s_row)]
-                          for h_row, s_row in zip(h, s)]) is not None
+    return min(_eliminate([[p * x + sign * q * y for x, y in zip(h_row, s_row)]
+                           for h_row, s_row in zip(h, s)], len(h))[0]
                for sign in (-1, 1))
 
 

@@ -62,7 +62,7 @@ from .graph import (
     star_graph,
     triangle_counts,
 )
-from .moments import _validated_indices, hankel_table, stieltjes_feasible
+from .moments import _validated_indices, hankel_table, stieltjes_prefix
 from .spectrum import (
     SpectralSummary,
     adjacency_array,
@@ -293,8 +293,11 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
     j_positions = [_validated_indices(prep.walks_seq, j_set, 0) for j_set in j_sets
                    if 2 * max(j_set) - 1 <= horizon]
 
+    rooted_weights = None
     for seqs in sequences:
         weights = [atom_weight_for(s, summary) for s in seqs]
+        if seqs[0].kind == KIND_CLOSED_AT:
+            rooted_weights = weights
         alone = [(s,) for s in seqs]
         weighted = list(zip(seqs, weights))
         classes = _twin_classes([s.values for s in seqs])
@@ -354,7 +357,7 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
 
     if rooted and 2 <= horizon:
         emit(eigvec_degree_upper_bound, rooted, summary,
-             rooted_columns.get((two_point_value, 1)))
+             rooted_columns.get((two_point_value, 1)), rooted_weights)
 
     rows.sort(key=lambda pair: _sort_key(pair[0]))
     return rows
@@ -414,6 +417,17 @@ _bound_values = operator.attrgetter(*_BOUND_FIELDS)
 _ROW_KEYS = (*_BOUND_FIELDS, "ms")
 
 
+def _report_fields(report: Report, bounds) -> dict:
+    """The top level of a JSON report, with `bounds` as its bound rows."""
+    return {
+        "graph": _field_values(report.graph),
+        "rho_exact": report.rho,
+        "bounds": bounds,
+        "violations": list(report.violations),
+        "timing_ms": dict(report.stage_ms),
+    }
+
+
 def report_to_dict(report: Report) -> dict:
     rows = []
     for r, ms in zip(report.bounds, report.bound_ms):
@@ -421,13 +435,7 @@ def report_to_dict(report: Report) -> dict:
         if not math.isfinite(r.value):
             row["value"] = None
         rows.append(row)
-    return {
-        "graph": _field_values(report.graph),
-        "rho_exact": report.rho,
-        "bounds": rows,
-        "violations": list(report.violations),
-        "timing_ms": dict(report.stage_ms),
-    }
+    return _report_fields(report, rows)
 
 
 def _json_value(obj, pad: str) -> str:
@@ -473,29 +481,112 @@ def _json_value(obj, pad: str) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-# One bound row of `report_json`, a dict at depth 2 of the report, with its
-# keys (identifiers, so free of "%") encoded once.
+# A bound row of `report_json` is a dict at depth 2 of the report, its params
+# at depth 3. Each row fills the template of its shape: its name and kind,
+# params keys and params value types, and the slots of its value, reason and
+# ms (see `_json_rows`). Everything else in a template is literal text, with
+# "%" escaped; the cache holds one template per shape the program emits.
 _ROW_PAD = " " * 6
-_ROW_TEMPLATE = ("{\n" + ",\n".join(f"{_ROW_PAD}{encode_basestring_ascii(k)}: %s"
-                                    for k in _ROW_KEYS) + "\n    }")
+_PARAMS_PAD = _ROW_PAD + "  "
+_PARAM_SLOTS = {str: "%s", bool: "%s", list: "%s", int: "%d", float: "%r", type(None): "null"}
+_JSON_BOOL = {True: "true", False: "false"}
+_ROW_TEMPLATES: dict = {}
+
+
+def _literal(obj, pad: str) -> str:
+    return _json_value(obj, pad).replace("%", "%%")
+
+
+def _row_template(shape: tuple) -> str:
+    name, kind, keys, types, value_slot, reason_slot, ms_slot = shape
+    params = "{}"
+    if keys:
+        params = ("{\n" + ",\n".join(f"{_PARAMS_PAD}{_literal(k, '')}: {_PARAM_SLOTS[t]}"
+                                     for k, t in zip(keys, types)) + f"\n{_ROW_PAD}}}")
+    slots = {"name": _literal(name, _ROW_PAD), "kind": _literal(kind, _ROW_PAD),
+             "value": value_slot, "params": params, "applicable": "%s",
+             "reason": reason_slot, "trivial": "%s", "oracle_assisted": "%s", "ms": ms_slot}
+    return "{\n" + ",\n".join(f'{_ROW_PAD}"{k}": {slots[k]}' for k in _ROW_KEYS) + "\n    }"
+
+
+def _json_rows(report: Report) -> str:
+    """The "bounds" list of `report_json`.
+
+    A row's slots take, in order: its value (a finite float through %r,
+    None for any other float, the `_json_value` text of a value of another
+    type), each params value that is not None (an int through %d, a finite
+    float through %r, a str encoded, a bool looked up, a list through
+    `_json_value`), the applicable flag, the reason unless None, the trivial
+    and oracle_assisted flags, and ms (a finite float through %r, else its
+    `_json_value` text). The three flags are bools. A row with a params
+    value no slot takes (a NaN or infinite float, or another type) is
+    written whole by `_json_value`.
+    """
+    templates = _ROW_TEMPLATES
+    flag = _JSON_BOOL
+    encode = encode_basestring_ascii
+    texts = []
+    for r, ms in zip(report.bounds, report.bound_ms):
+        value = r.value
+        if type(value) is not float:
+            value_slot = "%s"
+            args = [_json_value(value, _ROW_PAD) if math.isfinite(value) else "null"]
+        elif value - value == 0.0:
+            value_slot, args = "%r", [value]
+        else:
+            value_slot, args = "null", []
+        p = r.params
+        types = tuple(map(type, p.values()))
+        for v, t in zip(p.values(), types):
+            if t is int:
+                args.append(v)
+            elif t is str:
+                args.append(encode(v))
+            elif t is float and v - v == 0.0:
+                args.append(v)
+            elif t is bool:
+                args.append(flag[v])
+            elif t is list:
+                args.append(_json_value(v, _PARAMS_PAD))
+            elif v is not None:
+                break
+        else:
+            reason = r.reason
+            args.append(flag[r.applicable])
+            if reason is not None:
+                args.append(encode(reason))
+            args += (flag[r.trivial], flag[r.oracle_assisted])
+            if type(ms) is float and ms - ms == 0.0:
+                ms_slot = "%r"
+            else:
+                ms_slot, ms = "%s", _json_value(ms, _ROW_PAD)
+            args.append(ms)
+            shape = (r.name, r.kind, tuple(p), types, value_slot,
+                     "null" if reason is None else "%s", ms_slot)
+            template = templates.get(shape)
+            if template is None:
+                template = templates[shape] = _row_template(shape)
+            texts.append(template % tuple(args))
+            continue
+        row = dict(zip(_ROW_KEYS, (*_bound_values(r), ms)))
+        if not math.isfinite(value):
+            row["value"] = None
+        texts.append(_json_value(row, "    "))
+    return "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
 
 
 def report_json(report: Report) -> str:
     """`json.dumps(report_to_dict(report), indent=2)`, byte for byte.
 
     With an indent the standard library drops its C encoder, so the report
-    is written here: each bound row fills one template, and `_json_value`
-    writes the rest of the dict `report_to_dict` returns.
+    is written here, without building `report_to_dict`'s rows: each bound
+    row fills the cached template of its shape (`_json_rows`), and
+    `_json_value` writes the rest.
     """
-    parts = []
-    for key, value in report_to_dict(report).items():
-        if key == "bounds" and value:
-            text = "[\n    " + ",\n    ".join([
-                _ROW_TEMPLATE % tuple([_json_value(v, _ROW_PAD) for v in row.values()])
-                for row in value]) + "\n  ]"
-        else:
-            text = _json_value(value, "  ")
-        parts.append(f"  {encode_basestring_ascii(key)}: {text}")
+    top = _report_fields(report, _json_rows(report))
+    parts = [f"  {encode_basestring_ascii(key)}: "
+             f"{value if key == 'bounds' else _json_value(value, '  ')}"
+             for key, value in top.items()]
     return "{\n" + ",\n".join(parts) + "\n}"
 
 
@@ -705,9 +796,10 @@ def _verify_moment_machinery(out: VerificationOutcome, prep: PreparedGraph,
                              tol: float) -> None:
     """Check every Hamburger order up to K//2 and the support conditions at
     rho + tol for each tested J, on the walk, closed-walk and rooted
-    sequences. Each distinct sequence is decided once, by one `hankel_table`
-    and one `stieltjes_feasible` test per J, and its checks are counted
-    once for every sequence that has it."""
+    sequences. Every tested J is a prefix (1, ..., r) of the longest, so
+    each distinct sequence is decided once, by one `hankel_table` and one
+    `stieltjes_prefix`, and its checks are counted once for every sequence
+    that has it."""
     name = prep.entry.name
     horizon = prep.closed_seq.max_index
     rho = prep.summary.rho
@@ -716,17 +808,19 @@ def _verify_moment_machinery(out: VerificationOutcome, prep: PreparedGraph,
     if full and full not in tested_sets:
         tested_sets.append(full)
     tested_sets = [j_set for j_set in tested_sets if 2 * max(j_set) - 1 <= horizon]
-    decided: dict = {}  # (psd, feasible per J) by sequence values
+    longest = max(tested_sets, key=len, default=None)
+    decided: dict = {}  # (psd, feasible) by sequence values
     for m in [prep.walks_seq, prep.closed_seq, *prep.rooted_seqs]:
         if m.values not in decided:
             decided[m.values] = (hankel_table(m, horizon // 2)[1],
-                                 [stieltjes_feasible(m, j, rho + tol) for j in tested_sets])
+                                 stieltjes_prefix(m, longest, rho + tol) if longest else 0)
         psd, feasible = decided[m.values]
         for order in range(horizon // 2 + 1):
             out.check(order < psd,
                       f"{name}: Hankel matrix of {m.kind} not PSD at order {order}")
-        for j_set, ok in zip(tested_sets, feasible):
-            out.check(ok, f"{name}: support conditions fail for {m.kind} at J={j_set}")
+        for j_set in tested_sets:
+            out.check(len(j_set) <= feasible,
+                      f"{name}: support conditions fail for {m.kind} at J={j_set}")
 
 
 def _verify_sandwich(out: VerificationOutcome, prep: PreparedGraph,

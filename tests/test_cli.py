@@ -147,16 +147,8 @@ class TestJsonWriter:
             with pytest.raises(TypeError):
                 report._json_value(obj, "")
 
-    @pytest.mark.parametrize("spec, seed, max_length, k_max, vertex_mode", [
-        ("erdos_renyi:20:0.3", 16, 20, 9, "aggregate"),
-        ("erdos_renyi:20:0.3", 16, 20, 9, "all"),
-        ("cycle:70", 0, DEFAULT_MAX_LENGTH, report.DEFAULT_K_MAX, "aggregate"),
-    ])
-    def test_report_json_matches_json_dumps(self, spec, seed, max_length, k_max, vertex_mode):
-        entry = CorpusEntry(spec, spec.split(":")[0], generate(spec, seed))
-        r = build_report(entry, max_length=max_length, k_max=k_max,
-                         vertex_mode=vertex_mode, with_timing=True)
-        assert any(ms > 0.0 for ms in r.bound_ms)
+    @staticmethod
+    def _assert_writes_like_json_dumps(r) -> None:
         text = report.report_json(r)
         expected = json.dumps(report.report_to_dict(r), indent=2)
         if text != expected:   # name the first differing line, not a full diff
@@ -165,8 +157,69 @@ class TestJsonWriter:
                         if pair[0] != pair[1])
             pytest.fail(f"line {line}: {text.splitlines()[line:line + 1]} != "
                         f"{expected.splitlines()[line:line + 1]}")
+
+    # Rows that leave the writer's common templates, with their ms: values
+    # that are not a plain float, non-finite params floats, params of other
+    # types (written whole by `_json_value`), a Dead row with its reason,
+    # "%" in literal text and in slots, and ms that are not a finite float.
+    _FALLBACK_ROWS = [
+        (BoundResult("ratio", "lower", np.float64(1.5), {"measure": "walks", "s": 0, "k": 1}),
+         0.25),
+        (BoundResult("ratio", "lower", 3, {"measure": "walks", "s": 0, "k": 1}), 0.5),
+        (BoundResult("ratio", "lower", np.float64(math.nan), {"measure": "walks"}), 1.0),
+        (BoundResult("ratio", "lower", -math.inf, {"measure": "walks"}), 1.0),
+        *[(BoundResult("even_moment", "upper", 2.0, {"measure": "walks", "k": 1, "alpha1": a},
+                       oracle_assisted=True), 0.125)
+          for a in (math.nan, math.inf, -math.inf)],
+        (bounds_lower.outcome_row("sdp", "lower", {"measure": "closed_walks", "order": 1},
+                                  bounds_lower._BLOCK_NOT_PSD), 0.0),
+        (bounds_lower.outcome_row("det_ratio", "lower", {"measure": "walks", "s": 0, "k": 1},
+                                  bounds_lower._VACUOUS_DET_RATIO), 0.0),
+        (BoundResult("odd%name", "up%sper", -0.0,
+                     {"%s": None, "flag": True, "off": False, "J": [1, [2, 3.5]], "x": 5e-324},
+                     applicable=False, reason='50% "quoted" \u00e9'), 2.0),
+        (BoundResult("tuple_and_dict", "lower", 1.0, {"J": (1, 2), "d": {"a": [1]}}), 3.0),
+        (BoundResult("ratio", "lower", 1.0, {}), np.float64(0.75)),
+        (BoundResult("ratio", "lower", 1.0, {}), 7),
+        (BoundResult("ratio", "lower", 1.0, {}), math.nan),
+        (BoundResult("ratio", "lower", 1.0, {}), math.inf),
+    ]
+
+    @pytest.mark.parametrize("spec, seed, max_length, k_max, vertex_mode", [
+        ("erdos_renyi:20:0.3", 16, 20, 9, "aggregate"),
+        ("erdos_renyi:20:0.3", 16, 20, 9, "all"),
+        ("cycle:70", 0, DEFAULT_MAX_LENGTH, report.DEFAULT_K_MAX, "aggregate"),
+        ("complete_bipartite:4:6", 0, DEFAULT_MAX_LENGTH, report.DEFAULT_K_MAX, "all"),
+        ("path:1", 0, 2, report.DEFAULT_K_MAX, "all"),
+        ("erdos_renyi:12:0.15", 1729, 3, report.DEFAULT_K_MAX, "all"),
+    ])
+    def test_report_json_matches_json_dumps(self, spec, seed, max_length, k_max, vertex_mode):
+        entry = CorpusEntry(spec, spec.split(":")[0], generate(spec, seed))
+        r = build_report(entry, max_length=max_length, k_max=k_max,
+                         vertex_mode=vertex_mode, with_timing=True)
+        assert any(ms > 0.0 for ms in r.bound_ms)
+        self._assert_writes_like_json_dumps(r)
         if spec == "cycle:70":   # past the clique-search limit
-            assert '"clique": null' in text
+            assert '"clique": null' in report.report_json(r)
+        if spec.startswith("erdos_renyi:12"):
+            assert not r.graph.connected
+        # the same report with every fallback row, each next to a common one
+        rows = [pair for odd in self._FALLBACK_ROWS for pair in (odd, (r.bounds[0], 0.0))]
+        odd = dataclasses.replace(r, bounds=(*r.bounds, *[b for b, _ in rows]),
+                                  bound_ms=(*r.bound_ms, *[ms for _, ms in rows]))
+        self._assert_writes_like_json_dumps(odd)
+
+    def test_report_json_of_a_report_without_rows(self):
+        r = build_report(CorpusEntry("k3", "complete", complete_graph(3)))
+        empty = dataclasses.replace(r, bounds=(), bound_ms=())
+        self._assert_writes_like_json_dumps(empty)
+        assert '"bounds": [],' in report.report_json(empty)
+
+    def test_unserializable_params_raise(self):
+        r = build_report(CorpusEntry("k3", "complete", complete_graph(3)))
+        bad = BoundResult("ratio", "lower", 1.0, {"k": np.int64(1)})
+        with pytest.raises(TypeError):
+            report.report_json(dataclasses.replace(r, bounds=(bad,), bound_ms=(0.0,)))
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         argv = ["bounds", "--gen", "erdos_renyi:20:0.3", "--seed", "16", "--K", "12",
@@ -176,6 +229,45 @@ class TestJsonWriter:
         out = tmp_path / "report.json"
         assert main([*argv, "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == stdout
+
+
+class TestMain:
+    def test_runs_the_subcommand_patched_in_after_the_first_call(self, monkeypatch, capsys):
+        from swbounds import cli
+
+        assert main(["gen", "path:2"]) == 0
+        ran = []
+        monkeypatch.setattr(cli, "cmd_bounds", lambda args: ran.append(args.gen) or 0)
+        assert main(["bounds", "--gen", "star:3"]) == 0
+        assert ran == ["star:3"]
+        capsys.readouterr()
+
+    def test_repeated_calls_write_the_bytes_of_first_calls(self, monkeypatch, capsys):
+        from swbounds import cli
+
+        argvs = [
+            ["bounds", "--gen", "star:5", "--format", "json", "--no-timing",
+             "--measures", "walks", "--J", "1,2"],
+            ["bounds", "--gen", "star:5", "--format", "json", "--no-timing"],
+            ["bounds", "--gen", "star:5", "--format", "csv", "--no-timing",
+             "--measures", "closed", "vertex", "--J", "1,2,3", "--J", "1,2"],
+            ["bounds", "--gen", "star:5", "--format", "csv", "--no-timing"],
+            ["bounds", "--gen", "cycle:6", "--format", "table", "--no-timing", "--per-vertex",
+             "--measures", "vertex"],
+            ["bounds", "--gen", "cycle:6", "--format", "table", "--no-timing"],
+        ]
+
+        def output(argv):
+            assert main(argv) == 0
+            return capsys.readouterr().out
+
+        first = []
+        for argv in argvs:
+            monkeypatch.setattr(cli, "_PARSER", None)
+            first.append(output(argv))
+        assert len(set(first)) == len(first)
+        assert [output(argv) for argv in argvs] == first
+        assert [output(argv) for argv in reversed(argvs)] == first[::-1]
 
 
 class TestCommands:
@@ -570,8 +662,9 @@ class TestVerificationEngine:
 
     def test_one_hankel_elimination_per_sequence(self, monkeypatch):
         # one table decides every Hamburger order and one serves every sdp
-        # order; each Stieltjes test eliminates u*H_J - S_J and u*H_J + S_J
-        calls = {"_eliminate": 0, "stieltjes_feasible": 0}
+        # order; one support test per sequence eliminates u*H_J - S_J and
+        # u*H_J + S_J on its longest J
+        calls = {"_eliminate": 0, "stieltjes_prefix": 0}
 
         def counted(module, name):
             fn = getattr(module, name)
@@ -582,15 +675,15 @@ class TestVerificationEngine:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(moments, "_eliminate")
-        counted(report, "stieltjes_feasible")
+        counted(report, "stieltjes_prefix")
         entries = [CorpusEntry("k4", "complete", complete_graph(4)), er_corpus(1)[0]]
         assert run_verification(entries).violations == []
         # one Hamburger and one sdp table per distinct sequence
         sequences = sum(len({m.values for m in (prep.walks_seq, prep.closed_seq,
                                                 *prep.rooted_seqs)})
                         for prep in map(prepare_graph, entries))
-        assert calls["stieltjes_feasible"] > 0
-        assert calls["_eliminate"] == 2 * sequences + 2 * calls["stieltjes_feasible"]
+        assert calls["stieltjes_prefix"] == sequences
+        assert calls["_eliminate"] == 4 * sequences
 
     @pytest.mark.parametrize("spec", _TWIN_SPECS)
     def test_each_support_test_runs_once_per_distinct_sequence(self, monkeypatch, spec):
@@ -598,21 +691,38 @@ class TestVerificationEngine:
 
         def counted(m, j_set, u):
             calls.append((m.values, tuple(j_set)))
-            return moments.stieltjes_feasible(m, j_set, u)
-        monkeypatch.setattr(report, "stieltjes_feasible", counted)
+            return moments.stieltjes_prefix(m, j_set, u)
+        monkeypatch.setattr(report, "stieltjes_prefix", counted)
         entry = CorpusEntry("g", "test", generate(spec))
         outcome = run_verification([entry])
         assert outcome.violations == []
         prep = prepare_graph(entry)
         distinct = {m.values for m in (prep.walks_seq, prep.closed_seq, *prep.rooted_seqs)}
-        # at K = 12: J = (1, 2), (1, 2, 3) and (1, ..., 6)
+        # at K = 12: J = (1, 2), (1, 2, 3) and (1, ..., 6), all decided at the longest
         j_sets = [(1, 2), (1, 2, 3), tuple(range(1, 7))]
-        assert sorted(calls) == sorted((values, j) for values in distinct for j in j_sets)
+        assert sorted(calls) == sorted((values, j_sets[-1]) for values in distinct)
         # every sequence's checks are still counted: Hamburger orders 0..6
         # and the three J
         machinery = VerificationOutcome()
         _verify_moment_machinery(machinery, prep, 1e-7)
         assert machinery.checks == (2 + entry.graph.n) * (7 + len(j_sets))
+
+    def test_support_checks_match_one_test_per_j(self):
+        # each J's check is the outcome of `stieltjes_feasible` at that J; a
+        # cutoff below rho fails the walk measures' longer sets
+        prep = prepare_graph(CorpusEntry("g", "test", generate("erdos_renyi:12:0.4", 3)))
+        for shift in (1e-7, -0.5, -1e-3):
+            expected = []
+            for m in (prep.walks_seq, prep.closed_seq, *prep.rooted_seqs):
+                for j_set in [(1, 2), (1, 2, 3), tuple(range(1, 7))]:
+                    if not moments.stieltjes_feasible(m, j_set, prep.summary.rho + shift):
+                        expected.append(f"g: support conditions fail for {m.kind} at J={j_set}")
+            machinery = VerificationOutcome()
+            _verify_moment_machinery(machinery, prep, shift)
+            failures = [v for v in machinery.violations if "support" in v]
+            assert failures == expected
+            if shift < 0:
+                assert failures
 
 
 class TestVertexReduction:

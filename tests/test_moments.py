@@ -18,6 +18,7 @@ from swbounds.moments import (
     is_psd,
     orthogonal_polynomial,
     stieltjes_feasible,
+    stieltjes_prefix,
 )
 from swbounds.spectrum import eigen_decompose
 from swbounds.walks import KIND_CLOSED, MomentSequence, closed_walk_counts, walk_counts
@@ -286,3 +287,22 @@ class TestStieltjesFeasibility:
         m = closed_walk_counts(complete_graph(4), 12)
         assert stieltjes_feasible(m, (1, 2, 3), 3.0)
         assert not stieltjes_feasible(m, (1, 2, 3), 3.0 - 2.0 ** -50)
+        assert stieltjes_prefix(m, (1, 2, 3), 3.0) == 3
+        assert stieltjes_prefix(m, (1, 2, 3), 3.0 - 2.0 ** -50) < 3
+
+    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 3)), min_size=1, max_size=4),
+           st.lists(st.tuples(st.integers(0, 12), st.integers(-3, 3)), max_size=2),
+           st.integers(1, 6), st.floats(-6.0, 6.0))
+    @settings(max_examples=300, deadline=None)
+    def test_prefix_agrees_with_each_prefix_test(self, atoms, perturb, size, u):
+        # few atoms give singular blocks, perturbed moments and cutoffs
+        # inside the support give blocks that are not PSD
+        m = _atomic_moments(atoms, perturb, 2 * size)
+        count = stieltjes_prefix(m, range(1, size + 1), u)
+        h, s = hankel_pair_exact(m, range(1, size + 1))
+        p, q = u.as_integer_ratio()
+        for r in range(1, size + 1):
+            feasible = all(exact_psd([[p * h[a][b] + sign * q * s[a][b] for b in range(r)]
+                                      for a in range(r)]) is not None for sign in (-1, 1))
+            assert (r <= count) == feasible == stieltjes_feasible(m, range(1, r + 1), u), \
+                (m, r, u)
