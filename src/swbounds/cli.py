@@ -41,12 +41,12 @@ def _write_output(text: str, path: Optional[str]) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="ascii")
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def _entry_from_args(args: argparse.Namespace) -> CorpusEntry:
     if args.file:
-        text = Path(args.file).read_text(encoding="ascii")
+        text = Path(args.file).read_text(encoding="utf-8-sig")   # a leading BOM is dropped
         g = parse_edge_list(text)
         return CorpusEntry(Path(args.file).stem, "file", g)
     g = generate(args.gen, seed=args.seed)

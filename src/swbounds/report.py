@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import json
 import math
-import operator
 import time
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
@@ -411,183 +411,103 @@ def _field_values(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
-_BOUND_FIELDS = tuple(f.name for f in fields(BoundResult))
-_bound_values = operator.attrgetter(*_BOUND_FIELDS)
-# The keys of one JSON bound row, in order: the record's fields, then "ms".
-_ROW_KEYS = (*_BOUND_FIELDS, "ms")
+def report_to_dict(report: Report) -> dict:
+    """The report as plain data, non-finite bound values as None.
 
-
-def _report_fields(report: Report, bounds) -> dict:
-    """The top level of a JSON report, with `bounds` as its bound rows."""
+    `json.dumps(report_to_dict(r), indent=2)` is the reference layout that
+    `report_json` writes byte for byte; the tests compare against it, and
+    perfbench's `report.serialize` span wraps this function.
+    """
+    rows = []
+    for r, ms in zip(report.bounds, report.bound_ms):
+        row = {**_field_values(r), "ms": ms}
+        if not math.isfinite(r.value):
+            row["value"] = None
+        rows.append(row)
     return {
         "graph": _field_values(report.graph),
         "rho_exact": report.rho,
-        "bounds": bounds,
+        "bounds": rows,
         "violations": list(report.violations),
         "timing_ms": dict(report.stage_ms),
     }
 
 
-def report_to_dict(report: Report) -> dict:
-    rows = []
-    for r, ms in zip(report.bounds, report.bound_ms):
-        row = dict(zip(_ROW_KEYS, (*_bound_values(r), ms)))
-        if not math.isfinite(r.value):
-            row["value"] = None
-        rows.append(row)
-    return _report_fields(report, rows)
+_JSON_FLAG = {True: "true", False: "false"}
 
 
-def _json_value(obj, pad: str) -> str:
-    """`json.dumps(obj, indent=2)` of a value whose line starts with `pad`.
-
-    Scalars are tested in the order of the standard library's encoder:
-    None, True and False by identity, so a number equal to 1 or 0 (such as
-    numpy.float64(1.0)) never prints as a bool, and int and float
-    subclasses through the base class's repr. Dict keys must be str (the
-    encoder raises TypeError on others, which json.dumps would convert), and
-    cycles are not detected.
-    """
-    if isinstance(obj, str):
+def _json_text(obj, pad: str) -> str:
+    """`json.dumps(obj, indent=2)` of a value whose first line starts with
+    `pad`: a finite float, an int, a str, a bool or None directly, anything
+    else through the standard library, re-indented (an encoded string never
+    holds a raw newline, so every newline in the text starts a line)."""
+    t = type(obj)
+    if t is float and obj - obj == 0.0:
+        return float.__repr__(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if t is str:
         return encode_basestring_ascii(obj)
+    if t is bool:
+        return _JSON_FLAG[obj]
     if obj is None:
         return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if obj != obj:
-            return "NaN"
-        if obj == math.inf:
-            return "Infinity"
-        if obj == -math.inf:
-            return "-Infinity"
-        return float.__repr__(obj)
-    inner = pad + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_json_value(v, inner) for v in obj]
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f"{encode_basestring_ascii(k)}: {_json_value(v, inner)}"
-                 for k, v in obj.items()]
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
 
 
-# A bound row of `report_json` is a dict at depth 2 of the report, its params
-# at depth 3. Each row fills the template of its shape: its name and kind,
-# params keys and params value types, and the slots of its value, reason and
-# ms (see `_json_rows`). Everything else in a template is literal text, with
-# "%" escaped; the cache holds one template per shape the program emits.
-_ROW_PAD = " " * 6
-_PARAMS_PAD = _ROW_PAD + "  "
-_PARAM_SLOTS = {str: "%s", bool: "%s", list: "%s", int: "%d", float: "%r", type(None): "null"}
-_JSON_BOOL = {True: "true", False: "false"}
-_ROW_TEMPLATES: dict = {}
-
-
-def _literal(obj, pad: str) -> str:
-    return _json_value(obj, pad).replace("%", "%%")
-
-
-def _row_template(shape: tuple) -> str:
-    name, kind, keys, types, value_slot, reason_slot, ms_slot = shape
-    params = "{}"
-    if keys:
-        params = ("{\n" + ",\n".join(f"{_PARAMS_PAD}{_literal(k, '')}: {_PARAM_SLOTS[t]}"
-                                     for k, t in zip(keys, types)) + f"\n{_ROW_PAD}}}")
-    slots = {"name": _literal(name, _ROW_PAD), "kind": _literal(kind, _ROW_PAD),
-             "value": value_slot, "params": params, "applicable": "%s",
-             "reason": reason_slot, "trivial": "%s", "oracle_assisted": "%s", "ms": ms_slot}
-    return "{\n" + ",\n".join(f'{_ROW_PAD}"{k}": {slots[k]}' for k in _ROW_KEYS) + "\n    }"
-
-
-def _json_rows(report: Report) -> str:
-    """The "bounds" list of `report_json`.
-
-    A row's slots take, in order: its value (a finite float through %r,
-    None for any other float, the `_json_value` text of a value of another
-    type), each params value that is not None (an int through %d, a finite
-    float through %r, a str encoded, a bool looked up, a list through
-    `_json_value`), the applicable flag, the reason unless None, the trivial
-    and oracle_assisted flags, and ms (a finite float through %r, else its
-    `_json_value` text). The three flags are bools. A row with a params
-    value no slot takes (a NaN or infinite float, or another type) is
-    written whole by `_json_value`.
-    """
-    templates = _ROW_TEMPLATES
-    flag = _JSON_BOOL
-    encode = encode_basestring_ascii
-    texts = []
-    for r, ms in zip(report.bounds, report.bound_ms):
-        value = r.value
-        if type(value) is not float:
-            value_slot = "%s"
-            args = [_json_value(value, _ROW_PAD) if math.isfinite(value) else "null"]
-        elif value - value == 0.0:
-            value_slot, args = "%r", [value]
-        else:
-            value_slot, args = "null", []
-        p = r.params
-        types = tuple(map(type, p.values()))
-        for v, t in zip(p.values(), types):
-            if t is int:
-                args.append(v)
-            elif t is str:
-                args.append(encode(v))
-            elif t is float and v - v == 0.0:
-                args.append(v)
-            elif t is bool:
-                args.append(flag[v])
-            elif t is list:
-                args.append(_json_value(v, _PARAMS_PAD))
-            elif v is not None:
-                break
-        else:
-            reason = r.reason
-            args.append(flag[r.applicable])
-            if reason is not None:
-                args.append(encode(reason))
-            args += (flag[r.trivial], flag[r.oracle_assisted])
-            if type(ms) is float and ms - ms == 0.0:
-                ms_slot = "%r"
-            else:
-                ms_slot, ms = "%s", _json_value(ms, _ROW_PAD)
-            args.append(ms)
-            shape = (r.name, r.kind, tuple(p), types, value_slot,
-                     "null" if reason is None else "%s", ms_slot)
-            template = templates.get(shape)
-            if template is None:
-                template = templates[shape] = _row_template(shape)
-            texts.append(template % tuple(args))
-            continue
-        row = dict(zip(_ROW_KEYS, (*_bound_values(r), ms)))
-        if not math.isfinite(value):
-            row["value"] = None
-        texts.append(_json_value(row, "    "))
-    return "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
+def _json_fields(obj: dict) -> str:
+    """`_json_text` of a dict with str keys at the second level of a report."""
+    if not obj:
+        return "{}"
+    return "{\n" + ",\n".join([f"    {encode_basestring_ascii(k)}: {_json_text(v, '    ')}"
+                               for k, v in obj.items()]) + "\n  }"
 
 
 def report_json(report: Report) -> str:
     """`json.dumps(report_to_dict(report), indent=2)`, byte for byte.
 
-    With an indent the standard library drops its C encoder, so the report
-    is written here, without building `report_to_dict`'s rows: each bound
-    row fills the cached template of its shape (`_json_rows`), and
-    `_json_value` writes the rest.
+    With an indent the standard library drops its C encoder, so each bound
+    row is one f-string here, in the fixed field order of `BoundResult` and
+    "ms", with its flags looked up, a non-finite value as null and every
+    other value written by `_json_text`. Dict keys are strs, as in every
+    report the program builds.
     """
-    top = _report_fields(report, _json_rows(report))
-    parts = [f"  {encode_basestring_ascii(key)}: "
-             f"{value if key == 'bounds' else _json_value(value, '  ')}"
-             for key, value in top.items()]
-    return "{\n" + ",\n".join(parts) + "\n}"
+    flag = _JSON_FLAG
+    encode = encode_basestring_ascii
+    text = _json_text
+    rows = []
+    for r, ms in zip(report.bounds, report.bound_ms):
+        name, kind, value, p, reason = r.name, r.kind, r.value, r.params, r.reason
+        params = "{}"
+        if p:
+            items = []
+            for k, v in p.items():
+                t = type(v)
+                v = int.__repr__(v) if t is int else encode(v) if t is str else text(v, " " * 8)
+                items.append(f"        {encode(k)}: {v}")
+            params = "{\n" + ",\n".join(items) + "\n      }"
+        if type(value) is float and value - value == 0.0:
+            value = float.__repr__(value)
+        else:
+            value = text(value, "      ") if math.isfinite(value) else "null"
+        ms = float.__repr__(ms) if type(ms) is float and ms - ms == 0.0 else text(ms, "      ")
+        rows.append(
+            f'{{\n      "name": {encode(name) if type(name) is str else text(name, "      ")},\n'
+            f'      "kind": {encode(kind) if type(kind) is str else text(kind, "      ")},\n'
+            f'      "value": {value},\n'
+            f'      "params": {params},\n'
+            f'      "applicable": {flag[r.applicable]},\n'
+            f'      "reason": {"null" if reason is None else text(reason, "      ")},\n'
+            f'      "trivial": {flag[r.trivial]},\n'
+            f'      "oracle_assisted": {flag[r.oracle_assisted]},\n'
+            f'      "ms": {ms}\n    }}')
+    bounds = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+    return ("{\n"
+            f'  "graph": {_json_fields(_field_values(report.graph))},\n'
+            f'  "rho_exact": {text(report.rho, "  ")},\n'
+            f'  "bounds": {bounds},\n'
+            f'  "violations": {text(list(report.violations), "  ")},\n'
+            f'  "timing_ms": {_json_fields(report.stage_ms)}\n}}')
 
 
 def _csv_quote(value: str) -> str:

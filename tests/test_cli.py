@@ -118,13 +118,34 @@ class _TaggedInt(int):
         return "tagged"
 
 
+_JSON_NUMBERS = st.one_of(
+    st.integers(min_value=-2 ** 200, max_value=2 ** 200),
+    st.sampled_from([0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
 class TestJsonWriter:
     """`report_json` must give the bytes of `json.dumps(..., indent=2)`."""
 
+    # a real report, short enough (51 rows) to write hundreds of times
+    _K3 = build_report(CorpusEntry("k3", "complete", complete_graph(3)), max_length=3)
+
+    def _with_row(self, row: BoundResult, ms):
+        """The k3 report with `row` appended, timed `ms`."""
+        return dataclasses.replace(self._K3, bounds=(*self._K3.bounds, row),
+                                   bound_ms=(*self._K3.bound_ms, ms))
+
     @settings(max_examples=300, deadline=None)
-    @given(_JSON_TREES)
-    def test_writer_matches_json_dumps(self, obj):
-        assert report._json_value(obj, "") == json.dumps(obj, indent=2)
+    @given(name=_JSON_STRINGS, kind=_JSON_STRINGS, value=_JSON_NUMBERS,
+           params=st.dictionaries(_JSON_STRINGS, _JSON_TREES, max_size=3),
+           flags=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+           reason=st.none() | _JSON_STRINGS, ms=_JSON_NUMBERS)
+    def test_writer_matches_json_dumps(self, name, kind, value, params, flags, reason, ms):
+        applicable, trivial, oracle_assisted = flags
+        row = BoundResult(name, kind, value, params, applicable, reason, trivial,
+                          oracle_assisted)
+        self._assert_writes_like_json_dumps(self._with_row(row, ms))
 
     @pytest.mark.parametrize("value, text", [
         (np.float64(1.0), "1.0"),
@@ -136,16 +157,24 @@ class TestJsonWriter:
         (_TaggedInt(5), "5"),
     ])
     def test_numbers_print_through_the_base_repr(self, value, text):
-        assert report._json_value(value, "") == json.dumps(value, indent=2) == text
-        assert report._json_value([value], "") == json.dumps([value], indent=2)
+        # as a params value, bare and in a list, as the bound value and as ms
+        row = BoundResult("ratio", "lower", value, {"s": value, "J": [value]})
+        r = self._with_row(row, value)
+        self._assert_writes_like_json_dumps(r)
+        assert f'"value": {text},\n      "params": {{\n        "s": {text},\n' in report.report_json(r)
 
     @pytest.mark.parametrize("value", [np.int64(3), {1, 2}, object()])
     def test_unserializable_values_raise(self, value):
-        for obj in (value, [value], {"key": value}):
+        rows = [(BoundResult("ratio", "lower", 1.0, {"k": obj}), 0.0)
+                for obj in (value, [value], {"key": value})]
+        rows += [(BoundResult("ratio", "lower", value, {}), 0.0),
+                 (BoundResult("ratio", "lower", 1.0, {}), value)]
+        for row, ms in rows:
+            r = self._with_row(row, ms)
             with pytest.raises(TypeError):
-                json.dumps(obj, indent=2)
+                json.dumps(report.report_to_dict(r), indent=2)
             with pytest.raises(TypeError):
-                report._json_value(obj, "")
+                report.report_json(r)
 
     @staticmethod
     def _assert_writes_like_json_dumps(r) -> None:
@@ -158,10 +187,10 @@ class TestJsonWriter:
             pytest.fail(f"line {line}: {text.splitlines()[line:line + 1]} != "
                         f"{expected.splitlines()[line:line + 1]}")
 
-    # Rows that leave the writer's common templates, with their ms: values
+    # Rows the writer passes partly to `json.dumps`, with their ms: values
     # that are not a plain float, non-finite params floats, params of other
-    # types (written whole by `_json_value`), a Dead row with its reason,
-    # "%" in literal text and in slots, and ms that are not a finite float.
+    # types (bools, lists, tuples, dicts, None), a Dead row with its reason,
+    # "%" and non-ASCII text, and ms that are not a finite float.
     _FALLBACK_ROWS = [
         (BoundResult("ratio", "lower", np.float64(1.5), {"measure": "walks", "s": 0, "k": 1}),
          0.25),
@@ -214,6 +243,9 @@ class TestJsonWriter:
         empty = dataclasses.replace(r, bounds=(), bound_ms=())
         self._assert_writes_like_json_dumps(empty)
         assert '"bounds": [],' in report.report_json(empty)
+        untimed = dataclasses.replace(empty, stage_ms={})
+        self._assert_writes_like_json_dumps(untimed)
+        assert report.report_json(untimed).endswith('"timing_ms": {}\n}')
 
     def test_unserializable_params_raise(self):
         r = build_report(CorpusEntry("k3", "complete", complete_graph(3)))
@@ -306,6 +338,33 @@ class TestCommands:
         assert "baseline_sqrt_w2_w0" in names
         assert not names & {"triangle_edge", "local_triangle", "baseline_sqrt_max_degree",
                             "eigvec_degree"}
+
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_out_file_of_a_non_ascii_stem_matches_stdout(self, capsys, tmp_path, fmt):
+        # the file stem names the graph, so the report holds it verbatim
+        path = tmp_path / "grafo_\u00f1.edges"
+        path.write_text(serialize_edge_list(complete_graph(3)), encoding="utf-8")
+        argv = ["bounds", "--file", str(path), "--format", fmt, "--no-timing"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert "grafo_\u00f1" in stdout
+        out = tmp_path / "report.txt"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == stdout
+
+    def test_edge_lists_are_read_as_utf8(self, capsys, tmp_path):
+        # a comment in any script, and a byte-order mark, leave the graph as it is
+        text = serialize_edge_list(generate("path:3"))
+        outputs = []
+        for folder, comment in (("plain", ""), ("commented", "# camino de tres v\u00e9rtices\n"),
+                                ("marked", "\ufeff# camino\n")):
+            (tmp_path / folder).mkdir()
+            path = tmp_path / folder / "camino.edges"
+            path.write_text(comment + text, encoding="utf-8")
+            assert main(["bounds", "--file", str(path), "--format", "json", "--no-timing"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[2] == outputs[0]
+        assert json.loads(outputs[0])["graph"]["e"] == 2
 
     def test_gen_round_trip(self, capsys):
         assert main(["gen", "erdos_renyi:10:0.5", "--seed", "7"]) == 0
