@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .moments import hankel_table, orthogonal_polynomial
-from .roots import _sign_at, largest_real_root_bracket, no_real_root_above
+from .roots import largest_real_root_bracket, no_real_root_above, sign_at
 from .walks import KIND_CLOSED, KIND_CLOSED_AT, KIND_WALKS, MomentSequence
 
 # Per-vertex values within this relative distance of the best one tie, and
@@ -195,10 +195,11 @@ def quadratic_root_lower_bound(m: MomentSequence, s: int, k: int) -> BoundResult
     """Largest-root bound from the strided 2x2 feasibility quadratic.
 
     rho**k is at least the largest root of
-    det(H) r^2 - |det(F)| r + det(S), all determinants exact integers.
-    A negative discriminant (possible only through rounding on genuine
-    sequences) is clamped to zero, which falls back to the still-valid
-    vertex value |det F| / (2 det H).
+    det(H) r^2 - |det(F)| r + det(S), all determinants exact integers. That
+    is det(r*H - S) or its mirror r -> -r, whose zeros are real for a
+    positive measure, so the exact discriminant is negative only for a
+    sequence that is no moment sequence, passed to this kernel. It is then
+    clamped to zero, which falls back to the vertex value |det F| / (2 det H).
     """
     _require_range(m, s, k, 2 * s + 3 * k)
     return quadratic_root_row(m, s, k, quadratic_root_value(m, s, k))
@@ -249,8 +250,7 @@ def local_triangle_lower_bound(rooted: Sequence[MomentSequence],
                        {"vertex": rooted[i].vertex, "sqrt_max_degree": sqrt_delta}, outcomes[i])
 
 
-def sdp_lower_bound(m: MomentSequence, order: int, *,
-                    cutoff: float | None = None) -> BoundResult:
+def sdp_lower_bound(m: MomentSequence, order: int) -> BoundResult:
     """Minimal u with u*H_order +/- S_order both PSD, certified from below.
 
     The blocks use positions 1..order+1. With r + 1 the number of positive
@@ -262,26 +262,14 @@ def sdp_lower_bound(m: MomentSequence, order: int, *,
     zeros of c(x) and (-1)**(r+1) c(-x), each the lower end of its bracket
     from `largest_real_root_bracket`, so it never exceeds that u, which is
     at most rho.
-
-    With a cutoff u > 0 the row is ruled out, without a bracket, when every
-    zero of both polynomials lies below u: then the value is below u too.
-    The polynomials are tested in turn until one has a zero at or above u,
-    and from there on bracketed. A polynomial is negative on (0, z) and
-    positive beyond its top zero z when its coefficients change sign once
-    (Descartes' rule), so its exact sign at u decides; with more changes a
-    negative or zero value still shows a zero at or above u, and a positive
-    one leaves the question to `no_real_root_above`. Given u = nextafter(b,
-    inf) for a running best b, exactly the vertices whose value would be no
-    more than b are ruled out.
     """
-    return sdp_row(m, None, order, sdp_value(m, hankel_table(m, order), order, cutoff=cutoff))
+    return sdp_row(m, None, order, sdp_value(m, hankel_table(m, order), order))
 
 
 def _zeros_below(poly: list[int], u: float) -> bool:
     """Whether every real zero of an integer polynomial with a positive
     leading coefficient and a negative lower one lies below the float u > 0."""
-    p, q = u.as_integer_ratio()
-    if _sign_at(poly, p, q.bit_length() - 1) <= 0:
+    if sign_at(poly, u) <= 0:
         return False  # positive at infinity, so a zero at or above u
     signs = [x > 0 for x in poly if x]
     if sum(a != b for a, b in zip(signs, signs[1:])) == 1:
@@ -291,7 +279,19 @@ def _zeros_below(poly: list[int], u: float) -> bool:
 
 def sdp_value(m: MomentSequence, table: tuple, order: int, *,
               cutoff: float | None = None) -> float | Dead:
-    """The outcome of `sdp_lower_bound`, read from m's `hankel_table` at any top >= order."""
+    """The outcome of `sdp_lower_bound`, read from m's `hankel_table` at any top >= order.
+
+    With a cutoff u > 0 the row is ruled out, without a bracket, when every
+    zero of both polynomials lies below u: then the value is below u too.
+    The polynomials are tested in turn until one has a zero at or above u,
+    and from there on bracketed. A polynomial is negative on (0, z) and
+    positive beyond its top zero z when its coefficients change sign once
+    (Descartes' rule), so its exact sign at u (`sign_at`) decides; with
+    more changes a negative or zero value still shows a zero at or above u,
+    and a positive one leaves the question to `no_real_root_above`. Given
+    u = nextafter(b, inf) for a running best b, exactly the vertices whose
+    value would be no more than b are ruled out.
+    """
     c = orthogonal_polynomial(table, order)
     if c is None:
         return _HANKEL_NOT_PSD

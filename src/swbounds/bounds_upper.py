@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 from .bounds_lower import BoundResult, Dead, _not_applicable, outcome_row, reported_vertex
 from .moments import _validated_indices, exact_determinant
-from .roots import largest_real_root_bracket, no_real_root_above
+from .roots import largest_real_root_bracket, no_real_root_above, sign_at
 from .spectrum import SpectralSummary
 from .walks import KIND_CLOSED, KIND_CLOSED_AT, KIND_WALKS, MomentSequence
 
@@ -211,8 +211,8 @@ def _adjugate(h: list[list[int]]) -> list[list[int]]:
     return adj
 
 
-def hankel_root_upper_bound(m: MomentSequence, alpha: float, index_set: Iterable[int], *,
-                            cutoff: float | None = None) -> BoundResult:
+def hankel_root_upper_bound(m: MomentSequence, alpha: float,
+                            index_set: Iterable[int]) -> BoundResult:
     """Largest root of det(H_J - alpha_1 * R_J(r)) as an upper bound.
 
     R_J(r) = v v^T with v = (r**(j-1) for j in J), so by the matrix
@@ -225,23 +225,24 @@ def hankel_root_upper_bound(m: MomentSequence, alpha: float, index_set: Iterable
     det H_J = 0 the polynomial is a negative multiple of a square and
     touches zero at its top root, which is found as a simple root of the
     square's base.
-
-    With a cutoff u > 0, a polynomial with a real root above u gets no
-    bracket: the bound would exceed u, and the row comes back inapplicable.
-    Its exact value at u, den det H_J - num v(u)^T adj(H_J) v(u), decides
-    when it is positive, since the polynomial is negative at infinity;
-    otherwise one exact test (`no_real_root_above`) decides. Given
-    u = nextafter(b, 0) for a running best b, exactly the vertices whose
-    bound would be no less than b are ruled out.
     """
     indices = _validated_indices(m, index_set, 0)
-    return hankel_root_row(m, alpha, indices, hankel_root_value(m, alpha, indices, cutoff=cutoff))
+    return hankel_root_row(m, alpha, indices, hankel_root_value(m, alpha, indices))
 
 
 def hankel_root_value(m: MomentSequence, alpha: float, indices: tuple[int, ...], *,
                       cutoff: float | None = None) -> float | Dead:
     """The outcome of `hankel_root_upper_bound` for the sorted positions
-    `indices`, already checked against m's horizon (`_validated_indices`)."""
+    `indices`, already checked against m's horizon (`_validated_indices`).
+
+    With a cutoff u > 0, a polynomial with a real root above u gets no
+    bracket: the bound would exceed u, and the row comes back inapplicable.
+    A positive sign at u (`sign_at`) shows such a root, as the polynomial is
+    negative at infinity; otherwise, and always when det H_J = 0, one exact
+    test (`no_real_root_above`) decides. Given u = nextafter(b, 0) for a
+    running best b, exactly the vertices whose bound would be no less than
+    b are ruled out.
+    """
     if len(indices) < 2:
         return _ONE_POSITION
     if alpha <= MIN_ATOM_WEIGHT:
@@ -253,24 +254,14 @@ def hankel_root_value(m: MomentSequence, alpha: float, indices: tuple[int, ...],
         return _LEADING_BLOCK_NOT_PD
     det_h = sum(h[0][b] * adj[b][0] for b in range(len(indices)))
     num, den = alpha.as_integer_ratio()
-    if cutoff is not None:
-        # den det H_J - num v(u)' adj(H_J) v(u) at u = p / 2**e, times 2**(2e(top - 1))
-        p, q = cutoff.as_integer_ratio()
-        e = q.bit_length() - 1
-        top = indices[-1]
-        v_u = [p ** (j - 1) << (e * (top - j)) for j in indices]
-        form = 0
-        for x, row in zip(v_u, adj):
-            for a, y in zip(row, v_u):
-                form += a * x * y
-        if (den * det_h << (2 * e * (top - 1))) > num * form:
-            return _ROOT_ABOVE_CUTOFF
     if det_h:
         coeffs = [0] * (2 * indices[-1] - 1)
         coeffs[0] = den * det_h
         for a, ja in enumerate(indices):
             for b, jb in enumerate(indices):
                 coeffs[ja + jb - 2] -= num * adj[a][b]
+        if cutoff is not None and sign_at(coeffs, cutoff) > 0:
+            return _ROOT_ABOVE_CUTOFF
     else:
         # H_J has rank |J| - 1, so adj(H_J) has rank one and the polynomial
         # is -num p(r)**2 / det(H_{J'}) with p = (last row of adj(H_J)) . v
@@ -288,33 +279,33 @@ def hankel_root_row(m: MomentSequence, alpha: float, indices: tuple[int, ...],
     return outcome_row("hankel_root", "upper", params, outcome, m.kind != KIND_CLOSED)
 
 
-def stieltjes_root_upper_bound(m: MomentSequence, alpha: float, k: int, *,
-                               cutoff: float | None = None) -> BoundResult:
+def stieltjes_root_upper_bound(m: MomentSequence, alpha: float, k: int) -> BoundResult:
     """Largest root of m_{2k} r + m_{2k+1} - 2 alpha_1 r**(2k+1).
 
     On the positive axis this polynomial rises from m_{2k+1} >= 0 to a single
     maximum and then falls, so the largest root is unique and never exceeds
     the even-moment bound. For k = 0 the polynomial is linear and only has
     the right shape when m_0 < 2 alpha_1.
-
-    With a cutoff u > 0, a polynomial whose root lies above u gets no
-    bracket, and the row comes back inapplicable. Its coefficients change
-    sign once, so it is positive exactly below its one positive root, and
-    its exact sign at u decides; the sign at the even-moment bound still
-    checks that the root lies below that. Given u = nextafter(b, 0) for a
-    running best b, exactly the vertices whose bound would be no less than
-    b are ruled out.
     """
     if k < 0:
         raise ValueError("need k >= 0")
     if 2 * k + 1 > m.max_index:
         raise ValueError(f"need m_{2 * k + 1}, have up to m_{m.max_index}")
-    return stieltjes_root_row(m, alpha, k, stieltjes_root_value(m, alpha, k, cutoff=cutoff))
+    return stieltjes_root_row(m, alpha, k, stieltjes_root_value(m, alpha, k))
 
 
 def stieltjes_root_value(m: MomentSequence, alpha: float, k: int, *,
                          cutoff: float | None = None) -> float | Dead:
-    """The outcome of `stieltjes_root_upper_bound` (no range check)."""
+    """The outcome of `stieltjes_root_upper_bound` (no range check).
+
+    With a cutoff u > 0, a polynomial whose root lies above u gets no
+    bracket, and the row comes back inapplicable. Its coefficients change
+    sign once, so it is positive exactly below its one positive root, and
+    its exact sign at u (`_stieltjes_sign`) decides; the sign at the
+    even-moment bound still checks that the root lies below that. Given
+    u = nextafter(b, 0) for a running best b, exactly the vertices whose
+    bound would be no less than b are ruled out.
+    """
     if alpha <= MIN_ATOM_WEIGHT:
         return _VANISHING_WEIGHT
     m2k = m.values[2 * k]

@@ -363,17 +363,24 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
     return rows
 
 
+def _gap(r: BoundResult, rho: float) -> Optional[float]:
+    """How far an applicable, finite bound sits on its side of rho (None
+    for the others); negative means the bound crosses rho."""
+    if not r.applicable or not math.isfinite(r.value):
+        return None
+    return rho - r.value if r.kind == "lower" else r.value - rho
+
+
+def _crossing(r: BoundResult, rho: float) -> str:
+    verb = "exceeds" if r.kind == "lower" else "undercuts"
+    return f"{r.kind} bound {r.name} {r.params} = {r.value!r} {verb} rho = {rho!r}"
+
+
 def find_violations(bounds: Iterable[BoundResult], rho: float, tol: float = DEFAULT_TOL) -> list[str]:
-    """Sandwich check: applicable lower bounds below rho+tol, uppers above rho-tol."""
-    out = []
-    for r in bounds:
-        if not r.applicable or not math.isfinite(r.value):
-            continue
-        if r.kind == "lower" and r.value > rho + tol:
-            out.append(f"lower bound {r.name} {r.params} = {r.value!r} exceeds rho = {rho!r}")
-        elif r.kind == "upper" and r.value < rho - tol:
-            out.append(f"upper bound {r.name} {r.params} = {r.value!r} undercuts rho = {rho!r}")
-    return out
+    """The sandwich check: a message for each row whose `_gap` is below
+    -tol. `_verify_sandwich` applies the same test in its own loop."""
+    return [_crossing(r, rho) for r in bounds
+            if (gap := _gap(r, rho)) is not None and gap < -tol]
 
 
 def build_report(entry: CorpusEntry, max_length: int = DEFAULT_MAX_LENGTH,
@@ -514,14 +521,6 @@ def _csv_quote(value: str) -> str:
     if any(ch in value for ch in ',"\n'):
         return '"' + value.replace('"', '""') + '"'
     return value
-
-
-def _gap(r: BoundResult, rho: float) -> Optional[float]:
-    """How far an applicable, finite bound sits on its side of rho (None
-    for the others); negative means the bound crosses rho."""
-    if not r.applicable or not math.isfinite(r.value):
-        return None
-    return rho - r.value if r.kind == "lower" else r.value - rho
 
 
 def report_csv_rows(report: Report) -> list[str]:
@@ -758,8 +757,8 @@ def _verify_sandwich(out: VerificationOutcome, prep: PreparedGraph,
             out.worst_lower_margin = max(out.worst_lower_margin, -gap)
         else:
             out.worst_upper_margin = max(out.worst_upper_margin, -gap)
-    for message in find_violations(bounds, rho, tol):
-        out.fail(f"{prep.entry.name}: {message}")
+        if gap < -tol:
+            out.fail(f"{prep.entry.name}: {_crossing(r, rho)}")
     return bounds
 
 

@@ -11,9 +11,10 @@ bounds take lo, which failed it, so a real root lies in [lo, inf).
 `no_real_root_above` runs that test once, at one float u > 0, on the same
 normalised coefficients. A per-vertex sweep rules out, without a bracket, a
 vertex whose root cannot beat the best one found so far. The bound
-families first try the exact sign of their own polynomial at the cutoff,
-which needs no coefficient list, and ask this test only what that sign
-leaves open.
+families first try the exact sign of their polynomial at that cutoff and
+ask this test only what the sign leaves open: `sdp` and `hankel_root` take
+the sign from `sign_at` on their coefficient lists, and `stieltjes_root`
+from its three terms in closed form.
 """
 
 from __future__ import annotations
@@ -100,22 +101,25 @@ class _Certifier:
                 at_root = total == 0
             elif total > 0:
                 # Descartes is inconclusive; Sturm decides, except at a root of c
-                return not at_root and self._sturm_count(p, e) == 0
+                return not at_root and self._sturm_count(u) == 0
         if at_root:
             self.root = u
         return True
 
-    def _sturm_count(self, p: int, e: int) -> int:
-        """Distinct real roots above p / 2**e (not itself a root)."""
+    def _sturm_count(self, u: float) -> int:
+        """Distinct real roots above u (not itself a root)."""
         if self._sturm is None:
             self._sturm = _sturm_sequence(self.c)
-        at_u = [_sign_at(s, p, e) for s in self._sturm]
+        at_u = [sign_at(s, u) for s in self._sturm]
         at_inf = [1 if s[-1] > 0 else -1 for s in self._sturm]
         return _variations(at_u) - _variations(at_inf)
 
 
-def _sign_at(a: list[int], p: int, e: int) -> int:
-    """Sign of a(p / 2**e), by Horner on a(p/q) * q**deg."""
+def sign_at(a: Sequence[int], u: float) -> int:
+    """The exact sign (-1, 0 or 1) of sum(a[i] * r**i) at the float u, by
+    Horner on a(p/q) * q**deg with u = p / q, q = 2**e."""
+    p, q = u.as_integer_ratio()
+    e = q.bit_length() - 1
     h = a[-1]
     for j, x in enumerate(reversed(a[:-1]), start=1):
         h = h * p + (x << (e * j))

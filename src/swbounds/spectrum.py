@@ -50,7 +50,9 @@ def eigen_decompose(g: Graph) -> SpectralSummary:
     """Full spectral summary of a graph's adjacency matrix.
 
     Each eigenvector column is sign-normalized so its largest-magnitude entry
-    is positive, which makes the reported weights deterministic.
+    is positive. The weights are squares and do not depend on the signs;
+    column 0 does, and `baseline_upper_bounds` (umax, usum) and the
+    non-negativity check of `swb verify` read it.
     """
     values, vectors = np.linalg.eigh(adjacency_array(g))
     order = np.argsort(-values, kind="stable")
@@ -83,41 +85,22 @@ def moment_identity_deviations(summary: SpectralSummary, total: MomentSequence,
                                tol: float = 1e-8) -> dict:
     """Compare walk counts with the weighted eigenvalue power sums of summary.
 
-    Compares, for k = 0..max index, the closed/rooted/total walk counts with
-    the corresponding weighted eigenvalue power sums. Deviations are measured
-    relative to the absolute-term magnitude of each sum (so cancellation to
-    an exact zero does not blow up the metric). Failures are reported in the
-    returned dict, never raised.
+    Each count is sum_l c_l lambda_l**k, for k = 0..max index, with its own
+    weights c stacked in one matrix: ones for closed walks, `weight_sums`
+    for walks and a row of `vertex_weights` per rooted measure. Deviations
+    are relative to the absolute-term magnitude of each sum (so cancellation
+    to an exact zero does not blow up the metric). Failures are reported in
+    the returned dict, never raised.
     """
     lam = summary.eigenvalues
     abs_lam = np.abs(lam)
-    weights = summary.weight_sums
-    vw = summary.vertex_weights
-
-    dev_closed = 0.0
-    dev_total = 0.0
-    dev_rooted = 0.0
+    weights = np.vstack([np.ones_like(lam), summary.weight_sums, summary.vertex_weights])
+    sequences = [closed, total, *rooted]
+    dev = np.zeros(len(sequences))
     for k in range(total.max_index + 1):
-        pk = lam ** k
-        apk = abs_lam ** k
-
-        approx = float(pk.sum())
-        scale = max(1.0, float(apk.sum()))
-        dev_closed = max(dev_closed, abs(approx - float(closed[k])) / scale)
-
-        approx = float(weights @ pk)
-        scale = max(1.0, float(weights @ apk))
-        dev_total = max(dev_total, abs(approx - float(total[k])) / scale)
-
-        approx_i = vw @ pk
-        scale_i = np.maximum(1.0, vw @ apk)
-        exact_i = np.array([float(seq[k]) for seq in rooted])
-        dev_rooted = max(dev_rooted, float(np.max(np.abs(approx_i - exact_i) / scale_i)))
-
-    return {
-        "closed_walks": dev_closed,
-        "closed_walks_at": dev_rooted,
-        "walks": dev_total,
-        "tol": tol,
-        "passed": max(dev_closed, dev_rooted, dev_total) <= tol,
-    }
+        exact = np.array([float(seq[k]) for seq in sequences])
+        scale = np.maximum(1.0, weights @ abs_lam ** k)
+        dev = np.maximum(dev, np.abs(weights @ lam ** k - exact) / scale)
+    found = {"closed_walks": float(dev[0]), "closed_walks_at": float(dev[2:].max()),
+             "walks": float(dev[1])}
+    return {**found, "tol": tol, "passed": max(found.values()) <= tol}

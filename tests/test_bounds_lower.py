@@ -31,7 +31,7 @@ from swbounds.graph import (
 )
 from swbounds.moments import exact_psd, hankel_table, orthogonal_polynomial
 from swbounds.report import er_corpus, family_corpus, find_violations, prepare_graph
-from swbounds.roots import largest_real_root_bracket, no_real_root_above
+from swbounds.roots import largest_real_root_bracket, no_real_root_above, sign_at
 from swbounds.spectrum import eigen_decompose
 from swbounds.walks import (
     KIND_CLOSED,
@@ -349,6 +349,15 @@ class TestSdpCutoffSign:
             if u > 0.0:
                 at_u = sum(c * Fraction(u) ** i for i, c in enumerate(poly))
                 assert _zeros_below(poly, u) == (at_u != 0 and no_real_root_above(poly, u)), u
+
+    @settings(max_examples=200, deadline=None)
+    @given(poly=_sdp_polynomials(), extra=st.lists(st.floats(-1e3, 1e3), max_size=3))
+    def test_sign_at_matches_fractions(self, poly, extra):
+        lo, hi = largest_real_root_bracket(poly)
+        near = [math.nextafter(x, d) for x in (lo, hi) for d in (-math.inf, math.inf)]
+        for u in {lo, hi, *near, *extra, 0.0, -lo, 2.0 ** -60, 2.0 ** 60}:
+            at_u = sum(c * Fraction(u) ** i for i, c in enumerate(poly))
+            assert sign_at(poly, u) == (at_u > 0) - (at_u < 0), u
 
 
 def _reported_vertex_reference(outcomes, kind):

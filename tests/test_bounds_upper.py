@@ -485,16 +485,20 @@ class TestCutoffSign:
     @settings(max_examples=150, deadline=None)
     @given(atoms=st.lists(st.tuples(st.integers(0, 8), st.integers(1, 30)), min_size=2,
                           max_size=5, unique_by=lambda a: a[0]),
-           indices=st.sampled_from(((1, 2), (1, 2, 3))), share=_DYADIC, extra=_EXTRA)
+           indices=st.sampled_from(((1, 2), (1, 2, 3), (1, 2, 3, 4))), share=_DYADIC,
+           extra=_EXTRA)
     @example(atoms=[(2, 3), (5, 1)], indices=(1, 2, 3), share=1.0, extra=[3.0])
     def test_hankel_root_sign_matches_the_exact_test(self, atoms, indices, share, extra):
-        # moments of a measure with at least two atoms, so H_{J'} is definite,
-        # and alpha at most the top atom's weight, so a real root exists; two
-        # atoms at J = (1, 2, 3) make H_J singular, and the polynomial a
+        # moments of a measure with at least |J| - 1 atoms, so H_{J'} is
+        # definite, and alpha at most the top atom's weight, so a real root
+        # exists; |J| - 1 atoms make H_J singular, and the polynomial a
         # negative multiple of the square of p = (last row of adj(H_J)) . v,
-        # whose simple roots are the atoms
+        # whose simple roots are the atoms; four positions take the Bareiss
+        # minors of `_adjugate`
+        if len(atoms) < len(indices) - 1:
+            return
         m = MomentSequence(KIND_WALKS, tuple(sum(w * x ** j for x, w in atoms)
-                                             for j in range(5)))
+                                             for j in range(7)))
         alpha = max(atoms)[1] * min(share, 1.0)
         h = [[m[a + b - 2] for b in indices] for a in indices]
         adj = _adjugate(h)
@@ -508,6 +512,6 @@ class TestCutoffSign:
                 for b, jb in enumerate(indices):
                     coeffs[ja + jb - 2] -= num * adj[a][b]
         else:
-            coeffs = adj[-1]  # p's coefficients: J = (1, 2, 3) puts r**(j - 1) at j - 1
+            coeffs = adj[-1]  # p's coefficients: J = (1, ..., r) puts r**(j - 1) at j - 1
         _assert_rules_out_a_root_above(
             lambda u: hankel_root_value(m, alpha, indices, cutoff=u), coeffs, extra)

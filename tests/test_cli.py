@@ -29,6 +29,7 @@ from swbounds.report import (
     _verify_walks,
     build_report,
     er_corpus,
+    find_violations,
     prepare_graph,
     report_csv_rows,
     run_verification,
@@ -544,6 +545,71 @@ class TestCommands:
         monkeypatch.chdir(tmp_path)
         assert main(["verify", "--families-max", "6", "--er-count", "3", "--K", "3"]) == 0
         assert "violations:     0" in capsys.readouterr().out
+
+
+def _sandwich_rows(rho, tol):
+    """Rows at the edge rho + tol (lower) or rho - tol (upper) and at the
+    float either side of it."""
+    rows = []
+    for kind, edge in (("lower", rho + tol), ("upper", rho - tol)):
+        for value in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)):
+            rows.append(BoundResult("sandwich_probe", kind, value, {"at": value}))
+    return rows
+
+
+class TestSandwichRule:
+    """`find_violations`, the CSV gap column and `run_verification` decide
+    each row by the one test `_gap(row, rho) < -tol`."""
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-7])
+    def test_every_view_agrees_at_the_edge(self, monkeypatch, tol):
+        entry = CorpusEntry("p3", "path", generate("path:3"))
+        base = build_report(entry, tol=tol, with_timing=False)
+        rho = base.rho
+        decided = []
+        for row in _sandwich_rows(rho, tol):
+            violations = find_violations([row], rho, tol)
+            single = dataclasses.replace(base, bounds=(row,), bound_ms=(0.0,))
+            gap = float(report_csv_rows(single)[0].split(",")[11])
+            monkeypatch.setattr(report, "sweep_bounds", lambda *a, **k: [(row, 0.0)])
+            outcome = run_verification([entry], max_length=DEFAULT_MAX_LENGTH, tol=tol)
+            lower = row.kind == "lower"
+            assert gap == (rho - row.value if lower else row.value - rho)
+            assert (lower and outcome.worst_lower_margin == -gap
+                    or not lower and outcome.worst_upper_margin == -gap)
+            crossed = gap < -tol
+            assert len(violations) == crossed
+            # at tol = 0 the support conditions at rho fail too, since rho is
+            # the float below sqrt(2); only the probe row's messages are compared
+            probed = [v for v in outcome.violations if "sandwich_probe" in v]
+            assert probed == [f"p3: {v}" for v in violations]
+            if crossed:
+                verb = "exceeds" if lower else "undercuts"
+                assert violations[0] == (f"{row.kind} bound sandwich_probe {row.params} = "
+                                         f"{row.value!r} {verb} rho = {rho!r}")
+            if tol == 0.0:
+                # float subtraction keeps its sign, so this is the plain comparison
+                assert crossed == (row.value > rho if lower else row.value < rho)
+            decided.append(crossed)
+        assert decided[0] is False and decided[2] is True  # lower rows, below and above
+        assert decided[3] is True and decided[5] is False  # upper rows, below and above
+
+    def test_inapplicable_and_non_finite_rows_are_not_checked(self):
+        rows = [BoundResult("sandwich_probe", "lower", math.inf),
+                BoundResult("sandwich_probe", "upper", math.nan),
+                BoundResult("sandwich_probe", "lower", 9.0, applicable=False)]
+        assert find_violations(rows, 1.0, 0.0) == []
+
+    def test_path3_at_zero_tolerance_names_its_one_ulp_excesses(self, capsys):
+        # rho is LAPACK's float just below sqrt(2), and the exact sqrt(2)
+        # bounds round to the float above it
+        code = main(["bounds", "--gen", "path:3", "--no-timing", "--tol", "0",
+                     "--format", "json"])
+        assert code == 3
+        violations = json.loads(capsys.readouterr().out)["violations"]
+        assert len(violations) == 47
+        assert all(v.startswith("lower bound ") and " = 1.4142135623730951 exceeds rho = "
+                   "1.414213562373095" in v for v in violations)
 
 
 class TestVerificationEngine:

@@ -3,13 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from swbounds.graph import complete_graph, cycle_graph, generate, path_graph, star_graph
+from swbounds.graph import (
+    Graph,
+    complete_bipartite_graph,
+    complete_graph,
+    cycle_graph,
+    erdos_renyi_graph,
+    generate,
+    is_connected,
+    path_graph,
+    star_graph,
+)
 from swbounds.spectrum import (
     adjacency_array,
     eigen_decompose,
+    moment_identity_deviations,
     symmetric_eigenvalues,
     verify_moment_identities,
 )
+from swbounds.walks import MomentSequence, all_rooted_closed_counts, closed_from_rooted, walk_counts
 
 
 class TestJacobi:
@@ -119,3 +131,73 @@ class TestMomentIdentities:
     def test_large_horizon(self):
         report = verify_moment_identities(complete_graph(10), 12, tol=1e-8)
         assert report["passed"], report
+
+
+def _identity_reference(summary, total, closed, rooted, tol):
+    """The identity written out once per weight set: ones for closed walks,
+    the weight sums for walks and the vertex weights for rooted measures."""
+    lam = summary.eigenvalues
+    abs_lam = np.abs(lam)
+    dev_closed = dev_total = dev_rooted = 0.0
+    for k in range(total.max_index + 1):
+        pk, apk = lam ** k, abs_lam ** k
+        dev_closed = max(dev_closed, abs(float(pk.sum()) - float(closed[k]))
+                         / max(1.0, float(apk.sum())))
+        dev_total = max(dev_total, abs(float(summary.weight_sums @ pk) - float(total[k]))
+                        / max(1.0, float(summary.weight_sums @ apk)))
+        exact = np.array([float(seq[k]) for seq in rooted])
+        scale = np.maximum(1.0, summary.vertex_weights @ apk)
+        dev_rooted = max(dev_rooted, float(np.max(
+            np.abs(summary.vertex_weights @ pk - exact) / scale)))
+    return {"closed_walks": dev_closed, "closed_walks_at": dev_rooted, "walks": dev_total,
+            "tol": tol, "passed": max(dev_closed, dev_rooted, dev_total) <= tol}
+
+
+def _sequences(g, horizon):
+    rooted = all_rooted_closed_counts(g, horizon)
+    return eigen_decompose(g), walk_counts(g, horizon), closed_from_rooted(rooted), rooted
+
+
+_IDENTITY_GRAPHS = {
+    "complete_6": complete_graph(6),
+    "cycle_7": cycle_graph(7),
+    "star_5": star_graph(5),
+    "biclique_3_4": complete_bipartite_graph(3, 4),
+    "edgeless_4": Graph(4),
+    "er_12_0.15_1729": erdos_renyi_graph(12, 0.15, 1729),
+}
+
+
+class TestStackedIdentity:
+    """`moment_identity_deviations` stacks the three weight sets into one
+    matrix; it must agree with the identity written out per weight set."""
+
+    def test_the_disconnected_graph_is_disconnected(self):
+        assert not is_connected(_IDENTITY_GRAPHS["er_12_0.15_1729"])
+
+    @pytest.mark.parametrize("name", sorted(_IDENTITY_GRAPHS))
+    @pytest.mark.parametrize("tol", [1e-8, 0.0])
+    def test_matches_the_three_loops(self, name, tol):
+        args = _sequences(_IDENTITY_GRAPHS[name], 10)
+        got = moment_identity_deviations(*args, tol=tol)
+        want = _identity_reference(*args, tol)
+        assert list(got) == list(want)
+        for key in ("closed_walks", "closed_walks_at", "walks"):
+            assert got[key] == pytest.approx(want[key], abs=1e-12), key
+        assert got["tol"] == tol
+        assert got["passed"] is want["passed"]
+
+    @pytest.mark.parametrize("name", sorted(_IDENTITY_GRAPHS))
+    def test_one_count_off_in_one_rooted_sequence_fails(self, name):
+        summary, total, closed, rooted = _sequences(_IDENTITY_GRAPHS[name], 6)
+        assert moment_identity_deviations(summary, total, closed, rooted)["passed"]
+        i = len(rooted) // 2
+        values = list(rooted[i].values)
+        values[2] += 1
+        bad = [*rooted[:i], MomentSequence(rooted[i].kind, tuple(values), rooted[i].vertex),
+               *rooted[i + 1:]]
+        got = moment_identity_deviations(summary, total, closed, bad)
+        assert not got["passed"]
+        assert got["closed_walks_at"] > 0.1
+        assert got["closed_walks"] == moment_identity_deviations(
+            summary, total, closed, rooted)["closed_walks"]
