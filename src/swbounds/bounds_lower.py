@@ -10,6 +10,11 @@ coefficients are exact integers. Each top zero is reported as the lower
 end of its certified bracket, at which an exact Descartes/Sturm test finds
 a real root at or above it, so the bound never exceeds rho; no float matrix
 or tolerance is involved.
+
+A sweep evaluates each closed-form family through its array routine
+(`ratio_columns`, ...): every (twin class, column) cell of a dtype=object
+matrix of distinct sequences at once, each cell by the Python arithmetic of
+the scalar `*_value` routine.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .moments import hankel_table, orthogonal_polynomial
 from .roots import largest_real_root_bracket, no_real_root_above, sign_at
@@ -127,6 +134,28 @@ def outcome_row(name: str, kind: str, params: dict, outcome: float | Dead,
     return _not_applicable(name, kind, outcome.reason, params)
 
 
+def outcome_table(live: np.ndarray, values: np.ndarray,
+                  deads: Sequence[tuple[np.ndarray, Dead]]) -> np.ndarray:
+    """The result of an array routine: the dtype=object table of outcomes,
+    `values` (Python floats, in the row-major order of the `live` cells)
+    and the Dead of each disjoint mask of `deads`."""
+    table = np.empty(live.shape, dtype=object)
+    table[live] = values
+    for mask, dead in deads:
+        held = np.empty((), dtype=object)
+        held[()] = dead  # a 0-d array, so the tuple fills each cell whole
+        table[mask] = held
+    return table
+
+
+def spread(items: Sequence, mask: np.ndarray, per_row: bool = False) -> np.ndarray:
+    """One Python object per column (or per row), repeated over the `mask`
+    cells in their row-major order; a dtype=object array, so no element
+    becomes a numpy scalar (whose `**` is numpy's pow, not Python's)."""
+    items = np.array(items, dtype=object)
+    return np.broadcast_to(items[:, None] if per_row else items, mask.shape)[mask]
+
+
 def _require_range(m: MomentSequence, s: int, k: int, top: int) -> None:
     if s < 0 or k < 1:
         raise ValueError("need s >= 0 and k >= 1")
@@ -152,6 +181,17 @@ def ratio_value(m: MomentSequence, s: int, k: int) -> float | Dead:
     return (v[2 * s + k] / v[2 * s]) ** (1.0 / k)
 
 
+def ratio_columns(moments: np.ndarray, params: Sequence[tuple[int, int]]) -> np.ndarray:
+    """`ratio_value` of each row of `moments` (a dtype=object matrix of
+    distinct sequences) at each (s, k) column of `params`, in one pass of
+    the same int/int division and Python `**`."""
+    den = moments[:, [2 * s for s, _ in params]]
+    num = moments[:, [2 * s + k for s, k in params]]
+    live = den != 0
+    values = (num[live] / den[live]) ** spread([1.0 / k for _, k in params], live)
+    return outcome_table(live, values, [(~live, _ZERO_EVEN_MOMENT)])
+
+
 def ratio_row(m: MomentSequence, s: int, k: int, outcome: float | Dead) -> BoundResult:
     return outcome_row("ratio", "lower", {**m.params_head, "s": s, "k": k}, outcome)
 
@@ -164,6 +204,15 @@ def _det_blocks(m: MomentSequence, s: int, k: int) -> tuple[int, int, int]:
     det_s = m1 * m3 - m2 * m2
     det_f = m1 * m2 - m3 * m0
     return det_h, det_s, det_f
+
+
+def det_block_columns(moments: np.ndarray, params: Sequence[tuple[int, int]]) -> tuple:
+    """`_det_blocks` of each row of `moments` (a dtype=object matrix of
+    distinct sequences) at each (s, k) column of `params`: three exact
+    dtype=object matrices, which `det_ratio_columns` and
+    `quadratic_root_columns` share."""
+    m0, m1, m2, m3 = (moments[:, [2 * s + i * k for s, k in params]] for i in range(4))
+    return m0 * m2 - m1 * m1, m1 * m3 - m2 * m2, m1 * m2 - m3 * m0
 
 
 def det_ratio_lower_bound(m: MomentSequence, s: int, k: int) -> BoundResult:
@@ -185,6 +234,18 @@ def det_ratio_value(m: MomentSequence, s: int, k: int) -> float | Dead:
     if det_s <= 0:
         return _VACUOUS_DET_RATIO
     return (det_s / det_h) ** (1.0 / (2 * k))
+
+
+def det_ratio_columns(blocks: tuple, params: Sequence[tuple[int, int]]) -> np.ndarray:
+    """`det_ratio_value` at each (s, k) column from the `det_block_columns`,
+    as `ratio_columns`."""
+    det_h, det_s, _ = blocks
+    positive = det_h > 0
+    live = positive & (det_s > 0)
+    values = (det_s[live] / det_h[live]) ** spread([1.0 / (2 * k) for _, k in params], live)
+    deads = [(det_h == 0, _SINGULAR_BLOCK), (det_h < 0, _BLOCK_NOT_PSD),
+             (positive & ~live, _VACUOUS_DET_RATIO)]
+    return outcome_table(live, values, deads)
 
 
 def det_ratio_row(m: MomentSequence, s: int, k: int, outcome: float | Dead) -> BoundResult:
@@ -215,6 +276,21 @@ def quadratic_root_value(m: MomentSequence, s: int, k: int) -> float | Dead:
         disc = 0
     root_k = abs(det_f) / (2 * det_h) + math.sqrt(disc / (4 * det_h * det_h))
     return root_k ** (1.0 / k)
+
+
+def quadratic_root_columns(blocks: tuple, params: Sequence[tuple[int, int]]) -> np.ndarray:
+    """`quadratic_root_value` at each (s, k) column from the
+    `det_block_columns`, as `ratio_columns`; the float sum and square root
+    are IEEE-exact in float64, so equal Python's."""
+    det_h, det_s, det_f = blocks
+    live = det_h > 0
+    h, f = det_h[live], det_f[live]
+    h4 = 4 * h
+    disc = f * f - h4 * det_s[live]
+    disc[disc < 0] = 0
+    root_k = (np.abs(f) / (2 * h)).astype(float) + np.sqrt((disc / (h4 * h)).astype(float))
+    values = root_k.astype(object) ** spread([1.0 / k for _, k in params], live)
+    return outcome_table(live, values, [(~live, _BLOCK_NOT_PD)])
 
 
 def quadratic_root_row(m: MomentSequence, s: int, k: int,

@@ -22,7 +22,10 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional, Sequence
 
-from .bounds_lower import BoundResult, Dead, _not_applicable, outcome_row, reported_vertex
+import numpy as np
+
+from .bounds_lower import (BoundResult, Dead, _not_applicable, outcome_row, outcome_table,
+                           reported_vertex, spread)
 from .moments import _validated_indices, exact_determinant
 from .roots import largest_real_root_bracket, no_real_root_above, sign_at
 from .spectrum import SpectralSummary
@@ -62,6 +65,17 @@ def _sqrt_big(x: int) -> float:
     return math.ldexp(math.sqrt(x >> shift), shift // 2)
 
 
+def _sqrt_big_cells(x: np.ndarray) -> np.ndarray:
+    """`_sqrt_big` of each cell of a dtype=object int array, as float64:
+    `np.sqrt` (IEEE-exact, so equal to `math.sqrt`) up to 1022 bits, and the
+    shifted branch cell by cell beyond."""
+    big = x >= 1 << 1022
+    out = np.empty(x.shape)
+    out[~big] = np.sqrt(x[~big].astype(float))
+    out[big] = [_sqrt_big(v) for v in x[big]]
+    return out
+
+
 def _ratio_root(num: int, den: float, inv_exp: float) -> float:
     """(num / den) ** inv_exp for a big non-negative int numerator."""
     if num == 0:
@@ -89,6 +103,32 @@ def even_moment_value(m: MomentSequence, alpha: float, k: int) -> float | Dead:
     if alpha <= MIN_ATOM_WEIGHT:
         return _VANISHING_WEIGHT
     return _ratio_root(m.values[2 * k], alpha, 1.0 / (2 * k))
+
+
+def _ratio_root_columns(moments: np.ndarray, alphas: Sequence[float], dens: Sequence[float],
+                        ks: Sequence[int]) -> np.ndarray:
+    """`_ratio_root(m_{2k}, den, 1/(2k))` at each k column for the rows whose
+    alpha_1 does not vanish: the int/float division and Python `**` in one
+    object pass below 2**1020, and the log/exp branch cell by cell above."""
+    weighted = np.array([a > MIN_ATOM_WEIGHT for a in alphas])[:, None]
+    live = np.broadcast_to(weighted, (len(alphas), len(ks)))
+    num = moments[:, [2 * k for k in ks]][live]
+    den = spread(dens, live, per_row=True)
+    inv = spread([1.0 / (2 * k) for k in ks], live)
+    small = num < 1 << 1020
+    values = np.empty(num.shape, dtype=object)
+    with np.errstate(all="ignore"):  # an int/float quotient past the float range is inf
+        values[small] = (num[small] / den[small]) ** inv[small]
+    values[~small] = [_ratio_root(*cell) for cell in zip(num[~small], den[~small], inv[~small])]
+    return outcome_table(live, values, [(~live, _VANISHING_WEIGHT)])
+
+
+def even_moment_columns(moments: np.ndarray, alphas: Sequence[float],
+                        ks: Sequence[int]) -> np.ndarray:
+    """`even_moment_value` of each row of `moments` (a dtype=object matrix,
+    one row per distinct (sequence, alpha_1)) with its Python float
+    `alphas` entry at each k of `ks`."""
+    return _ratio_root_columns(moments, alphas, alphas, ks)
 
 
 def even_moment_row(m: MomentSequence, alpha: float, k: int, outcome: float | Dead) -> BoundResult:
@@ -123,6 +163,33 @@ def two_point_value(m: MomentSequence, alpha: float, k: int) -> float | Dead:
         gram = 0
     root_k = mk / m0 + math.sqrt(factor) * _sqrt_big(gram) / m0
     return root_k ** (1.0 / k)
+
+
+def two_point_columns(moments: np.ndarray, alphas: Sequence[float],
+                      ks: Sequence[int]) -> np.ndarray:
+    """`two_point_value` at each k column, as `even_moment_columns`, raising
+    its ValueError for the first row that has one. The ints are divided
+    as objects; the product, quotient by m_0 and sum are IEEE-exact, so
+    equal Python's in float64."""
+    for m0, alpha in zip(moments[:, 0], alphas):
+        if m0 <= 0:
+            raise ValueError("zero total mass")
+        if MIN_ATOM_WEIGHT < alpha and alpha > m0 * (1.0 + 1e-9):
+            raise ValueError("atom weight exceeds the measure's total mass")
+    weighted = [a > MIN_ATOM_WEIGHT for a in alphas]
+    live = np.broadcast_to(np.array(weighted)[:, None], (len(alphas), len(ks)))
+    m0 = spread(moments[:, 0], live, per_row=True)
+    mk, m2k = (moments[:, [j * k for k in ks]][live] for j in (1, 2))
+    factor = [math.sqrt(max(0.0, m / a - 1.0)) if w else 0.0
+              for m, a, w in zip(moments[:, 0], alphas, weighted)]
+    gram = m0 * m2k - mk * mk
+    gram[gram < 0] = 0
+    with np.errstate(all="ignore"):  # Python's float arithmetic does not warn
+        root_k = ((mk / m0).astype(float)
+                  + spread(factor, live, per_row=True).astype(float) * _sqrt_big_cells(gram)
+                  / m0.astype(float))
+    values = root_k.astype(object) ** spread([1.0 / k for k in ks], live)
+    return outcome_table(live, values, [(~live, _VANISHING_WEIGHT)])
 
 
 def two_point_row(m: MomentSequence, alpha: float, k: int, outcome: float | Dead) -> BoundResult:
@@ -182,6 +249,15 @@ def bipartite_value(m: MomentSequence, alpha: float, k: int, bipartite: bool) ->
     if alpha <= MIN_ATOM_WEIGHT:
         return _VANISHING_WEIGHT
     return _ratio_root(m.values[2 * k], 2.0 * alpha, 1.0 / (2 * k))
+
+
+def bipartite_columns(moments: np.ndarray, alphas: Sequence[float], ks: Sequence[int],
+                      bipartite: bool) -> np.ndarray:
+    """`bipartite_value` at each k column, as `even_moment_columns`."""
+    if not bipartite:
+        dead = np.ones((len(alphas), len(ks)), dtype=bool)
+        return outcome_table(~dead, np.empty(0), [(dead, _NOT_BIPARTITE)])
+    return _ratio_root_columns(moments, alphas, [2.0 * a for a in alphas], ks)
 
 
 def bipartite_row(m: MomentSequence, alpha: float, k: int, bipartite: bool,

@@ -7,7 +7,7 @@ import math
 import time
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -16,13 +16,14 @@ from .bounds_lower import (
     Dead,
     _det_blocks,
     baseline_lower_bounds,
+    det_block_columns,
+    det_ratio_columns,
     det_ratio_row,
-    det_ratio_value,
     local_triangle_lower_bound,
+    quadratic_root_columns,
     quadratic_root_row,
-    quadratic_root_value,
+    ratio_columns,
     ratio_row,
-    ratio_value,
     reported_vertex,
     sdp_row,
     sdp_value,
@@ -31,19 +32,19 @@ from .bounds_lower import (
 from .bounds_upper import (
     atom_weight_for,
     baseline_upper_bounds,
+    bipartite_columns,
     bipartite_row,
-    bipartite_value,
     clique_root_upper_bound,
     eigvec_degree_upper_bound,
+    even_moment_columns,
     even_moment_row,
-    even_moment_value,
     hankel_root_row,
     hankel_root_value,
     nikiforov_clique_value,
     stieltjes_root_row,
     stieltjes_root_value,
+    two_point_columns,
     two_point_row,
-    two_point_value,
 )
 from .graph import (
     CLIQUE_SEARCH_LIMIT,
@@ -184,9 +185,22 @@ def _sort_key(r: BoundResult):
     )
 
 
-def _twin_classes(keys: Iterable) -> tuple[list[int], list[int]]:
-    """The first index of each distinct key, in order, and the class (its
-    position among those) of every index."""
+class Classes(NamedTuple):
+    """One measure's vertices in a matrix of twin classes: the head of each
+    vertex's records ((m,) or (m, alpha_1)), the first vertex of each class
+    (increasing), the class of each vertex, and the matrix rows of the
+    classes."""
+
+    heads: list
+    firsts: list[int]
+    of: list[int]
+    rows: slice
+
+
+def _twin_classes(heads: list, keys: Iterable, stacked: list) -> Classes:
+    """The `Classes` of one measure's vertices, which have `heads` and are
+    twins when their `keys` are equal; the sequence of each class's first
+    vertex is appended to the `stacked` matrix rows."""
     classes: dict = {}
     firsts: list[int] = []
     of = []
@@ -195,7 +209,8 @@ def _twin_classes(keys: Iterable) -> tuple[list[int], list[int]]:
         if c == len(firsts):
             firsts.append(i)
         of.append(c)
-    return firsts, of
+    stacked += [heads[i][0].values for i in firsts]
+    return Classes(heads, firsts, of, slice(len(stacked) - len(firsts), len(stacked)))
 
 
 def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = DEFAULT_K_MAX,
@@ -208,31 +223,24 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
     This is the one place that decides which (bound, parameters) rows exist:
     a combination that needs moments beyond the computed horizon is skipped,
     the classical rows (`triangle_edge`, `baseline_*`, ...) included, and a
-    labelled row needs its measure in `measures`. Each bound column (family
-    and parameters on one measure) is one timed pass of its value routine
-    (`ratio_value`, ...) over the measure's sequences; its records, of the
-    vertex `reported_vertex` picks (vertex_mode="aggregate") or of every
-    vertex ("all", what the soundness checks want), share the pass's time.
-    The rooted labelled rows (`local_triangle`, `baseline_sqrt_max_degree`,
-    `eigvec_degree`) read the outcomes of the hierarchy columns they label.
-    In aggregate mode the root-based families (`sdp`, `stieltjes_root`,
-    `hankel_root`) pass each vertex after a positive live one a cutoff one
-    float beyond the best value b so far: nextafter(b, inf) for a lower
-    bound and nextafter(b, 0) for an upper one. A routine that proves,
-    exactly, that the vertex's value would be no better than b returns it
-    inapplicable without a root search; a lower vertex is at least as
-    good, so it would not have been reported, and the reported vertex and
-    value are those of the full sweep. Returns (result, milliseconds)
-    pairs in a deterministic order.
+    labelled row needs its measure in `measures`. Records are of the vertex
+    `reported_vertex` picks (vertex_mode="aggregate") or of every vertex
+    ("all"). Returns (result, milliseconds) pairs in a deterministic order.
 
-    A rooted bound depends on the vertex only through its moments and, for
-    an upper one, its atom weight alpha_1 (the float `atom_weight_for`
-    gives), so twin vertices (identical `values`, or identical values and
-    alpha_1) share every outcome: each column, the cutoff pass included,
-    evaluates the first vertex of each class and copies its outcome to the
-    others. A later twin never moves the cutoff and never displaces the
-    lowest tied vertex, so no reported row changes; each record is still
-    built from its own vertex's head. The `sdp` Hankel tables are built
+    Twin vertices (identical `values`, and for an upper bound the same
+    `atom_weight_for` float) share every outcome: each class is evaluated
+    once and each record is built from its own vertex's head. The six
+    closed-form families are one array pass each (`ratio_columns`, ...)
+    over one dtype=object matrix of every measure's classes, all columns at
+    once; the time of the pass and its records is shared evenly by the
+    records. The rooted labelled rows read the rooted columns they label.
+    `sdp`, `stieltjes_root` and `hankel_root` are one timed pass per
+    column, in class order: in aggregate mode each class after a positive
+    live one gets a cutoff one float beyond the best value b so far
+    (nextafter(b, inf) for a lower bound, nextafter(b, 0) for an upper
+    one), and a routine that proves exactly that its value is no better
+    than b returns it inapplicable without a root search, which leaves the
+    reported vertex and value unchanged. The `sdp` Hankel tables are built
     once per class, timed with the first `sdp` column.
     """
     if s_max < 0 or k_max < 0:
@@ -240,8 +248,6 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
     horizon = prep.walks_seq.max_index
     summary = prep.summary
     rows: list[tuple[BoundResult, float]] = []
-    # the rooted columns' per-vertex outcomes, by (value routine, *params)
-    rooted_columns: dict = {}
 
     def emit(fn, *args) -> None:
         """One timed call; the rows of a list result share its time."""
@@ -251,17 +257,14 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
         batch = res if isinstance(res, list) else [res]
         rows.extend((r, ms / len(batch)) for r in batch)
 
-    def per_vertex(kind, value, row, heads, classes, *args, prune: bool = False,
+    def per_vertex(kind, value, row, classes: Classes, *args, prune: bool = False,
                    start: Optional[float] = None) -> None:
-        """One timed pass of `value` over the first sequence of each of the
-        `_twin_classes`, its outcomes copied to the class, then the records
-        of the vertex `reported_vertex` picks (aggregate) or of every vertex
-        ("all"), which share the pass's time (counted from `start` when
-        given). A pruned aggregate pass gives each vertex it evaluates the
-        cutoff one float beyond the best positive live value so far. A
-        rooted column's outcomes are kept."""
+        """One timed pass of `value` over the first head of each class,
+        counted from `start` when given, whose records share its time. A
+        pruned aggregate pass gives each class it evaluates the cutoff one
+        float beyond the best positive live value so far."""
         t0 = time.perf_counter() if start is None else start
-        firsts, of = classes
+        heads, firsts, of, _ = classes
         run = [heads[i] for i in firsts]
         if prune and vertex_mode != "all":
             toward = math.inf if kind == "lower" else 0.0
@@ -283,8 +286,35 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
         else:
             i = reported_vertex(outcomes, kind) if len(heads) > 1 else 0
             rows.append((row(*heads[i], *args, outcomes[i]), (time.perf_counter() - t0) * 1000.0))
-        if heads[0][0].kind == KIND_CLOSED_AT:
-            rooted_columns[(value, *args)] = outcomes
+
+    rooted_tables: dict = {}  # (params, rooted Classes, table) of an array pass, by its row
+
+    def array_pass(kind, routine, row, params, parts, *args,
+                   start: Optional[float] = None) -> None:
+        """One timed call of an array routine on the stacked classes of the
+        measures' `parts`, counted from `start` if given, and the records
+        `row(*head, *p, outcome)` of each column `p` of `params`: of every
+        vertex ("all"), or of the first vertex of the class `reported_vertex`
+        picks."""
+        t0 = time.perf_counter() if start is None else start
+        table = routine(*args)
+        records = []
+        for heads, firsts, of, rows_of in parts:
+            for p, column in zip(params, table[rows_of].T.tolist()):
+                if vertex_mode == "all":
+                    records += [row(*head, *p, column[c]) for head, c in zip(heads, of)]
+                else:
+                    c = reported_vertex(column, kind) if len(column) > 1 else 0
+                    records.append(row(*heads[firsts[c]], *p, column[c]))
+        ms = (time.perf_counter() - t0) * 1000.0 / len(records)
+        rows.extend((r, ms) for r in records)
+        if parts[-1].heads[0][0].kind == KIND_CLOSED_AT:
+            rooted_tables[row] = (params, parts[-1], table)
+
+    def rooted_column(row, *p) -> Optional[list]:
+        """One outcome per vertex of a swept rooted column, else None."""
+        params, part, table = rooted_tables.get(row, ((), None, None))
+        return table[part.rows, params.index(p)][part.of].tolist() if p in params else None
 
     by_measure = {"walks": [prep.walks_seq], "closed": [prep.closed_seq],
                   "vertex": list(prep.rooted_seqs)}
@@ -293,61 +323,66 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
     j_positions = [_validated_indices(prep.walks_seq, j_set, 0) for j_set in j_sets
                    if 2 * max(j_set) - 1 <= horizon]
 
+    lower_parts, upper_parts, lower_rows, upper_rows, alphas = [], [], [], [], []
     rooted_weights = None
     for seqs in sequences:
         weights = [atom_weight_for(s, summary) for s in seqs]
         if seqs[0].kind == KIND_CLOSED_AT:
             rooted_weights = weights
-        alone = [(s,) for s in seqs]
-        weighted = list(zip(seqs, weights))
-        classes = _twin_classes([s.values for s in seqs])
-        weighted_classes = _twin_classes(zip(classes[1], weights))
-
-        for s in range(s_max + 1):
-            for k in range(1, k_max + 1):
-                if 2 * s + k <= horizon:
-                    per_vertex("lower", ratio_value, ratio_row, alone, classes, s, k)
-                if 2 * s + 3 * k <= horizon:
-                    per_vertex("lower", det_ratio_value, det_ratio_row, alone, classes, s, k)
-                    per_vertex("lower", quadratic_root_value, quadratic_root_row, alone, classes,
-                               s, k)
+        lower = _twin_classes([(s,) for s in seqs], [s.values for s in seqs], lower_rows)
+        upper = _twin_classes(list(zip(seqs, weights)), zip(lower.of, weights), upper_rows)
+        lower_parts.append(lower)
+        upper_parts.append(upper)
+        alphas += [weights[i] for i in upper.firsts]
 
         orders = [order for order in sdp_orders if 2 * order + 1 <= horizon]
         if orders:
             start = time.perf_counter()
-            built = [hankel_table(seqs[i], max(orders)) for i in classes[0]]
-            tables = [(m, built[c]) for m, c in zip(seqs, classes[1])]
+            built = [hankel_table(seqs[i], max(orders)) for i in lower.firsts]
+            tables = lower._replace(heads=[(m, built[c]) for m, c in zip(seqs, lower.of)])
             for order in orders:
-                per_vertex("lower", sdp_value, sdp_row, tables, classes, order, prune=True,
-                           start=start)
+                per_vertex("lower", sdp_value, sdp_row, tables, order, prune=True, start=start)
                 start = None
-
         for k in range(1, k_max + 1):
-            if 2 * k <= horizon:
-                per_vertex("upper", even_moment_value, even_moment_row, weighted,
-                           weighted_classes, k)
-                per_vertex("upper", two_point_value, two_point_row, weighted, weighted_classes, k)
-                if seqs[0].kind != KIND_WALKS:
-                    per_vertex("upper", bipartite_value, bipartite_row, weighted,
-                               weighted_classes, k, prep.bipartite)
             if 2 * k + 1 <= horizon:
-                per_vertex("upper", stieltjes_root_value, stieltjes_root_row, weighted,
-                           weighted_classes, k, prune=True)
-
+                per_vertex("upper", stieltjes_root_value, stieltjes_root_row, upper, k, prune=True)
         for indices in j_positions:
-            per_vertex("upper", hankel_root_value, hankel_root_row, weighted, weighted_classes,
-                       indices, prune=True)
+            per_vertex("upper", hankel_root_value, hankel_root_row, upper, indices, prune=True)
+
+    ratios = [(s, k) for s in range(s_max + 1) for k in range(1, k_max + 1) if 2 * s + k <= horizon]
+    blocks = [(s, k) for s, k in ratios if 2 * s + 3 * k <= horizon]
+    ks = [k for k in range(1, k_max + 1) if 2 * k <= horizon]
+    if sequences and ratios:
+        moments = np.array(lower_rows, dtype=object)
+        array_pass("lower", ratio_columns, ratio_row, ratios, lower_parts, moments, ratios)
+        if blocks:
+            start = time.perf_counter()
+            dets = det_block_columns(moments, blocks)
+            array_pass("lower", det_ratio_columns, det_ratio_row, blocks, lower_parts, dets,
+                       blocks, start=start)
+            array_pass("lower", quadratic_root_columns, quadratic_root_row, blocks, lower_parts,
+                       dets, blocks)
+    if sequences and ks:
+        moments = np.array(upper_rows, dtype=object)
+        columns = [(k,) for k in ks]
+        array_pass("upper", even_moment_columns, even_moment_row, columns, upper_parts, moments,
+                   alphas, ks)
+        array_pass("upper", two_point_columns, two_point_row, columns, upper_parts, moments,
+                   alphas, ks)
+        closed_parts = [p for p in upper_parts if p.heads[0][0].kind != KIND_WALKS]
+        if closed_parts:
+            array_pass("upper", bipartite_columns, bipartite_row,
+                       [(k, prep.bipartite) for k in ks], closed_parts, moments, alphas, ks,
+                       prep.bipartite)
 
     rooted = prep.rooted_seqs if "vertex" in measures else ()
     if 3 <= horizon:
         if "closed" in measures:
             emit(triangle_edge_lower_bound, prep.closed_seq)
         if rooted:
-            emit(local_triangle_lower_bound, rooted,
-                 rooted_columns.get((quadratic_root_value, 0, 1)))
+            emit(local_triangle_lower_bound, rooted, rooted_column(quadratic_root_row, 0, 1))
     if "walks" in measures:
-        emit(baseline_lower_bounds, prep.walks_seq, rooted,
-             rooted_columns.get((ratio_value, 0, 2)))
+        emit(baseline_lower_bounds, prep.walks_seq, rooted, rooted_column(ratio_row, 0, 2))
         if prep.omega is not None:
             for k in range(0, k_max + 1):
                 if 2 * k + 1 <= horizon:
@@ -356,8 +391,8 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
         emit(baseline_upper_bounds, prep.walks_seq, summary, prep.omega, prep.connected, ks)
 
     if rooted and 2 <= horizon:
-        emit(eigvec_degree_upper_bound, rooted, summary,
-             rooted_columns.get((two_point_value, 1)), rooted_weights)
+        emit(eigvec_degree_upper_bound, rooted, summary, rooted_column(two_point_row, 1),
+             rooted_weights)
 
     rows.sort(key=lambda pair: _sort_key(pair[0]))
     return rows
@@ -445,14 +480,17 @@ _JSON_FLAG = {True: "true", False: "false"}
 
 def _json_text(obj, pad: str) -> str:
     """`json.dumps(obj, indent=2)` of a value whose first line starts with
-    `pad`: a finite float, an int, a str, a bool or None directly, anything
-    else through the standard library, re-indented (an encoded string never
-    holds a raw newline, so every newline in the text starts a line)."""
+    `pad`: a finite float, an int, a str, a bool, None or a list of ints
+    directly, anything else through the standard library, re-indented (an
+    encoded string never holds a raw newline, so every newline in the text
+    starts a line)."""
     t = type(obj)
     if t is float and obj - obj == 0.0:
         return float.__repr__(obj)
     if t is int:
         return int.__repr__(obj)
+    if t is list and obj and all(type(x) is int for x in obj):
+        return "[\n" + ",\n".join([f"{pad}  {int.__repr__(x)}" for x in obj]) + f"\n{pad}]"
     if t is str:
         return encode_basestring_ascii(obj)
     if t is bool:

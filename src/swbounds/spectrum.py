@@ -7,6 +7,7 @@ obtained from squared eigenvector sums.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -89,18 +90,25 @@ def moment_identity_deviations(summary: SpectralSummary, total: MomentSequence,
     weights c stacked in one matrix: ones for closed walks, `weight_sums`
     for walks and a row of `vertex_weights` per rooted measure. Deviations
     are relative to the absolute-term magnitude of each sum (so cancellation
-    to an exact zero does not blow up the metric). Failures are reported in
-    the returned dict, never raised.
+    to an exact zero does not blow up the metric). At a k whose walk count
+    (the largest count) reaches 2**1000, both sides are compared in units of
+    2**(t*k), with 2**t the power of two nearest the spectral radius: the
+    eigenvalues scale exactly, each count by one correctly rounded int
+    division, and no count or power leaves the float range. Failures are
+    reported in the returned dict, never raised.
     """
     lam = summary.eigenvalues
     abs_lam = np.abs(lam)
     weights = np.vstack([np.ones_like(lam), summary.weight_sums, summary.vertex_weights])
     sequences = [closed, total, *rooted]
+    t = max(0, round(math.log2(abs_lam.max()))) if abs_lam.any() else 0
     dev = np.zeros(len(sequences))
     for k in range(total.max_index + 1):
-        exact = np.array([float(seq[k]) for seq in sequences])
-        scale = np.maximum(1.0, weights @ abs_lam ** k)
-        dev = np.maximum(dev, np.abs(weights @ lam ** k - exact) / scale)
+        shift = t if total[k].bit_length() > 1000 else 0  # w_k >= phi_k >= each rooted count
+        exact = np.array([seq[k] / (1 << (shift * k)) for seq in sequences])
+        scale = np.maximum(max(math.ldexp(1.0, -shift * k), 5e-324),
+                           weights @ np.ldexp(abs_lam, -shift) ** k)
+        dev = np.maximum(dev, np.abs(weights @ np.ldexp(lam, -shift) ** k - exact) / scale)
     found = {"closed_walks": float(dev[0]), "closed_walks_at": float(dev[2:].max()),
              "walks": float(dev[1])}
     return {**found, "tol": tol, "passed": max(found.values()) <= tol}

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swbounds import bounds_lower, bounds_upper, moments, report, roots
@@ -142,6 +142,10 @@ class TestJsonWriter:
            params=st.dictionaries(_JSON_STRINGS, _JSON_TREES, max_size=3),
            flags=st.tuples(st.booleans(), st.booleans(), st.booleans()),
            reason=st.none() | _JSON_STRINGS, ms=_JSON_NUMBERS)
+    @example(name="hankel_root", kind="upper", value=1.5, params={"J": [1, 2, 3], "k": [7]},
+             flags=(True, False, True), reason=None, ms=0.25)
+    @example(name="r", kind="lower", value=1.0, params={"J": [], "n": [[1, 2], [True, 3], [-4]]},
+             flags=(False, False, False), reason="x", ms=0.0)
     def test_writer_matches_json_dumps(self, name, kind, value, params, flags, reason, ms):
         applicable, trivial, oracle_assisted = flags
         row = BoundResult(name, kind, value, params, applicable, reason, trivial,
@@ -920,15 +924,16 @@ class TestVertexReduction:
                     if r.name == name]
             assert _reduce_vertex_results(rows, kind).params["vertex"] == 1
 
-    # Each value routine with the length of the head it takes from a sequence
-    # ((m,), (m, table) or (m, weight)), and whether the atom weight is part
-    # of what it depends on.
-    _VALUE_ROUTINES = {
-        "ratio_value": (1, False), "det_ratio_value": (1, False),
-        "quadratic_root_value": (1, False), "sdp_value": (2, False),
-        "even_moment_value": (2, True), "two_point_value": (2, True),
-        "bipartite_value": (2, True), "stieltjes_root_value": (2, True),
-        "hankel_root_value": (2, True),
+    # Each value routine the sweep still calls once per class, with the length
+    # of the head it takes from a sequence ((m, table) or (m, weight)), and
+    # whether the atom weight is part of what it depends on.
+    _VALUE_ROUTINES = {"sdp_value": (2, False), "stieltjes_root_value": (2, True),
+                       "hankel_root_value": (2, True)}
+    # The array routine of each closed-form family, and whether a row of its
+    # matrix stands for a distinct (sequence, alpha_1) rather than a sequence.
+    _ARRAY_ROUTINES = {
+        "ratio_columns": False, "det_ratio_columns": False, "quadratic_root_columns": False,
+        "even_moment_columns": True, "two_point_columns": True, "bipartite_columns": True,
     }
 
     @pytest.mark.parametrize("vertex_mode", ["aggregate", "all"])
@@ -936,7 +941,8 @@ class TestVertexReduction:
     def test_each_value_routine_runs_once_per_distinct_measure(self, monkeypatch, spec,
                                                                vertex_mode):
         # twins share every outcome: a lower column evaluates each distinct
-        # sequence once, an upper one each distinct (sequence, alpha_1)
+        # sequence once, an upper one each distinct (sequence, alpha_1), and
+        # an array routine gets one matrix row for each
         calls: dict = {}
 
         def counted(name, head, weighted):
@@ -951,6 +957,12 @@ class TestVertexReduction:
 
         for name, (head, weighted) in self._VALUE_ROUTINES.items():
             counted(name, head, weighted)
+        arrays: dict = {}
+        for name in self._ARRAY_ROUTINES:
+            def recorded(*args, name=name, fn=getattr(report, name)):
+                arrays[name] = args
+                return fn(*args)
+            monkeypatch.setattr(report, name, recorded)
         prep = prepare_graph(CorpusEntry("g", "test", generate(spec)))
         sweep_bounds(prep, vertex_mode=vertex_mode)
         distinct = {}
@@ -963,6 +975,54 @@ class TestVertexReduction:
         for (name, kind, *_), keys in calls.items():
             expected = distinct[(kind, self._VALUE_ROUTINES[name][1])]
             assert sorted(keys) == sorted(expected), (name, kind)
+
+        assert arrays.keys() == self._ARRAY_ROUTINES.keys()
+        moments = arrays["ratio_columns"][0]
+        for name, weighted in self._ARRAY_ROUTINES.items():
+            args = arrays[name]
+            if name in ("det_ratio_columns", "quadratic_root_columns"):
+                # the 2x2 blocks of the ratio pass's matrix, whose rows are checked there
+                blocks = bounds_lower.det_block_columns(moments, args[1])
+                assert all((a == b).all() for a, b in zip(args[0], blocks)), name
+                continue
+            keys = [tuple(row) for row in args[0]]
+            if weighted:
+                keys = list(zip(keys, args[1]))
+            # the rows of each measure in turn, one per distinct key
+            start = 0
+            for kind in (KIND_WALKS, KIND_CLOSED, KIND_CLOSED_AT):
+                expected = distinct[(kind, weighted)]
+                assert sorted(keys[start:start + len(expected)]) == sorted(expected), (name, kind)
+                start += len(expected)
+            assert start == len(keys), name
+
+    @pytest.mark.parametrize("vertex_mode", ["aggregate", "all"])
+    @pytest.mark.parametrize("spec, seed, max_length, k_max", [
+        # counts past 2**63, whose 2x2 determinants would wrap in int64
+        ("complete:12", 0, 20, 9),
+        ("erdos_renyi:20:0.3", 16, 20, 9),
+        # twins on both sides, every odd closed count zero
+        ("complete_bipartite:3:5", 0, 20, 9),
+    ])
+    def test_closed_form_rows_match_the_kernels_on_every_measure(self, spec, seed, max_length,
+                                                               k_max, vertex_mode):
+        prep = prepare_graph(CorpusEntry("g", "test", generate(spec, seed)), max_length)
+        rows = [r for r, _ in sweep_bounds(prep, k_max=k_max, vertex_mode=vertex_mode)
+                if r.name in self._CLOSED_FORMS]
+        groups: dict = {}
+        for r in rows:
+            groups.setdefault(self._key(r), []).append(r)
+        assert len(groups) == len(rows) if vertex_mode == "aggregate" else len(groups) < len(rows)
+        for key, found in groups.items():
+            p = found[0].params
+            seqs = {KIND_WALKS: [prep.walks_seq], KIND_CLOSED: [prep.closed_seq],
+                    KIND_CLOSED_AT: prep.rooted_seqs}[p["measure"]]
+            expected = [self._KERNELS[key[0]](m, bounds_upper.atom_weight_for(m, prep.summary),
+                                              p, prep) for m in seqs]
+            if vertex_mode == "all":
+                assert found == expected, key
+            else:
+                assert found == [_reduce_vertex_results(expected, found[0].kind)], key
 
     # The public kernel of each swept family, on one sequence, its atom weight
     # and the params of a swept row, with no cutoff.
@@ -981,6 +1041,9 @@ class TestVertexReduction:
         "hankel_root": lambda m, w, p, prep: bounds_upper.hankel_root_upper_bound(
             m, w, p["J"]),
     }
+
+    _CLOSED_FORMS = ("ratio", "det_ratio", "quadratic_root", "even_moment", "two_point",
+                     "bipartite_half")
 
     @pytest.mark.parametrize("name, graph", [
         *((spec, generate(spec)) for spec in _TWIN_SPECS),

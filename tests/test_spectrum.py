@@ -201,3 +201,16 @@ class TestStackedIdentity:
         assert got["closed_walks_at"] > 0.1
         assert got["closed_walks"] == moment_identity_deviations(
             summary, total, closed, rooted)["closed_walks"]
+
+    def test_counts_past_the_float_range(self):
+        # on K_12 the walk count w_k = 12 * 11**k passes 1.8e308 at k = 295;
+        # past 2**1000 both sides are compared in units of 2**(3k)
+        g = complete_graph(12)
+        assert walk_counts(g, 300)[300] > 2 ** 1024
+        got = verify_moment_identities(g, 300)
+        assert got["passed"], got
+        assert max(got[key] for key in ("closed_walks", "closed_walks_at", "walks")) < 1e-12
+        # a doubled top walk count still fails the check
+        summary, total, closed, rooted = _sequences(g, 300)
+        off = MomentSequence(total.kind, total.values[:-1] + (2 * total.values[-1],))
+        assert not moment_identity_deviations(summary, off, closed, rooted)["passed"]
