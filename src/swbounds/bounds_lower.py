@@ -39,12 +39,12 @@ def reported_vertex(outcomes: Sequence, kind: str) -> int:
     """The vertex whose row is reported, from per-vertex outcomes (floats or
     `Dead`), in vertex order.
 
-    The best live value is the max for a lower bound and the min for an
-    upper one. The lowest vertex within VERTEX_TIE_TOL relative of the best
-    is reported; its value is still a valid bound. A vertex no better than
-    a lower vertex is never reported: when it is within the tolerance, so
-    is that vertex. With no live row, the first trivial row is reported,
-    and with none of those vertex 0's.
+    The best live value (never NaN) is the max for a lower bound and the
+    min for an upper one. The lowest vertex within VERTEX_TIE_TOL relative
+    of the best (or equal to an infinite best) is reported; its value is
+    still a valid bound. A vertex no better than a lower vertex is never
+    reported: when it is within the tolerance, so is that vertex. With no
+    live row, the first trivial row is reported, or else vertex 0's.
 
     One pass keeps the best value so far and the lowest vertex tied with
     it. A better value only narrows the tie, so when it leaves that vertex
@@ -52,20 +52,20 @@ def reported_vertex(outcomes: Sequence, kind: str) -> int:
     outcome is read more than twice.
     """
     lower = kind == "lower"
-    best = None
-    pick = 0
+    best = pick = None
     for i, v in enumerate(outcomes):
         if isinstance(v, Dead):
             continue
         if best is None:
-            best, pick = v, i
+            if v == v:  # a NaN is never live
+                best, pick = v, i
         elif v > best if lower else v < best:
             best = v
-            slack = VERTEX_TIE_TOL * abs(v)
-            while isinstance(outcomes[pick], Dead) or abs(outcomes[pick] - v) > slack:
+            slack = VERTEX_TIE_TOL * abs(v) if math.isfinite(v) else 0.0
+            while isinstance(o := outcomes[pick], Dead) or not (o == v or abs(o - v) <= slack):
                 pick += 1
     if best is None:
-        return next((i for i, o in enumerate(outcomes) if o.trivial), 0)
+        return next((i for i, o in enumerate(outcomes) if isinstance(o, Dead) and o.trivial), 0)
     return pick
 
 
@@ -78,8 +78,8 @@ class BoundResult:
     `oracle_assisted` flags bounds whose inputs came from an eigensolver.
 
     A sweep builds one record per reported row: for a rooted family it
-    compares the per-vertex outcomes as floats and builds the record of the
-    vertex it reports only. The record is slotted and not frozen, since a
+    picks among the outcomes of the twin classes and builds the record of
+    the vertex it reports only. The record is slotted and not frozen, since a
     frozen `__init__` costs several times the arithmetic of a closed-form
     bound. Callers treat it as read-only and derive variants with
     `dataclasses.replace`.
@@ -122,9 +122,9 @@ def outcome_row(name: str, kind: str, params: dict, outcome: float | Dead,
                 oracle_assisted: bool = False) -> BoundResult:
     """The record of one row from its outcome: a live float value, or a Dead.
 
-    The per-vertex value routines (`ratio_value`, ...) return outcomes, so
-    that a sweep over every vertex can compare floats and build the record
-    of the one vertex it reports; only live rows carry `oracle_assisted`.
+    The value and array routines (`ratio_value`, `ratio_columns`, ...)
+    return outcomes, so a sweep can pick among them and build the record
+    of the vertex it reports; only live rows carry `oracle_assisted`.
     """
     if not isinstance(outcome, Dead):
         # positional: this is the per-row path of a sweep that keeps every vertex
@@ -339,7 +339,7 @@ def sdp_lower_bound(m: MomentSequence, order: int) -> BoundResult:
     from `largest_real_root_bracket`, so it never exceeds that u, which is
     at most rho.
     """
-    return sdp_row(m, None, order, sdp_value(m, hankel_table(m, order), order))
+    return sdp_row(m, order, sdp_value(m, hankel_table(m, order), order))
 
 
 def _zeros_below(poly: list[int], u: float) -> bool:
@@ -388,8 +388,7 @@ def sdp_value(m: MomentSequence, table: tuple, order: int, *,
     return value
 
 
-def sdp_row(m: MomentSequence, table: tuple, order: int, outcome: float | Dead) -> BoundResult:
-    """The row of `sdp_lower_bound`; the table is taken only to match `sdp_value`."""
+def sdp_row(m: MomentSequence, order: int, outcome: float | Dead) -> BoundResult:
     return outcome_row("sdp", "lower", {**m.params_head, "n": order}, outcome)
 
 

@@ -238,7 +238,7 @@ def bipartite_upper_bound(m: MomentSequence, alpha: float, k: int, bipartite: bo
     if m.kind == KIND_WALKS:
         raise ValueError("the halved bound applies to closed-walk measures only")
     _require_even_moment(m, k)
-    return bipartite_row(m, alpha, k, bipartite, bipartite_value(m, alpha, k, bipartite))
+    return bipartite_row(m, alpha, k, bipartite_value(m, alpha, k, bipartite))
 
 
 def bipartite_value(m: MomentSequence, alpha: float, k: int, bipartite: bool) -> float | Dead:
@@ -260,10 +260,7 @@ def bipartite_columns(moments: np.ndarray, alphas: Sequence[float], ks: Sequence
     return _ratio_root_columns(moments, alphas, [2.0 * a for a in alphas], ks)
 
 
-def bipartite_row(m: MomentSequence, alpha: float, k: int, bipartite: bool,
-                  outcome: float | Dead) -> BoundResult:
-    """The row of `bipartite_upper_bound`; `bipartite` takes no part in its
-    params, and is taken so that the row has the value routine's arguments."""
+def bipartite_row(m: MomentSequence, alpha: float, k: int, outcome: float | Dead) -> BoundResult:
     params = {**m.params_head, "k": k, "alpha1": alpha}
     return outcome_row("bipartite_half", "upper", params, outcome, m.kind != KIND_CLOSED)
 

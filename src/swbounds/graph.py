@@ -239,16 +239,25 @@ def is_bipartite(g: Graph) -> tuple[bool, Optional[list[int]]]:
     return True, [c for c in colors if c is not None]
 
 
+def connected_components(g: Graph) -> list[list[int]]:
+    """The sorted vertex lists of g's connected components, by least vertex."""
+    seen = [False] * g.n
+    components = []
+    for root in range(g.n):
+        if not seen[root]:
+            seen[root] = True
+            component = [root]
+            for u in component:  # the list grows while it is read
+                for v in g.neighbors[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        component.append(v)
+            components.append(sorted(component))
+    return components
+
+
 def is_connected(g: Graph) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in g.neighbors[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == g.n
+    return len(connected_components(g)) == 1
 
 
 def clique_number(g: Graph, limit: int = CLIQUE_SEARCH_LIMIT) -> int:

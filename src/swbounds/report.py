@@ -67,6 +67,7 @@ from .moments import _validated_indices, hankel_table, stieltjes_prefix
 from .spectrum import (
     SpectralSummary,
     adjacency_array,
+    component_decompose,
     eigen_decompose,
     moment_identity_deviations,
 )
@@ -199,8 +200,8 @@ class Classes(NamedTuple):
 
 def _twin_classes(heads: list, keys: Iterable, stacked: list) -> Classes:
     """The `Classes` of one measure's vertices, which have `heads` and are
-    twins when their `keys` are equal; the sequence of each class's first
-    vertex is appended to the `stacked` matrix rows."""
+    twins when their `keys` are equal; the head of each class's first
+    vertex is appended to the `stacked` heads, one per matrix row."""
     classes: dict = {}
     firsts: list[int] = []
     of = []
@@ -209,7 +210,7 @@ def _twin_classes(heads: list, keys: Iterable, stacked: list) -> Classes:
         if c == len(firsts):
             firsts.append(i)
         of.append(c)
-    stacked += [heads[i][0].values for i in firsts]
+    stacked += [heads[i] for i in firsts]
     return Classes(heads, firsts, of, slice(len(stacked) - len(firsts), len(stacked)))
 
 
@@ -223,25 +224,26 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
     This is the one place that decides which (bound, parameters) rows exist:
     a combination that needs moments beyond the computed horizon is skipped,
     the classical rows (`triangle_edge`, `baseline_*`, ...) included, and a
-    labelled row needs its measure in `measures`. Records are of the vertex
-    `reported_vertex` picks (vertex_mode="aggregate") or of every vertex
-    ("all"). Returns (result, milliseconds) pairs in a deterministic order.
+    labelled row needs its measure in `measures`. Returns (result,
+    milliseconds) pairs in a deterministic order.
 
-    Twin vertices (identical `values`, and for an upper bound the same
-    `atom_weight_for` float) share every outcome: each class is evaluated
-    once and each record is built from its own vertex's head. The six
-    closed-form families are one array pass each (`ratio_columns`, ...)
-    over one dtype=object matrix of every measure's classes, all columns at
-    once; the time of the pass and its records is shared evenly by the
-    records. The rooted labelled rows read the rooted columns they label.
-    `sdp`, `stieltjes_root` and `hankel_root` are one timed pass per
-    column, in class order: in aggregate mode each class after a positive
-    live one gets a cutoff one float beyond the best value b so far
-    (nextafter(b, inf) for a lower bound, nextafter(b, 0) for an upper
-    one), and a routine that proves exactly that its value is no better
-    than b returns it inapplicable without a root search, which leaves the
-    reported vertex and value unchanged. The `sdp` Hankel tables are built
-    once per class, timed with the first `sdp` column.
+    Each family is one table of outcomes with a row per twin class of every
+    measure (vertices with identical `values`, and for an upper bound the
+    same `atom_weight_for` float), filled by one array pass for a
+    closed-form family (`ratio_columns`, ...) and by one pass per column
+    for `sdp`, `stieltjes_root` and `hankel_root`. `table_pass` makes every
+    record from a table, of the first vertex of the class `reported_vertex`
+    picks in a measure's column (vertex_mode="aggregate") or of every vertex
+    ("all"), and the records share the pass's time. The rooted labelled
+    rows read the rooted columns they label.
+
+    In aggregate mode a root pass gives each class after a positive live
+    one of its measure a cutoff one float beyond the best value b so far
+    (nextafter(b, inf) for a lower bound, nextafter(b, 0) for an upper one);
+    a routine that proves exactly that its value is no better than b
+    returns it inapplicable without a root search, which leaves the
+    reported row unchanged. The `sdp` Hankel tables are built once per
+    class, timed with the first root pass.
     """
     if s_max < 0 or k_max < 0:
         raise ValueError(f"s_max and k_max must be non-negative, got {s_max} and {k_max}")
@@ -257,45 +259,14 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
         batch = res if isinstance(res, list) else [res]
         rows.extend((r, ms / len(batch)) for r in batch)
 
-    def per_vertex(kind, value, row, classes: Classes, *args, prune: bool = False,
-                   start: Optional[float] = None) -> None:
-        """One timed pass of `value` over the first head of each class,
-        counted from `start` when given, whose records share its time. A
-        pruned aggregate pass gives each class it evaluates the cutoff one
-        float beyond the best positive live value so far."""
-        t0 = time.perf_counter() if start is None else start
-        heads, firsts, of, _ = classes
-        run = [heads[i] for i in firsts]
-        if prune and vertex_mode != "all":
-            toward = math.inf if kind == "lower" else 0.0
-            outcomes = []
-            cutoff = None
-            for head in run:
-                res = value(*head, *args, cutoff=cutoff)
-                outcomes.append(res)
-                if not isinstance(res, Dead) and res > 0.0:
-                    # not ruled out, so better than the best so far
-                    cutoff = math.nextafter(res, toward)
-        else:
-            outcomes = [value(*head, *args) for head in run]
-        outcomes = [outcomes[c] for c in of]
-        if vertex_mode == "all":
-            records = [row(*head, *args, res) for head, res in zip(heads, outcomes)]
-            ms = (time.perf_counter() - t0) * 1000.0 / len(records)
-            rows.extend((r, ms) for r in records)
-        else:
-            i = reported_vertex(outcomes, kind) if len(heads) > 1 else 0
-            rows.append((row(*heads[i], *args, outcomes[i]), (time.perf_counter() - t0) * 1000.0))
+    rooted_tables: dict = {}  # (params, rooted Classes, table) of a pass, by its row
 
-    rooted_tables: dict = {}  # (params, rooted Classes, table) of an array pass, by its row
-
-    def array_pass(kind, routine, row, params, parts, *args,
+    def table_pass(kind, routine, row, params, parts, *args,
                    start: Optional[float] = None) -> None:
-        """One timed call of an array routine on the stacked classes of the
-        measures' `parts`, counted from `start` if given, and the records
-        `row(*head, *p, outcome)` of each column `p` of `params`: of every
-        vertex ("all"), or of the first vertex of the class `reported_vertex`
-        picks."""
+        """One timed call of `routine(*args)`, counted from `start` if given,
+        for the outcome of each (stacked class, column `p` of `params`) cell
+        of the measures' `parts`, and the records `row(*head, *p, outcome)`
+        of every vertex, or of the class `reported_vertex` picks."""
         t0 = time.perf_counter() if start is None else start
         table = routine(*args)
         records = []
@@ -316,64 +287,75 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
         params, part, table = rooted_tables.get(row, ((), None, None))
         return table[part.rows, params.index(p)][part.of].tolist() if p in params else None
 
+    def root_column(kind, value, heads, parts, *args) -> np.ndarray:
+        """The one-column table of `value(*head, *args)` at the stacked class
+        `heads` of the measures' `parts`. In aggregate mode the cutoff
+        restarts at each measure's first class."""
+        toward = math.inf if kind == "lower" else 0.0
+        column = []
+        for part in parts:
+            cutoff = None
+            for head in heads[part.rows]:
+                column.append(res := value(*head, *args, cutoff=cutoff))
+                if vertex_mode != "all" and not isinstance(res, Dead) and res > 0.0:
+                    # not ruled out, so better than the best so far
+                    cutoff = math.nextafter(res, toward)
+        return np.fromiter(column, object, len(column))[:, None]
+
     by_measure = {"walks": [prep.walks_seq], "closed": [prep.closed_seq],
                   "vertex": list(prep.rooted_seqs)}
     sequences = [by_measure[m] for m in MEASURES if m in measures]
     # every sequence reaches the horizon: one check (MomentError) covers a J's columns
     j_positions = [_validated_indices(prep.walks_seq, j_set, 0) for j_set in j_sets
                    if 2 * max(j_set) - 1 <= horizon]
+    if not sequences:
+        return []
 
-    lower_parts, upper_parts, lower_rows, upper_rows, alphas = [], [], [], [], []
-    rooted_weights = None
+    lower_parts, upper_parts, lower_heads, upper_heads = [], [], [], []
     for seqs in sequences:
         weights = [atom_weight_for(s, summary) for s in seqs]
-        if seqs[0].kind == KIND_CLOSED_AT:
-            rooted_weights = weights
-        lower = _twin_classes([(s,) for s in seqs], [s.values for s in seqs], lower_rows)
-        upper = _twin_classes(list(zip(seqs, weights)), zip(lower.of, weights), upper_rows)
+        lower = _twin_classes([(s,) for s in seqs], [s.values for s in seqs], lower_heads)
         lower_parts.append(lower)
-        upper_parts.append(upper)
-        alphas += [weights[i] for i in upper.firsts]
+        upper_parts.append(_twin_classes(list(zip(seqs, weights)), zip(lower.of, weights),
+                                         upper_heads))
 
-        orders = [order for order in sdp_orders if 2 * order + 1 <= horizon]
-        if orders:
-            start = time.perf_counter()
-            built = [hankel_table(seqs[i], max(orders)) for i in lower.firsts]
-            tables = lower._replace(heads=[(m, built[c]) for m, c in zip(seqs, lower.of)])
-            for order in orders:
-                per_vertex("lower", sdp_value, sdp_row, tables, order, prune=True, start=start)
-                start = None
-        for k in range(1, k_max + 1):
-            if 2 * k + 1 <= horizon:
-                per_vertex("upper", stieltjes_root_value, stieltjes_root_row, upper, k, prune=True)
-        for indices in j_positions:
-            per_vertex("upper", hankel_root_value, hankel_root_row, upper, indices, prune=True)
+    orders = [order for order in sdp_orders if 2 * order + 1 <= horizon]
+    start = time.perf_counter()
+    sdp_heads = [(m, hankel_table(m, max(orders))) for (m,) in lower_heads] if orders else []
+    roots = [("lower", sdp_value, sdp_row, order, sdp_heads, lower_parts) for order in orders]
+    roots += [("upper", stieltjes_root_value, stieltjes_root_row, k, upper_heads, upper_parts)
+              for k in range(1, k_max + 1) if 2 * k + 1 <= horizon]
+    roots += [("upper", hankel_root_value, hankel_root_row, indices, upper_heads, upper_parts)
+              for indices in j_positions]
+    for kind, value, row, p, heads, parts in roots:
+        table_pass(kind, root_column, row, [(p,)], parts, kind, value, heads, parts, p, start=start)
+        start = None
 
     ratios = [(s, k) for s in range(s_max + 1) for k in range(1, k_max + 1) if 2 * s + k <= horizon]
     blocks = [(s, k) for s, k in ratios if 2 * s + 3 * k <= horizon]
     ks = [k for k in range(1, k_max + 1) if 2 * k <= horizon]
-    if sequences and ratios:
-        moments = np.array(lower_rows, dtype=object)
-        array_pass("lower", ratio_columns, ratio_row, ratios, lower_parts, moments, ratios)
+    if ratios:
+        moments = np.array([m.values for (m,) in lower_heads], dtype=object)
+        table_pass("lower", ratio_columns, ratio_row, ratios, lower_parts, moments, ratios)
         if blocks:
             start = time.perf_counter()
             dets = det_block_columns(moments, blocks)
-            array_pass("lower", det_ratio_columns, det_ratio_row, blocks, lower_parts, dets,
+            table_pass("lower", det_ratio_columns, det_ratio_row, blocks, lower_parts, dets,
                        blocks, start=start)
-            array_pass("lower", quadratic_root_columns, quadratic_root_row, blocks, lower_parts,
+            table_pass("lower", quadratic_root_columns, quadratic_root_row, blocks, lower_parts,
                        dets, blocks)
-    if sequences and ks:
-        moments = np.array(upper_rows, dtype=object)
+    if ks:
+        moments = np.array([m.values for m, _ in upper_heads], dtype=object)
+        alphas = [alpha for _, alpha in upper_heads]
         columns = [(k,) for k in ks]
-        array_pass("upper", even_moment_columns, even_moment_row, columns, upper_parts, moments,
+        table_pass("upper", even_moment_columns, even_moment_row, columns, upper_parts, moments,
                    alphas, ks)
-        array_pass("upper", two_point_columns, two_point_row, columns, upper_parts, moments,
+        table_pass("upper", two_point_columns, two_point_row, columns, upper_parts, moments,
                    alphas, ks)
         closed_parts = [p for p in upper_parts if p.heads[0][0].kind != KIND_WALKS]
         if closed_parts:
-            array_pass("upper", bipartite_columns, bipartite_row,
-                       [(k, prep.bipartite) for k in ks], closed_parts, moments, alphas, ks,
-                       prep.bipartite)
+            table_pass("upper", bipartite_columns, bipartite_row, columns, closed_parts,
+                       moments, alphas, ks, prep.bipartite)
 
     rooted = prep.rooted_seqs if "vertex" in measures else ()
     if 3 <= horizon:
@@ -392,7 +374,7 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
 
     if rooted and 2 <= horizon:
         emit(eigvec_degree_upper_bound, rooted, summary, rooted_column(two_point_row, 1),
-             rooted_weights)
+             [alpha for _, alpha in upper_parts[-1].heads])
 
     rows.sort(key=lambda pair: _sort_key(pair[0]))
     return rows
@@ -743,7 +725,8 @@ def _verify_spectrum(out: VerificationOutcome, prep: PreparedGraph) -> None:
     if prep.connected:
         out.check(float(np.min(vectors[:, 0])) >= -1e-9,
                   f"{name}: leading eigenvector not non-negative")
-    identities = moment_identity_deviations(summary, prep.walks_seq, prep.closed_seq,
+    spectra = summary if prep.connected else component_decompose(g)
+    identities = moment_identity_deviations(spectra, prep.walks_seq, prep.closed_seq,
                                             prep.rooted_seqs, tol=1e-8)
     out.check(identities["passed"],
               f"{name}: walk/eigenvalue identities off by {identities}")

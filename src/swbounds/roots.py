@@ -9,8 +9,8 @@ only seed the search. Upper bounds take hi, which passed the test; lower
 bounds take lo, which failed it, so a real root lies in [lo, inf).
 
 `no_real_root_above` runs that test once, at one float u > 0, on the same
-normalised coefficients. A per-vertex sweep rules out, without a bracket, a
-vertex whose root cannot beat the best one found so far. The bound
+normalised coefficients. An aggregate sweep rules out, without a bracket,
+a class of twin vertices whose root cannot beat the best one found so far. The bound
 families first try the exact sign of their polynomial at that cutoff and
 ask this test only what the sign leaves open: `sdp` and `hankel_root` take
 the sign from `sign_at` on their coefficient lists, and `stieltjes_root`

@@ -361,11 +361,12 @@ class TestSdpCutoffSign:
 
 
 def _reported_vertex_reference(outcomes, kind):
-    live = [(i, v) for i, v in enumerate(outcomes) if not isinstance(v, Dead)]
+    live = [(i, v) for i, v in enumerate(outcomes) if not isinstance(v, Dead) and v == v]
     if live:
         best = (max if kind == "lower" else min)(v for _, v in live)
-        return next(i for i, v in live if abs(v - best) <= VERTEX_TIE_TOL * abs(best))
-    return next((i for i, o in enumerate(outcomes) if o.trivial), 0)
+        slack = VERTEX_TIE_TOL * abs(best) if math.isfinite(best) else 0.0
+        return next(i for i, v in live if v == best or abs(v - best) <= slack)
+    return next((i for i, o in enumerate(outcomes) if isinstance(o, Dead) and o.trivial), 0)
 
 
 _NEAR_TIES = st.integers(-8, 8).map(lambda j: 2.0 * (1.0 + j * 0.4 * VERTEX_TIE_TOL))
@@ -376,11 +377,25 @@ class TestReportedVertex:
     @given(outcomes=st.lists(st.one_of(
         # values a fraction of the tie tolerance apart, so ties chain
         _NEAR_TIES, _NEAR_TIES, _NEAR_TIES, st.floats(0.0, 4.0),
+        st.sampled_from((math.inf, math.nan)),
         st.sampled_from((Dead("inapplicable"), Dead("vacuous", trivial=True)))),
         min_size=1, max_size=12), kind=st.sampled_from(("lower", "upper")))
     @example(outcomes=[2.0 * (1.0 + j * 0.8 * VERTEX_TIE_TOL) for j in (0, 1, 2)], kind="lower")
     def test_one_pass_matches_the_reference(self, outcomes, kind):
         assert reported_vertex(outcomes, kind) == _reported_vertex_reference(outcomes, kind)
+
+    @pytest.mark.parametrize("outcomes, kind, expected", [
+        # a NaN is never live, so it is neither the best nor tied with it
+        ([1.0, math.nan, 3.0], "lower", 2),
+        ([math.nan, 1.0], "upper", 1),
+        ([math.nan, Dead("vacuous", trivial=True)], "lower", 1),
+        # an infinite best ties only with an equal value
+        ([0.0, 2.0, math.inf], "lower", 2),
+        ([5.0, math.inf, math.inf], "lower", 1),
+        ([math.inf, math.inf, 3.0], "upper", 2),
+    ])
+    def test_non_finite_values_follow_the_rule(self, outcomes, kind, expected):
+        assert reported_vertex(outcomes, kind) == expected
 
 
 def _at_most_rho(g, v):

@@ -26,6 +26,7 @@ from swbounds.report import (
     VerificationOutcome,
     _verify_dominance,
     _verify_moment_machinery,
+    _verify_spectrum,
     _verify_walks,
     build_report,
     er_corpus,
@@ -636,6 +637,17 @@ class TestVerificationEngine:
         _verify_moment_machinery(out, dataclasses.replace(prep, closed_seq=bad), 1e-7)
         assert "k3: Hankel matrix of closed_walks not PSD at order 1" in out.violations
 
+    def test_the_identities_of_a_disconnected_graph_hold_at_a_deep_horizon(self):
+        # four components: each rooted measure is compared with its own
+        # component's spectrum, not with the whole graph's eigenvectors
+        entry = er_corpus(10, 12, 0.15)[3]
+        assert entry.name == "er_12_0.15_1732"
+        prep = prepare_graph(entry, 80)
+        assert not prep.connected
+        out = VerificationOutcome()
+        _verify_spectrum(out, prep)
+        assert out.violations == [] and out.checks > 0
+
     def test_rooted_counts_checked_against_the_vector_iteration(self):
         prep = prepare_graph(CorpusEntry("k4", "complete", complete_graph(4)), 8)
         first = prep.rooted_seqs[0]
@@ -1083,15 +1095,45 @@ class TestVertexReduction:
         monkeypatch.setattr(report, "hankel_table", slow_table)
         prep = prepare_graph(CorpusEntry("g", "test", generate("star:6")))
         first_order = min(report.DEFAULT_SDP_ORDERS)
-        column_ms: dict = {}
-        for r, ms in sweep_bounds(prep, vertex_mode=vertex_mode):
-            if r.name == "sdp" and r.params["n"] == first_order:
-                measure = r.params["measure"]
-                column_ms[measure] = column_ms.get(measure, 0.0) + ms
+        shares = [ms for r, ms in sweep_bounds(prep, vertex_mode=vertex_mode)
+                  if r.name == "sdp" and r.params["n"] == first_order]
         # one table for walks and closed walks, one per class of the rooted
         assert sorted(built) == sorted([KIND_WALKS, KIND_CLOSED] + [KIND_CLOSED_AT] * 2)
-        for measure, ms in column_ms.items():
-            assert ms >= sleep_ms * built.count(measure) - 1e-9, measure
+        # the first column's one pass over every measure builds them all, and
+        # its records share its time evenly
+        assert len(shares) == (2 + prep.entry.graph.n if vertex_mode == "all" else 3)
+        assert len(set(shares)) == 1
+        assert sum(shares) >= sleep_ms * len(built) - 1e-9
+
+    @pytest.mark.parametrize("vertex_mode", ["aggregate", "all"])
+    def test_the_cutoff_restarts_at_each_measure(self, monkeypatch, vertex_mode):
+        # a root pass runs over the stacked classes of every measure in turn;
+        # in aggregate mode only a class after the first of its own measure
+        # gets a cutoff, and in "all" mode none does
+        calls: dict = {}
+
+        def recorded(name):
+            fn = getattr(report, name)
+
+            def wrapper(m, *args, cutoff=None):
+                calls.setdefault((name, args[1:]), []).append((m.kind, cutoff))
+                return fn(m, *args, cutoff=cutoff)
+            monkeypatch.setattr(report, name, wrapper)
+
+        for name in self._VALUE_ROUTINES:
+            recorded(name)
+        prep = prepare_graph(CorpusEntry("g", "test", generate("erdos_renyi:12:0.4", 1)))
+        sweep_bounds(prep, vertex_mode=vertex_mode)
+        order = [KIND_WALKS, KIND_CLOSED, KIND_CLOSED_AT]
+        assert {name for name, _ in calls} == set(self._VALUE_ROUTINES)
+        for key, column in calls.items():
+            kinds = [kind for kind, _ in column]
+            assert kinds == sorted(kinds, key=order.index) and set(kinds) == set(order), key
+            for (kind, cutoff), before in zip(column, [None, *kinds]):
+                if kind != before or vertex_mode == "all":
+                    assert cutoff is None, (key, kind)
+        cut = [cutoff for column in calls.values() for _, cutoff in column if cutoff is not None]
+        assert bool(cut) == (vertex_mode == "aggregate")
 
     @pytest.mark.parametrize("spec", ["star:6", "erdos_renyi:12:0.4"])
     def test_per_vertex_rows_share_their_column_time(self, spec):

@@ -228,8 +228,7 @@ _EDGE = st.sampled_from([
     for x in (2.0 + d, math.nextafter(2.0 + d, 0.0), math.nextafter(2.0 + d, 4.0))])
 _OUTCOMES = st.one_of(
     _NEAR_TIES, _NEAR_TIES, _EDGE, st.just(2.0), st.floats(0.0, 4.0),
-    # a best of 0 ties only to equal values; an infinite or NaN value makes
-    # the one pass's pick depend on the order
+    # a best of 0 or of inf ties only to equal values, and a NaN is never live
     st.sampled_from([0.0, math.inf, math.nan]),
     st.sampled_from((Dead("inapplicable"), Dead("vacuous", trivial=True))))
 
@@ -249,6 +248,8 @@ class TestTwinPick:
     @settings(max_examples=1000, deadline=None)
     @given(column=_twin_columns(), kind=st.sampled_from(("lower", "upper")))
     @example(column=([0.0, 2.0, math.inf], [0, 1, 0, 2]), kind="lower")
+    @example(column=([0.0, 2.0, math.inf], [0, 1, 2]), kind="lower")
+    @example(column=([1.0, math.nan, 3.0], [0, 1, 2]), kind="lower")
     @example(column=([Dead("inapplicable"), Dead("vacuous", trivial=True)], [0, 1, 0]),
              kind="lower")
     @example(column=([Dead("inapplicable"), Dead("inapplicable")], [0, 0, 1]), kind="upper")

@@ -10,6 +10,7 @@ from swbounds.graph import (
     clique_number,
     complete_bipartite_graph,
     complete_graph,
+    connected_components,
     cycle_graph,
     degrees,
     erdos_renyi_graph,
@@ -209,3 +210,9 @@ def test_is_connected():
     assert is_connected(path_graph(5))
     assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
     assert is_connected(Graph(1))
+
+
+def test_connected_components():
+    assert connected_components(path_graph(5)) == [[0, 1, 2, 3, 4]]
+    assert connected_components(Graph(6, [(4, 1), (2, 5), (5, 0)])) == [[0, 2, 5], [1, 4], [3]]
+    assert connected_components(Graph(1)) == [[0]]

@@ -9,6 +9,7 @@ from swbounds.graph import (
     complete_graph,
     cycle_graph,
     erdos_renyi_graph,
+    connected_components,
     generate,
     is_connected,
     path_graph,
@@ -16,6 +17,7 @@ from swbounds.graph import (
 )
 from swbounds.spectrum import (
     adjacency_array,
+    component_decompose,
     eigen_decompose,
     moment_identity_deviations,
     symmetric_eigenvalues,
@@ -214,3 +216,52 @@ class TestStackedIdentity:
         summary, total, closed, rooted = _sequences(g, 300)
         off = MomentSequence(total.kind, total.values[:-1] + (2 * total.values[-1],))
         assert not moment_identity_deviations(summary, off, closed, rooted)["passed"]
+
+
+class TestComponentIdentity:
+    """On a disconnected graph the identities are checked against one
+    eigensolve per component, whose eigenvectors each vanish off one
+    component."""
+
+    # four components, two of them isolated vertices
+    GRAPH = erdos_renyi_graph(12, 0.15, 1732)
+
+    def test_the_graph_has_four_components(self):
+        assert len(connected_components(self.GRAPH)) == 4
+
+    def test_the_deep_horizon_passes(self):
+        # on the whole graph's eigenvectors an isolated vertex carries
+        # rounding-size weights on the other components' eigenvalues, which
+        # at k = 80 made its deviation 1.0
+        got = verify_moment_identities(self.GRAPH, 80)
+        assert got["passed"], got
+        assert got["closed_walks_at"] < 1e-12, got
+
+    def test_one_count_off_fails(self):
+        _, total, closed, rooted = _sequences(self.GRAPH, 80)
+        summary = component_decompose(self.GRAPH)
+        assert moment_identity_deviations(summary, total, closed, rooted)["passed"]
+        vertices = max(connected_components(self.GRAPH), key=len)
+        i = vertices[len(vertices) // 2]
+        values = list(rooted[i].values)
+        values[2] += 1
+        bad = [*rooted[:i], MomentSequence(rooted[i].kind, tuple(values), i), *rooted[i + 1:]]
+        got = moment_identity_deviations(summary, total, closed, bad)
+        assert not got["passed"] and got["closed_walks_at"] > 0.1, got
+
+    def test_each_eigenvector_vanishes_off_one_component(self):
+        g = Graph(5, [(0, 3), (3, 4)])
+        summary = component_decompose(g)
+        assert np.allclose(summary.eigenvalues, [math.sqrt(2), 0.0, 0.0, 0.0, -math.sqrt(2)])
+        recon = summary.eigenvectors @ np.diag(summary.eigenvalues) @ summary.eigenvectors.T
+        assert np.allclose(recon, adjacency_array(g))
+        # the isolated vertices 1 and 2 each hold one whole eigenvector
+        assert sorted(summary.vertex_weights[[1, 2]].ravel()) == [0.0] * 8 + [1.0, 1.0]
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name, g in _IDENTITY_GRAPHS.items() if is_connected(g)))
+    def test_a_connected_graph_takes_the_same_arithmetic(self, name):
+        g = _IDENTITY_GRAPHS[name]
+        one, per_component = eigen_decompose(g), component_decompose(g)
+        for field in ("eigenvalues", "eigenvectors", "weight_sums", "vertex_weights"):
+            assert np.array_equal(getattr(one, field), getattr(per_component, field)), field
