@@ -171,21 +171,6 @@ def prepare_graph(entry: CorpusEntry, max_length: int = DEFAULT_MAX_LENGTH,
     )
 
 
-def _sort_key(r: BoundResult):
-    p = r.params
-    return (
-        r.kind,
-        r.name,
-        str(p.get("measure", "")),
-        p.get("vertex", -1),
-        p.get("s", -1),
-        p.get("k", -1),
-        p.get("n", -1),
-        str(p.get("J", "")),
-        p.get("omega", -1),
-    )
-
-
 class Classes(NamedTuple):
     """One measure's vertices in a matrix of twin classes: the head of each
     vertex's records ((m,) or (m, alpha_1)), the first vertex of each class
@@ -224,18 +209,21 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
     This is the one place that decides which (bound, parameters) rows exist:
     a combination that needs moments beyond the computed horizon is skipped,
     the classical rows (`triangle_edge`, `baseline_*`, ...) included, and a
-    labelled row needs its measure in `measures`. Returns (result,
-    milliseconds) pairs in a deterministic order.
+    labelled row needs its measure in `measures`. The (result, milliseconds)
+    pairs are built in report order, not sorted: by family (kind, name),
+    measure (closed_walks, closed_walks_at, walks), vertex (every one, or
+    the reported ones), then column ((s, k) as built, k and the `sdp` order
+    ascending, J by `str(list(J))`); a labelled family's rows, and equal
+    keys, in the order they were evaluated.
 
-    Each family is one table of outcomes with a row per twin class of every
-    measure (vertices with identical `values`, and for an upper bound the
-    same `atom_weight_for` float), filled by one array pass for a
-    closed-form family (`ratio_columns`, ...) and by one pass per column
-    for `sdp`, `stieltjes_root` and `hankel_root`. `table_pass` makes every
-    record from a table, of the first vertex of the class `reported_vertex`
-    picks in a measure's column (vertex_mode="aggregate") or of every vertex
-    ("all"), and the records share the pass's time. The rooted labelled
-    rows read the rooted columns they label.
+    Each family is one table of outcomes, a row per twin class of every
+    measure (vertices with identical `values` and, for an upper bound,
+    `atom_weight_for` float), filled by one array pass (`ratio_columns`,
+    ...) or, for `sdp`, `stieltjes_root` and `hankel_root`, one pass per
+    column. `table_pass` makes the records of every vertex ("all") or of
+    the first vertex of the class `reported_vertex` picks in each column
+    (aggregate), which share the pass's time; the rooted labelled rows
+    read the rooted columns they label.
 
     In aggregate mode a root pass gives each class after a positive live
     one of its measure a cutoff one float beyond the best value b so far
@@ -249,7 +237,7 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
         raise ValueError(f"s_max and k_max must be non-negative, got {s_max} and {k_max}")
     horizon = prep.walks_seq.max_index
     summary = prep.summary
-    rows: list[tuple[BoundResult, float]] = []
+    families: dict = {}  # the (result, ms) pairs of each (kind, name) family, in report order
 
     def emit(fn, *args) -> None:
         """One timed call; the rows of a list result share its time."""
@@ -257,28 +245,33 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
         res = fn(*args)
         ms = (time.perf_counter() - t0) * 1000.0
         batch = res if isinstance(res, list) else [res]
-        rows.extend((r, ms / len(batch)) for r in batch)
+        for r in batch:
+            families.setdefault((r.kind, r.name), []).append((r, ms / len(batch)))
 
     rooted_tables: dict = {}  # (params, rooted Classes, table) of a pass, by its row
+    passes: dict = {}  # the measures' parts and the passes of each table family, by its row
 
     def table_pass(kind, routine, row, params, parts, *args,
                    start: Optional[float] = None) -> None:
         """One timed call of `routine(*args)`, counted from `start` if given,
-        for the outcome of each (stacked class, column `p` of `params`) cell
-        of the measures' `parts`, and the records `row(*head, *p, outcome)`
-        of every vertex, or of the class `reported_vertex` picks."""
+        for each (stacked class, column `p` of `params`) cell of the measures'
+        `parts`. Each part's records `row(*head, *p, outcome)` are built in
+        report order, not sorted: every vertex's by column, or each column's pick."""
         t0 = time.perf_counter() if start is None else start
         table = routine(*args)
         records = []
         for heads, firsts, of, rows_of in parts:
-            for p, column in zip(params, table[rows_of].T.tolist()):
-                if vertex_mode == "all":
-                    records += [row(*head, *p, column[c]) for head, c in zip(heads, of)]
-                else:
-                    c = reported_vertex(column, kind) if len(column) > 1 else 0
-                    records.append(row(*heads[firsts[c]], *p, column[c]))
-        ms = (time.perf_counter() - t0) * 1000.0 / len(records)
-        rows.extend((r, ms) for r in records)
+            if vertex_mode == "all":
+                outcomes = table[rows_of].tolist()
+                records.append([row(*head, *p, o) for head, c in zip(heads, of)
+                                for p, o in zip(params, outcomes[c])])
+            else:
+                columns = table[rows_of].T.tolist()
+                picks = [reported_vertex(col, kind) if len(col) > 1 else 0 for col in columns]
+                records.append([row(*heads[firsts[c]], *p, col[c])
+                                for p, col, c in zip(params, columns, picks)])
+        ms = (time.perf_counter() - t0) * 1000.0 / sum(map(len, records))
+        passes.setdefault(row, (parts, []))[1].append([[(r, ms) for r in rs] for rs in records])
         if parts[-1].heads[0][0].kind == KIND_CLOSED_AT:
             rooted_tables[row] = (params, parts[-1], table)
 
@@ -306,8 +299,8 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
                   "vertex": list(prep.rooted_seqs)}
     sequences = [by_measure[m] for m in MEASURES if m in measures]
     # every sequence reaches the horizon: one check (MomentError) covers a J's columns
-    j_positions = [_validated_indices(prep.walks_seq, j_set, 0) for j_set in j_sets
-                   if 2 * max(j_set) - 1 <= horizon]
+    j_positions = sorted([_validated_indices(prep.walks_seq, j_set, 0) for j_set in j_sets
+                          if 2 * max(j_set) - 1 <= horizon], key=lambda j: str(list(j)))
     if not sequences:
         return []
 
@@ -319,7 +312,7 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
         upper_parts.append(_twin_classes(list(zip(seqs, weights)), zip(lower.of, weights),
                                          upper_heads))
 
-    orders = [order for order in sdp_orders if 2 * order + 1 <= horizon]
+    orders = sorted(order for order in sdp_orders if 2 * order + 1 <= horizon)
     start = time.perf_counter()
     sdp_heads = [(m, hankel_table(m, max(orders))) for (m,) in lower_heads] if orders else []
     roots = [("lower", sdp_value, sdp_row, order, sdp_heads, lower_parts) for order in orders]
@@ -376,8 +369,15 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
         emit(eigvec_degree_upper_bound, rooted, summary, rooted_column(two_point_row, 1),
              [alpha for _, alpha in upper_parts[-1].heads])
 
-    rows.sort(key=lambda pair: _sort_key(pair[0]))
-    return rows
+    for parts, family in passes.values():  # join each table family's passes in report order
+        block = []
+        for i in sorted(range(len(parts)), key=lambda i: parts[i].heads[0][0].kind):
+            cells = [records[i] for records in family]  # one pass, or one per column
+            if vertex_mode != "all":
+                cells = [sorted(sum(cells, []), key=lambda c: c[0].params.get("vertex", -1))]
+            block += [cell for vertex in zip(*cells) for cell in vertex] if cells[1:] else cells[0]
+        families[block[0][0].kind, block[0][0].name] = block
+    return [pair for key in sorted(families) for pair in families[key]]
 
 
 def _gap(r: BoundResult, rho: float) -> Optional[float]:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import random
@@ -371,6 +372,22 @@ class TestCommands:
             outputs.append(capsys.readouterr().out)
         assert outputs[1] == outputs[2] == outputs[0]
         assert json.loads(outputs[0])["graph"]["e"] == 2
+
+    @pytest.mark.parametrize("repeated, once", [
+        (["1,2", "1,2"], ["1,2"]),
+        (["1,1,2", "1,2"], ["1,2"]),
+        (["1,2,3", "2,1", "3,2,1", "1,2"], ["1,2,3", "1,2"]),
+    ])
+    def test_a_repeated_index_set_is_swept_once(self, capsys, repeated, once):
+        def output(j_sets):
+            argv = ["bounds", "--gen", "cycle:5", "--format", "csv", "--no-timing"]
+            assert main(argv + [arg for j_set in j_sets for arg in ("--J", j_set)]) == 0
+            return capsys.readouterr().out
+
+        out = output(repeated)
+        assert out == output(once)
+        # one row per measure of each distinct set: walks, closed walks and vertex 0
+        assert sum(",hankel_root," in line for line in out.splitlines()) == 3 * len(once)
 
     def test_gen_round_trip(self, capsys):
         assert main(["gen", "erdos_renyi:10:0.5", "--seed", "7"]) == 0
@@ -1232,6 +1249,54 @@ class TestVertexReduction:
                         assert out == v, (m, value, arg, u)
                 checked += 1
         assert checked > 0
+
+
+def _sort_key(r: BoundResult) -> tuple:
+    """The reference report order of one row: `sweep_bounds` returns its
+    rows with these keys non-decreasing, and equal keys in the order they
+    were evaluated."""
+    p = r.params
+    return (r.kind, r.name, str(p.get("measure", "")), p.get("vertex", -1), p.get("s", -1),
+            p.get("k", -1), p.get("n", -1), str(p.get("J", "")), p.get("omega", -1))
+
+
+@functools.cache
+def _prepared_for_order(spec: str, max_length: int):
+    return prepare_graph(CorpusEntry(spec, "test", generate(spec, 1732)), max_length)
+
+
+class TestReportOrder:
+    """`sweep_bounds` builds its rows in report order, rather than sorting them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=st.sampled_from(["path:4", "star:5", "cycle:6", "complete_bipartite:2:3",
+                                 # at seed 1732, disconnected: vertices 3, 6 and 10 are isolated
+                                 "erdos_renyi:12:0.15"]),
+           max_length=st.integers(0, 20), s_max=st.integers(0, 4), k_max=st.integers(0, 7),
+           j_sets=st.lists(st.lists(st.sampled_from([1, 2, 3, 10]), min_size=1,
+                                    max_size=4).map(tuple), max_size=4),
+           sdp_orders=st.lists(st.integers(0, 4), max_size=4),
+           measures=st.lists(st.sampled_from(report.MEASURES), unique=True),
+           with_omega=st.booleans(), vertex_mode=st.sampled_from(["aggregate", "all"]))
+    @example(spec="erdos_renyi:12:0.15", max_length=20, s_max=3, k_max=7,
+             j_sets=[(1, 2, 10), (1, 2, 3), (2, 1), (1, 2, 10), (1, 2)],
+             sdp_orders=[3, 0, 2, 3], measures=list(report.MEASURES), with_omega=True,
+             vertex_mode="all")
+    @example(spec="erdos_renyi:12:0.15", max_length=20, s_max=3, k_max=7,
+             j_sets=[(1, 2, 10), (1, 2, 3), (2, 1), (1, 2, 10), (1, 2)],
+             sdp_orders=[3, 0, 2, 3], measures=list(report.MEASURES), with_omega=False,
+             vertex_mode="aggregate")
+    def test_the_rows_equal_their_own_stable_sort(self, spec, max_length, s_max, k_max,
+                                                  j_sets, sdp_orders, measures, with_omega,
+                                                  vertex_mode):
+        prep = _prepared_for_order(spec, max_length)
+        if not with_omega:
+            prep = dataclasses.replace(prep, omega=None)
+        rows = [r for r, _ in sweep_bounds(prep, s_max, k_max, j_sets, sdp_orders, measures,
+                                           vertex_mode)]
+        ordered = sorted(rows, key=_sort_key)
+        assert all(a is b for a, b in zip(rows, ordered)), [
+            (_sort_key(a), _sort_key(b)) for a, b in zip(rows, ordered) if a is not b][:3]
 
 
 def _bounds_json(capsys, *argv) -> tuple[int, dict]:
