@@ -11,10 +11,11 @@ end of its certified bracket, at which an exact Descartes/Sturm test finds
 a real root at or above it, so the bound never exceeds rho; no float matrix
 or tolerance is involved.
 
-A sweep evaluates each closed-form family through its array routine
+Each closed-form family has one implementation, its array routine
 (`ratio_columns`, ...): every (twin class, column) cell of a dtype=object
-matrix of distinct sequences at once, each cell by the Python arithmetic of
-the scalar `*_value` routine.
+matrix of distinct sequences at once, in exact int arithmetic up to a
+Python `**` per cell. A sweep fills every cell in one pass; a kernel
+(`ratio_lower_bound`, ...) reads its one cell from a one-row matrix.
 """
 
 from __future__ import annotations
@@ -122,9 +123,9 @@ def outcome_row(name: str, kind: str, params: dict, outcome: float | Dead,
                 oracle_assisted: bool = False) -> BoundResult:
     """The record of one row from its outcome: a live float value, or a Dead.
 
-    The value and array routines (`ratio_value`, `ratio_columns`, ...)
-    return outcomes, so a sweep can pick among them and build the record
-    of the vertex it reports; only live rows carry `oracle_assisted`.
+    The array and value routines (`ratio_columns`, `sdp_value`, ...) return
+    outcomes, so a sweep can pick among them and build the record of the
+    vertex it reports; only live rows carry `oracle_assisted`.
     """
     if not isinstance(outcome, Dead):
         # positional: this is the per-row path of a sweep that keeps every vertex
@@ -156,6 +157,12 @@ def spread(items: Sequence, mask: np.ndarray, per_row: bool = False) -> np.ndarr
     return np.broadcast_to(items[:, None] if per_row else items, mask.shape)[mask]
 
 
+def moment_matrix(seqs: Sequence[MomentSequence], length: int | None = None) -> np.ndarray:
+    """The first `length` moments (all when None) of each sequence, as the
+    rows of the dtype=object matrix the array routines read."""
+    return np.array([m.values[:length] for m in seqs], dtype=object)
+
+
 def _require_range(m: MomentSequence, s: int, k: int, top: int) -> None:
     if s < 0 or k < 1:
         raise ValueError("need s >= 0 and k >= 1")
@@ -170,21 +177,13 @@ def ratio_lower_bound(m: MomentSequence, s: int, k: int) -> BoundResult:
     graphs come out exact.
     """
     _require_range(m, s, k, 2 * s + k)
-    return ratio_row(m, s, k, ratio_value(m, s, k))
-
-
-def ratio_value(m: MomentSequence, s: int, k: int) -> float | Dead:
-    """The outcome of `ratio_lower_bound` (no range check)."""
-    v = m.values
-    if v[2 * s] == 0:
-        return _ZERO_EVEN_MOMENT
-    return (v[2 * s + k] / v[2 * s]) ** (1.0 / k)
+    return ratio_row(m, s, k, ratio_columns(moment_matrix([m]), [(s, k)])[0, 0])
 
 
 def ratio_columns(moments: np.ndarray, params: Sequence[tuple[int, int]]) -> np.ndarray:
-    """`ratio_value` of each row of `moments` (a dtype=object matrix of
-    distinct sequences) at each (s, k) column of `params`, in one pass of
-    the same int/int division and Python `**`."""
+    """(m_{2s+k} / m_{2s}) ** (1/k) of each row of `moments` (a dtype=object
+    matrix of distinct sequences) at each (s, k) column of `params`, where
+    m_{2s} != 0: the int/int division and Python `**` in one object pass."""
     den = moments[:, [2 * s for s, _ in params]]
     num = moments[:, [2 * s + k for s, k in params]]
     live = den != 0
@@ -196,23 +195,21 @@ def ratio_row(m: MomentSequence, s: int, k: int, outcome: float | Dead) -> Bound
     return outcome_row("ratio", "lower", {**m.params_head, "s": s, "k": k}, outcome)
 
 
-def _det_blocks(m: MomentSequence, s: int, k: int) -> tuple[int, int, int]:
-    """Exact determinants (det H, det S, det F) of the strided 2x2 blocks."""
-    v = m.values
-    m0, m1, m2, m3 = (v[2 * s], v[2 * s + k], v[2 * s + 2 * k], v[2 * s + 3 * k])
-    det_h = m0 * m2 - m1 * m1
-    det_s = m1 * m3 - m2 * m2
-    det_f = m1 * m2 - m3 * m0
-    return det_h, det_s, det_f
-
-
 def det_block_columns(moments: np.ndarray, params: Sequence[tuple[int, int]]) -> tuple:
-    """`_det_blocks` of each row of `moments` (a dtype=object matrix of
-    distinct sequences) at each (s, k) column of `params`: three exact
-    dtype=object matrices, which `det_ratio_columns` and
-    `quadratic_root_columns` share."""
+    """The exact determinants (det H, det S, det F) of the strided 2x2 blocks
+    of m_{2s+ik}, i = 0..3, of each row of `moments` (a dtype=object matrix
+    of distinct sequences) at each (s, k) column of `params`: three matrices,
+    which `det_ratio_columns` and `quadratic_root_columns` share."""
     m0, m1, m2, m3 = (moments[:, [2 * s + i * k for s, k in params]] for i in range(4))
     return m0 * m2 - m1 * m1, m1 * m3 - m2 * m2, m1 * m2 - m3 * m0
+
+
+def _block_column(routine, seqs: Sequence[MomentSequence], s: int, k: int) -> list:
+    """The outcome of each sequence at one (s, k) column of a `routine` that
+    reads the `det_block_columns`."""
+    params = [(s, k)]
+    moments = moment_matrix(seqs, 2 * s + 3 * k + 1)
+    return routine(det_block_columns(moments, params), params)[:, 0].tolist()
 
 
 def det_ratio_lower_bound(m: MomentSequence, s: int, k: int) -> BoundResult:
@@ -223,22 +220,13 @@ def det_ratio_lower_bound(m: MomentSequence, s: int, k: int) -> BoundResult:
     the bound inapplicable.
     """
     _require_range(m, s, k, 2 * s + 3 * k)
-    return det_ratio_row(m, s, k, det_ratio_value(m, s, k))
-
-
-def det_ratio_value(m: MomentSequence, s: int, k: int) -> float | Dead:
-    """The outcome of `det_ratio_lower_bound` (no range check)."""
-    det_h, det_s, _ = _det_blocks(m, s, k)
-    if det_h <= 0:
-        return _SINGULAR_BLOCK if det_h == 0 else _BLOCK_NOT_PSD
-    if det_s <= 0:
-        return _VACUOUS_DET_RATIO
-    return (det_s / det_h) ** (1.0 / (2 * k))
+    return det_ratio_row(m, s, k, _block_column(det_ratio_columns, [m], s, k)[0])
 
 
 def det_ratio_columns(blocks: tuple, params: Sequence[tuple[int, int]]) -> np.ndarray:
-    """`det_ratio_value` at each (s, k) column from the `det_block_columns`,
-    as `ratio_columns`."""
+    """(det S / det H) ** (1/(2k)) at each (s, k) column from the
+    `det_block_columns`, as `ratio_columns`: inapplicable where det H is not
+    positive, and vacuous where det S is not."""
     det_h, det_s, _ = blocks
     positive = det_h > 0
     live = positive & (det_s > 0)
@@ -263,25 +251,14 @@ def quadratic_root_lower_bound(m: MomentSequence, s: int, k: int) -> BoundResult
     clamped to zero, which falls back to the vertex value |det F| / (2 det H).
     """
     _require_range(m, s, k, 2 * s + 3 * k)
-    return quadratic_root_row(m, s, k, quadratic_root_value(m, s, k))
-
-
-def quadratic_root_value(m: MomentSequence, s: int, k: int) -> float | Dead:
-    """The outcome of `quadratic_root_lower_bound` (no range check)."""
-    det_h, det_s, det_f = _det_blocks(m, s, k)
-    if det_h <= 0:
-        return _BLOCK_NOT_PD
-    disc = det_f * det_f - 4 * det_h * det_s
-    if disc < 0:
-        disc = 0
-    root_k = abs(det_f) / (2 * det_h) + math.sqrt(disc / (4 * det_h * det_h))
-    return root_k ** (1.0 / k)
+    return quadratic_root_row(m, s, k, _block_column(quadratic_root_columns, [m], s, k)[0])
 
 
 def quadratic_root_columns(blocks: tuple, params: Sequence[tuple[int, int]]) -> np.ndarray:
-    """`quadratic_root_value` at each (s, k) column from the
-    `det_block_columns`, as `ratio_columns`; the float sum and square root
-    are IEEE-exact in float64, so equal Python's."""
+    """(|det F| / (2 det H) + sqrt(disc / (4 det H^2))) ** (1/k), the exact
+    disc = det F^2 - 4 det H det S clamped at zero, at each (s, k) column
+    from the `det_block_columns`, as `ratio_columns`, where det H > 0; the
+    float sum and square root are IEEE-exact in float64, so equal Python's."""
     det_h, det_s, det_f = blocks
     live = det_h > 0
     h, f = det_h[live], det_f[live]
@@ -298,15 +275,19 @@ def quadratic_root_row(m: MomentSequence, s: int, k: int,
     return outcome_row("quadratic_root", "lower", {**m.params_head, "s": s, "k": k}, outcome)
 
 
-def triangle_edge_lower_bound(m: MomentSequence) -> BoundResult:
+def triangle_edge_lower_bound(m: MomentSequence,
+                              outcome: float | Dead | None = None) -> BoundResult:
     """Triangle/edge bound rho >= 3T/2e + sqrt((3T/2e)^2 + 2e/n): the row
     `triangle_edge`, the (s=0, k=1) quadratic root of the closed-walk
-    sequence m = (n, 0, 2e, 6T)."""
+    sequence m = (n, 0, 2e, 6T). `outcome` is that quadratic root, when the
+    caller has it."""
     if m.kind != KIND_CLOSED:
         raise ValueError("the triangle/edge bound needs the closed-walk sequence")
     _require_range(m, 0, 1, 3)
+    if outcome is None:
+        outcome = _block_column(quadratic_root_columns, [m], 0, 1)[0]
     return outcome_row("triangle_edge", "lower", {"triangles": m[3] // 6, "edges": m[2] // 2},
-                       quadratic_root_value(m, 0, 1))
+                       outcome)
 
 
 def local_triangle_lower_bound(rooted: Sequence[MomentSequence],
@@ -319,7 +300,7 @@ def local_triangle_lower_bound(rooted: Sequence[MomentSequence],
     if any(m.kind != KIND_CLOSED_AT or m.max_index < 3 for m in rooted):
         raise ValueError("the local triangle bound needs the rooted sequences up to m_3")
     if outcomes is None:
-        outcomes = [quadratic_root_value(m, 0, 1) for m in rooted]
+        outcomes = _block_column(quadratic_root_columns, rooted, 0, 1)
     i = reported_vertex(outcomes, "lower")
     sqrt_delta = math.sqrt(max(m.values[2] for m in rooted))
     return outcome_row("local_triangle", "lower",
@@ -393,23 +374,30 @@ def sdp_row(m: MomentSequence, order: int, outcome: float | Dead) -> BoundResult
 
 
 # The classical walk-ratio baselines (w_{2s+k} / w_{2s}) ** (1/k): ratio(walks, s, k).
-_WALK_RATIO_BASELINES = (("baseline_w1_w0", 0, 1), ("baseline_sqrt_w2_w0", 0, 2),
-                         ("baseline_sqrt_w4_w2", 1, 2), ("baseline_sqrt_w6_w4", 2, 2))
+WALK_RATIO_BASELINES = (("baseline_w1_w0", 0, 1), ("baseline_sqrt_w2_w0", 0, 2),
+                        ("baseline_sqrt_w4_w2", 1, 2), ("baseline_sqrt_w6_w4", 2, 2))
 
 
 def baseline_lower_bounds(m_w: MomentSequence, rooted: Sequence[MomentSequence],
-                          sqrt_degrees: Sequence | None = None) -> list[BoundResult]:
+                          sqrt_degrees: Sequence | None = None,
+                          walk_ratios: dict | None = None) -> list[BoundResult]:
     """Classical comparison bounds as labelled ratio rows: the four walk
     ratios ratio(walks, s, k) within the horizon, and sqrt(max degree), the
     rooted ratio (s=0, k=2) at the vertex `reported_vertex` picks, when m_2 is.
-    `sqrt_degrees` are those rooted ratios, when the caller has them."""
+    `walk_ratios` ({(s, k): outcome}) and `sqrt_degrees` are the outcomes the
+    caller has; one `ratio_columns` call each gives the rest."""
     if m_w.kind != KIND_WALKS:
         raise ValueError("baselines need the total-walk sequence")
-    out = [outcome_row(name, "lower", {}, ratio_value(m_w, s, k))
-           for name, s, k in _WALK_RATIO_BASELINES if 2 * s + k <= m_w.max_index]
+    walk_ratios = dict(walk_ratios or {})
+    reached = [(s, k) for _, s, k in WALK_RATIO_BASELINES if 2 * s + k <= m_w.max_index]
+    missing = [p for p in reached if p not in walk_ratios]
+    if missing:
+        walk_ratios.update(zip(missing, ratio_columns(moment_matrix([m_w]), missing)[0].tolist()))
+    out = [outcome_row(name, "lower", {}, walk_ratios[s, k])
+           for name, s, k in WALK_RATIO_BASELINES if (s, k) in reached]
     if rooted and rooted[0].max_index >= 2:
         if sqrt_degrees is None:
-            sqrt_degrees = [ratio_value(m, 0, 2) for m in rooted]
+            sqrt_degrees = ratio_columns(moment_matrix(rooted, 3), [(0, 2)])[:, 0].tolist()
         out.append(outcome_row("baseline_sqrt_max_degree", "lower", {},
                                sqrt_degrees[reported_vertex(sqrt_degrees, "lower")]))
     return out

@@ -24,9 +24,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bounds_lower import (BoundResult, Dead, _not_applicable, outcome_row, outcome_table,
-                           reported_vertex, spread)
-from .moments import _validated_indices, exact_determinant
+from .bounds_lower import (BoundResult, Dead, _not_applicable, moment_matrix, outcome_row,
+                           outcome_table, reported_vertex, spread)
+from .moments import _eliminate, _validated_indices
 from .roots import largest_real_root_bracket, no_real_root_above, sign_at
 from .spectrum import SpectralSummary
 from .walks import KIND_CLOSED, KIND_CLOSED_AT, KIND_WALKS, MomentSequence
@@ -95,14 +95,7 @@ def _require_even_moment(m: MomentSequence, k: int) -> None:
 def even_moment_upper_bound(m: MomentSequence, alpha: float, k: int) -> BoundResult:
     """Single-position bound: rho <= (m_{2k} / alpha_1) ** (1/2k)."""
     _require_even_moment(m, k)
-    return even_moment_row(m, alpha, k, even_moment_value(m, alpha, k))
-
-
-def even_moment_value(m: MomentSequence, alpha: float, k: int) -> float | Dead:
-    """The outcome of `even_moment_upper_bound` (no range check)."""
-    if alpha <= MIN_ATOM_WEIGHT:
-        return _VANISHING_WEIGHT
-    return _ratio_root(m.values[2 * k], alpha, 1.0 / (2 * k))
+    return even_moment_row(m, alpha, k, even_moment_columns(moment_matrix([m]), [alpha], [k])[0, 0])
 
 
 def _ratio_root_columns(moments: np.ndarray, alphas: Sequence[float], dens: Sequence[float],
@@ -125,9 +118,9 @@ def _ratio_root_columns(moments: np.ndarray, alphas: Sequence[float], dens: Sequ
 
 def even_moment_columns(moments: np.ndarray, alphas: Sequence[float],
                         ks: Sequence[int]) -> np.ndarray:
-    """`even_moment_value` of each row of `moments` (a dtype=object matrix,
-    one row per distinct (sequence, alpha_1)) with its Python float
-    `alphas` entry at each k of `ks`."""
+    """(m_{2k} / alpha_1) ** (1/2k) of each row of `moments` (a dtype=object
+    matrix, one row per distinct (sequence, alpha_1)) with its Python float
+    `alphas` entry at each k of `ks`, dead where alpha_1 vanishes."""
     return _ratio_root_columns(moments, alphas, alphas, ks)
 
 
@@ -144,33 +137,16 @@ def two_point_upper_bound(m: MomentSequence, alpha: float, k: int) -> BoundResul
     weight factor (rounded eigenvector data) are clamped to zero.
     """
     _require_even_moment(m, k)
-    return two_point_row(m, alpha, k, two_point_value(m, alpha, k))
-
-
-def two_point_value(m: MomentSequence, alpha: float, k: int) -> float | Dead:
-    """The outcome of `two_point_upper_bound` (no range check); raises
-    ValueError on a measure with no mass or less mass than its atom."""
-    m0, mk, m2k = m.values[0], m.values[k], m.values[2 * k]
-    if m0 <= 0:
-        raise ValueError("zero total mass")
-    if alpha <= MIN_ATOM_WEIGHT:
-        return _VANISHING_WEIGHT
-    if alpha > m0 * (1.0 + 1e-9):
-        raise ValueError("atom weight exceeds the measure's total mass")
-    factor = max(0.0, m0 / alpha - 1.0)
-    gram = m0 * m2k - mk * mk
-    if gram < 0:
-        gram = 0
-    root_k = mk / m0 + math.sqrt(factor) * _sqrt_big(gram) / m0
-    return root_k ** (1.0 / k)
+    return two_point_row(m, alpha, k, two_point_columns(moment_matrix([m]), [alpha], [k])[0, 0])
 
 
 def two_point_columns(moments: np.ndarray, alphas: Sequence[float],
                       ks: Sequence[int]) -> np.ndarray:
-    """`two_point_value` at each k column, as `even_moment_columns`, raising
-    its ValueError for the first row that has one. The ints are divided
-    as objects; the product, quotient by m_0 and sum are IEEE-exact, so
-    equal Python's in float64."""
+    """((m_k + sqrt((m_0/alpha_1 - 1)(m_0 m_{2k} - m_k^2))) / m_0) ** (1/k),
+    both factors clamped at zero, at each k column, as `even_moment_columns`;
+    raises ValueError for the first row with no mass or a live alpha_1 above
+    m_0. The ints are divided as objects; the product, quotient by m_0 and
+    sum are IEEE-exact, so equal Python's in float64."""
     for m0, alpha in zip(moments[:, 0], alphas):
         if m0 <= 0:
             raise ValueError("zero total mass")
@@ -215,7 +191,7 @@ def eigvec_degree_upper_bound(rooted: Sequence[MomentSequence], summary: Spectra
     if weights is None:
         weights = [atom_weight_for(m, summary) for m in rooted]
     if outcomes is None:
-        outcomes = [two_point_value(m, w, 1) for m, w in zip(rooted, weights)]
+        outcomes = two_point_columns(moment_matrix(rooted, 3), weights, [1])[:, 0].tolist()
     rho = summary.rho
     rearranged_ok = not any(
         w > MIN_ATOM_WEIGHT and m.values[2] > 0
@@ -238,22 +214,14 @@ def bipartite_upper_bound(m: MomentSequence, alpha: float, k: int, bipartite: bo
     if m.kind == KIND_WALKS:
         raise ValueError("the halved bound applies to closed-walk measures only")
     _require_even_moment(m, k)
-    return bipartite_row(m, alpha, k, bipartite_value(m, alpha, k, bipartite))
-
-
-def bipartite_value(m: MomentSequence, alpha: float, k: int, bipartite: bool) -> float | Dead:
-    """The outcome of `bipartite_upper_bound` on a graph that is `bipartite`
-    or not (no range or measure check)."""
-    if not bipartite:
-        return _NOT_BIPARTITE
-    if alpha <= MIN_ATOM_WEIGHT:
-        return _VANISHING_WEIGHT
-    return _ratio_root(m.values[2 * k], 2.0 * alpha, 1.0 / (2 * k))
+    outcome = bipartite_columns(moment_matrix([m]), [alpha], [k], bipartite)[0, 0]
+    return bipartite_row(m, alpha, k, outcome)
 
 
 def bipartite_columns(moments: np.ndarray, alphas: Sequence[float], ks: Sequence[int],
                       bipartite: bool) -> np.ndarray:
-    """`bipartite_value` at each k column, as `even_moment_columns`."""
+    """(m_{2k} / (2 alpha_1)) ** (1/2k) at each k column on a `bipartite`
+    graph (inapplicable on others), as `even_moment_columns`."""
     if not bipartite:
         dead = np.ones((len(alphas), len(ks)), dtype=bool)
         return outcome_table(~dead, np.empty(0), [(dead, _NOT_BIPARTITE)])
@@ -265,9 +233,14 @@ def bipartite_row(m: MomentSequence, alpha: float, k: int, outcome: float | Dead
     return outcome_row("bipartite_half", "upper", params, outcome, m.kind != KIND_CLOSED)
 
 
-def _adjugate(h: list[list[int]]) -> list[list[int]]:
-    """Exact adjugate of a symmetric integer matrix: hand cofactors up to 3x3,
-    Bareiss minors beyond."""
+def _adjugate(h: list[list[int]]) -> list[list[int]] | None:
+    """Exact adjugate of a symmetric integer matrix H: hand cofactors up to
+    3x3; beyond, `_eliminate` on [H | I], or None when it finds fewer than
+    size - 1 positive leading minors. The carried identity block's last row
+    is the last row of adj(H); the eliminated rows are M [H | I] for some M,
+    so U adj(H) = det(H) M on their triangular part U, and back substitution
+    with exact divisions gives the other rows, as in `orthogonal_polynomial`.
+    """
     size = len(h)
     if size == 2:
         return [[h[1][1], -h[0][1]], [-h[0][1], h[0][0]]]
@@ -276,11 +249,15 @@ def _adjugate(h: list[list[int]]) -> list[list[int]]:
         return [[d * f - e * e, c * e - b * f, b * e - c * d],
                 [c * e - b * f, a * f - c * c, b * c - a * e],
                 [b * e - c * d, b * c - a * e, a * d - b * b]]
-    adj = [[0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            minor = [row[:i] + row[i + 1:] for k, row in enumerate(h) if k != j]
-            adj[i][j] = adj[j][i] = (-1) ** (i + j) * exact_determinant(minor)
+    a = [row + [int(i == j) for j in range(size)] for i, row in enumerate(h)]
+    if _eliminate(a, size)[1] < size - 1:
+        return None
+    det = a[-1][size - 1]
+    adj = [[]] * (size - 1) + [a[-1][size:]]
+    for i in range(size - 2, -1, -1):
+        row = a[i]
+        adj[i] = [(det * row[size + c] - sum(row[j] * adj[j][c] for j in range(i + 1, size)))
+                  // row[i] for c in range(size)]
     return adj
 
 
@@ -323,7 +300,7 @@ def hankel_root_value(m: MomentSequence, alpha: float, indices: tuple[int, ...],
     v = m.values
     h = [[v[ja + jb - 2] for jb in indices] for ja in indices]
     adj = _adjugate(h)
-    if adj[-1][-1] <= 0:
+    if adj is None or adj[-1][-1] <= 0:
         return _LEADING_BLOCK_NOT_PD
     det_h = sum(h[0][b] * adj[b][0] for b in range(len(indices)))
     num, den = alpha.as_integer_ratio()
@@ -392,7 +369,7 @@ def stieltjes_root_value(m: MomentSequence, alpha: float, k: int, *,
     if k == 0 and den * m2k >= 2 * num:
         return _RISING_LINEAR
     # the even-moment bound, which the root never exceeds
-    ceiling = even_moment_value(m, alpha, k) * (1.0 + 1e-12) + 1e-9 if k else None
+    ceiling = _ratio_root(m2k, alpha, 1.0 / (2 * k)) * (1.0 + 1e-12) + 1e-9 if k else None
     if cutoff is not None and _stieltjes_sign(m2k, m2k1, num, den, k, cutoff) > 0:
         assert ceiling is None or _stieltjes_sign(m2k, m2k1, num, den, k, ceiling) <= 0
         return _ROOT_ABOVE_CUTOFF
@@ -504,8 +481,10 @@ def baseline_upper_bounds(m_w: MomentSequence, summary: SpectralSummary, omega: 
     floor = 1.0 / (umax * umax)
     for k in ks:
         if 2 * k <= m_w.max_index:
-            out.append(outcome_row("baseline_eigvec_walk", "upper", {"k": k},
-                                   even_moment_value(m_w, floor, k), oracle_assisted=True))
+            # the floor is at least 1, so the weight never vanishes
+            value = _ratio_root(m_w.values[2 * k], floor, 1.0 / (2 * k))
+            out.append(BoundResult("baseline_eigvec_walk", "upper", value, {"k": k},
+                                   oracle_assisted=True))
         if usum > 1e-12:
             value = _ratio_root(m_w.values[k], usum / umax, 1.0 / k)
             out.append(BoundResult("baseline_van_mieghem", "upper", value, {"k": k},

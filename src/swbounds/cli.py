@@ -65,7 +65,7 @@ def _parse_j_sets(values: Optional[Sequence[str]]) -> tuple[tuple[int, ...], ...
         if not indices or indices[0] < 1:
             raise GraphError(f"bad index set {text!r}: positions are 1-based")
         out.append(indices)
-    return tuple(dict.fromkeys(out))  # each set once, at its first occurrence
+    return tuple(out)
 
 
 def _require_tol(tol: float) -> None:

@@ -115,30 +115,6 @@ def hankel_pair_exact(m: MomentSequence, index_set: Iterable[int]) -> tuple[list
     return h, s
 
 
-def exact_determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss fraction-free elimination.
-
-    Every division is exact, so the result is the true determinant with no
-    rounding; the empty matrix has determinant 1.
-    """
-    a = [list(row) for row in matrix]
-    size = len(a)
-    sign = 1
-    previous = 1
-    for k in range(size - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, size) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // previous
-        previous = a[k][k]
-    return sign * a[-1][-1] if size else 1
-
-
 def _eliminate(a: list[list[int]], size: int) -> tuple[int, int]:
     """Fraction-free symmetric elimination of the leading size x size block of a.
 

@@ -13,8 +13,8 @@ import numpy as np
 
 from .bounds_lower import (
     BoundResult,
+    WALK_RATIO_BASELINES,
     Dead,
-    _det_blocks,
     baseline_lower_bounds,
     det_block_columns,
     det_ratio_columns,
@@ -73,6 +73,7 @@ from .spectrum import (
 )
 from .walks import (
     DEFAULT_MAX_LENGTH,
+    KIND_CLOSED,
     KIND_CLOSED_AT,
     KIND_WALKS,
     MomentSequence,
@@ -222,8 +223,8 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
     ...) or, for `sdp`, `stieltjes_root` and `hankel_root`, one pass per
     column. `table_pass` makes the records of every vertex ("all") or of
     the first vertex of the class `reported_vertex` picks in each column
-    (aggregate), which share the pass's time; the rooted labelled rows
-    read the rooted columns they label.
+    (aggregate), which share the pass's time; the labelled rows read the
+    swept cells they label, and evaluate only the columns not swept.
 
     In aggregate mode a root pass gives each class after a positive live
     one of its measure a cutoff one float beyond the best value b so far
@@ -248,7 +249,7 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
         for r in batch:
             families.setdefault((r.kind, r.name), []).append((r, ms / len(batch)))
 
-    rooted_tables: dict = {}  # (params, rooted Classes, table) of a pass, by its row
+    swept: dict = {}  # the (params, Classes, table) of each pass, by its row and measure
     passes: dict = {}  # the measures' parts and the passes of each table family, by its row
 
     def table_pass(kind, routine, row, params, parts, *args,
@@ -272,13 +273,15 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
                                 for p, col, c in zip(params, columns, picks)])
         ms = (time.perf_counter() - t0) * 1000.0 / sum(map(len, records))
         passes.setdefault(row, (parts, []))[1].append([[(r, ms) for r in rs] for rs in records])
-        if parts[-1].heads[0][0].kind == KIND_CLOSED_AT:
-            rooted_tables[row] = (params, parts[-1], table)
+        for part in parts:
+            swept.setdefault((row, part.heads[0][0].kind), []).append((params, part, table))
 
-    def rooted_column(row, *p) -> Optional[list]:
-        """One outcome per vertex of a swept rooted column, else None."""
-        params, part, table = rooted_tables.get(row, ((), None, None))
-        return table[part.rows, params.index(p)][part.of].tolist() if p in params else None
+    def swept_column(row, measure, *p) -> Optional[list]:
+        """The outcome of each `measure` sequence in a swept column, else None."""
+        for params, part, table in swept.get((row, measure), ()):
+            if p in params:
+                return table[part.rows, params.index(p)][part.of].tolist()
+        return None
 
     def root_column(kind, value, heads, parts, *args) -> np.ndarray:
         """The one-column table of `value(*head, *args)` at the stacked class
@@ -299,8 +302,8 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
                   "vertex": list(prep.rooted_seqs)}
     sequences = [by_measure[m] for m in MEASURES if m in measures]
     # every sequence reaches the horizon: one check (MomentError) covers a J's columns
-    j_positions = sorted([_validated_indices(prep.walks_seq, j_set, 0) for j_set in j_sets
-                          if 2 * max(j_set) - 1 <= horizon], key=lambda j: str(list(j)))
+    j_positions = sorted({_validated_indices(prep.walks_seq, j_set, 0) for j_set in j_sets
+                          if 2 * max(j_set) - 1 <= horizon}, key=lambda j: str(list(j)))
     if not sequences:
         return []
 
@@ -353,11 +356,16 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
     rooted = prep.rooted_seqs if "vertex" in measures else ()
     if 3 <= horizon:
         if "closed" in measures:
-            emit(triangle_edge_lower_bound, prep.closed_seq)
+            closed = swept_column(quadratic_root_row, KIND_CLOSED, 0, 1)
+            emit(triangle_edge_lower_bound, prep.closed_seq, closed and closed[0])
         if rooted:
-            emit(local_triangle_lower_bound, rooted, rooted_column(quadratic_root_row, 0, 1))
+            emit(local_triangle_lower_bound, rooted,
+                 swept_column(quadratic_root_row, KIND_CLOSED_AT, 0, 1))
     if "walks" in measures:
-        emit(baseline_lower_bounds, prep.walks_seq, rooted, rooted_column(ratio_row, 0, 2))
+        walk_ratios = {(s, k): column[0] for _, s, k in WALK_RATIO_BASELINES
+                       if (column := swept_column(ratio_row, KIND_WALKS, s, k))}
+        emit(baseline_lower_bounds, prep.walks_seq, rooted,
+             swept_column(ratio_row, KIND_CLOSED_AT, 0, 2), walk_ratios)
         if prep.omega is not None:
             for k in range(0, k_max + 1):
                 if 2 * k + 1 <= horizon:
@@ -366,7 +374,8 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
         emit(baseline_upper_bounds, prep.walks_seq, summary, prep.omega, prep.connected, ks)
 
     if rooted and 2 <= horizon:
-        emit(eigvec_degree_upper_bound, rooted, summary, rooted_column(two_point_row, 1),
+        emit(eigvec_degree_upper_bound, rooted, summary,
+             swept_column(two_point_row, KIND_CLOSED_AT, 1),
              [alpha for _, alpha in upper_parts[-1].heads])
 
     for parts, family in passes.values():  # join each table family's passes in report order
@@ -781,6 +790,13 @@ def _verify_sandwich(out: VerificationOutcome, prep: PreparedGraph,
         if gap < -tol:
             out.fail(f"{prep.entry.name}: {_crossing(r, rho)}")
     return bounds
+
+
+def _det_blocks(m: MomentSequence, s: int, k: int) -> tuple[int, int, int]:
+    """Exact determinants (det H, det S, det F) of the strided 2x2 blocks."""
+    v = m.values
+    m0, m1, m2, m3 = (v[2 * s], v[2 * s + k], v[2 * s + 2 * k], v[2 * s + 3 * k])
+    return m0 * m2 - m1 * m1, m1 * m3 - m2 * m2, m1 * m2 - m3 * m0
 
 
 _BELOW_EVEN_MOMENT = {

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from swbounds.bounds_lower import Dead
 from swbounds.bounds_upper import (
+    _LEADING_BLOCK_NOT_PD,
     _adjugate,
     atom_weight_for,
     baseline_upper_bounds,
@@ -23,6 +25,7 @@ from swbounds.bounds_upper import (
 )
 from swbounds.graph import (
     Graph,
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     degrees,
@@ -31,10 +34,11 @@ from swbounds.graph import (
     path_graph,
     star_graph,
 )
-from swbounds.report import sweep_bounds
+from swbounds.report import CorpusEntry, prepare_graph, sweep_bounds
 from swbounds.roots import largest_real_root_bracket, no_real_root_above
 from swbounds.spectrum import eigen_decompose
 from swbounds.walks import (
+    KIND_CLOSED,
     KIND_WALKS,
     MomentSequence,
     all_rooted_closed_counts,
@@ -296,6 +300,71 @@ class TestHankelRoot:
         assert res.applicable
         assert 2.0 <= res.value <= 2.0 * (1.0 + 1e-12)
 
+    def test_five_positions_on_a_biclique_are_inapplicable_without_error(self):
+        # every measure of K_{4,6} sits on at most three atoms (0 and
+        # +-sqrt(24)), so H_{J'} of J = (1, ..., 5) is singular; the
+        # elimination in `_adjugate` stops before its back substitution
+        # would divide by a zero pivot
+        prep = prepare_graph(CorpusEntry("k46", "complete_bipartite",
+                                         complete_bipartite_graph(4, 6)))
+        for m in [prep.walks_seq, prep.closed_seq, *prep.rooted_seqs]:
+            outcome = hankel_root_value(m, atom_weight_for(m, prep.summary), (1, 2, 3, 4, 5))
+            assert outcome == _LEADING_BLOCK_NOT_PD
+
+    def test_an_indefinite_leading_block_is_inapplicable_beyond_three_positions(self):
+        # no moment sequence: det H_{(1,2)} = -6 while det H_{(1,2,3)} = 33 > 0;
+        # four positions need |J| - 1 = 3 positive leading minors
+        m = MomentSequence(KIND_CLOSED, (1, 3, 3, 6, 2, 3, 2))
+        res = hankel_root_upper_bound(m, 0.5, (1, 2, 3, 4))
+        assert not res.applicable
+        assert res.reason == _LEADING_BLOCK_NOT_PD.reason
+
+
+def _fraction_det(rows) -> Fraction:
+    """Determinant by Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            factor = a[i][k] / a[k][k]
+            a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+class TestAdjugate:
+    @settings(max_examples=300, deadline=None)
+    @given(atoms=st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 3)), min_size=1,
+                          max_size=6),
+           perturb=st.lists(st.tuples(st.integers(0, 12), st.integers(-3, 3)), max_size=1),
+           indices=st.sets(st.integers(1, 7), min_size=2, max_size=6).map(sorted))
+    @example(atoms=[(1, 1), (2, 1)], perturb=[], indices=[1, 2, 3, 4, 5])
+    @example(atoms=[(0, 1), (1, 1), (2, 1)], perturb=[], indices=[1, 2, 3, 4])
+    def test_matches_the_cofactors(self, atoms, perturb, indices):
+        # Hankel blocks of atomic measures: singular with fewer atoms than
+        # positions, and with a singular H_{J'} with fewer than |J| - 1; a
+        # perturbed moment gives blocks that are not PSD
+        m = [sum(w * x ** j for x, w in atoms) for j in range(13)]
+        for index, delta in perturb:
+            m[index] += delta
+        h = [[m[a + b - 2] for b in indices] for a in indices]
+        size = len(h)
+        cofactors = [[(-1) ** (i + j) * _fraction_det([r[:i] + r[i + 1:]
+                                                       for k, r in enumerate(h) if k != j])
+                      for j in range(size)] for i in range(size)]
+        minors = [_fraction_det([r[:k] for r in h[:k]]) for k in range(1, size)]
+        adj = _adjugate(h)
+        if size > 3 and not all(d > 0 for d in minors):
+            assert adj is None
+        else:
+            assert adj == cofactors
+
 
 class TestStieltjesRoot:
     def test_walks_k3_linear(self):
@@ -493,8 +562,8 @@ class TestCutoffSign:
         # definite, and alpha at most the top atom's weight, so a real root
         # exists; |J| - 1 atoms make H_J singular, and the polynomial a
         # negative multiple of the square of p = (last row of adj(H_J)) . v,
-        # whose simple roots are the atoms; four positions take the Bareiss
-        # minors of `_adjugate`
+        # whose simple roots are the atoms; four positions take the
+        # elimination of `_adjugate`
         if len(atoms) < len(indices) - 1:
             return
         m = MomentSequence(KIND_WALKS, tuple(sum(w * x ** j for x, w in atoms)

@@ -421,7 +421,8 @@ class TestCommands:
 
     def test_bounds_violation_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr("swbounds.report.triangle_edge_lower_bound",
-                            lambda g: BoundResult("triangle_edge", "lower", 100.0, {}))
+                            lambda g, outcome=None: BoundResult("triangle_edge", "lower",
+                                                                100.0, {}))
         assert main(["bounds", "--gen", "complete:3", "--K", "8"]) == 3
         out = capsys.readouterr().out
         assert "VIOLATIONS:" in out
@@ -446,7 +447,8 @@ class TestCommands:
     def test_verify_negative_control(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr("swbounds.report.triangle_edge_lower_bound",
-                            lambda g: BoundResult("triangle_edge", "lower", 100.0, {}))
+                            lambda g, outcome=None: BoundResult("triangle_edge", "lower",
+                                                                100.0, {}))
         code = main(["verify", "--families-max", "3", "--er-count", "0", "--K", "8"])
         out = capsys.readouterr().out
         assert code == 3
@@ -455,7 +457,8 @@ class TestCommands:
 
     def test_verify_creates_a_missing_dump_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr("swbounds.report.triangle_edge_lower_bound",
-                            lambda g: BoundResult("triangle_edge", "lower", 100.0, {}))
+                            lambda g, outcome=None: BoundResult("triangle_edge", "lower",
+                                                                100.0, {}))
         dump_dir = tmp_path / "not" / "yet"
         code = main(["verify", "--families-max", "3", "--er-count", "0", "--K", "8",
                      "--dump-dir", str(dump_dir)])
@@ -466,7 +469,8 @@ class TestCommands:
 
     def test_bench_violation_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr("swbounds.report.triangle_edge_lower_bound",
-                            lambda g: BoundResult("triangle_edge", "lower", 100.0, {}))
+                            lambda g, outcome=None: BoundResult("triangle_edge", "lower",
+                                                                100.0, {}))
         code = main(["bench", "--families", "path", "--min", "4", "--max", "4",
                      "--K", "8", "--no-timing"])
         captured = capsys.readouterr()
@@ -1179,6 +1183,35 @@ class TestVertexReduction:
         assert sorted(calls) == [((1, 2), 0), ((1, 2, 3), 0)]
         with pytest.raises(moments.MomentError, match="1-based"):
             sweep_bounds(prep, j_sets=((0, 1),), vertex_mode=vertex_mode)
+
+    @pytest.mark.parametrize("vertex_mode", ["aggregate", "all"])
+    def test_index_sets_with_equal_positions_give_one_column(self, vertex_mode):
+        # (2, 1) and (1, 1, 2) are the positions (1, 2) again
+        prep = prepare_graph(CorpusEntry("c", "cycle", cycle_graph(5)))
+
+        def hankel_rows(j_sets):
+            return [repr(r) for r, _ in sweep_bounds(prep, j_sets=j_sets, vertex_mode=vertex_mode)
+                    if r.name == "hankel_root"]
+        once = hankel_rows([(1, 2)])
+        assert len(once) == (3 if vertex_mode == "aggregate" else 2 + prep.entry.graph.n)
+        assert hankel_rows([(1, 2), (2, 1), (1, 1, 2)]) == once
+
+    @pytest.mark.parametrize("spec, s_max, k_max", [
+        ("erdos_renyi:15:0.3", 3, 4), ("erdos_renyi:15:0.3", 0, 2), ("erdos_renyi:15:0.3", 0, 0),
+        ("complete_bipartite:3:4", 1, 1), ("star:6", 3, 4)])
+    def test_labelled_rows_equal_their_kernels(self, spec, s_max, k_max):
+        # a sweep's labelled rows read the swept cells they label, or
+        # evaluate the columns it did not sweep; the kernels called alone
+        # evaluate every cell themselves
+        prep = prepare_graph(CorpusEntry("g", "test", generate(spec, 2)))
+        rooted = prep.rooted_seqs
+        expected = [bounds_lower.triangle_edge_lower_bound(prep.closed_seq),
+                    bounds_lower.local_triangle_lower_bound(rooted),
+                    *bounds_lower.baseline_lower_bounds(prep.walks_seq, rooted),
+                    bounds_upper.eigvec_degree_upper_bound(rooted, prep.summary)]
+        names = {r.name for r in expected}
+        rows = [r for r, _ in sweep_bounds(prep, s_max, k_max) if r.name in names]
+        assert sorted(map(repr, rows)) == sorted(map(repr, expected))
 
     @pytest.mark.parametrize("spec, seed", [("erdos_renyi:60:0.1", 3), ("cycle:60", 0)])
     def test_aggregate_mode_builds_only_the_reported_rooted_rows(self, monkeypatch, spec, seed):

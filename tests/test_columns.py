@@ -1,36 +1,45 @@
-"""The array routines of the six closed-form families against their scalar
-value routines, cell by cell, and the pick among twin classes against the
-pick among vertices."""
+"""The array routines of the six closed-form families against the scalar
+reference routines of `scalar_reference`, cell by cell, and the pick among
+twin classes against the pick among vertices."""
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scalar_reference import (
+    bipartite_value,
+    det_ratio_value,
+    even_moment_value,
+    quadratic_root_value,
+    ratio_value,
+    two_point_value,
+)
 from swbounds.bounds_lower import (
     VERTEX_TIE_TOL,
     Dead,
     det_block_columns,
     det_ratio_columns,
-    det_ratio_value,
+    det_ratio_lower_bound,
     quadratic_root_columns,
-    quadratic_root_value,
+    quadratic_root_lower_bound,
     ratio_columns,
-    ratio_value,
+    ratio_lower_bound,
     reported_vertex,
 )
 from swbounds.bounds_upper import (
     MIN_ATOM_WEIGHT,
     atom_weight_for,
     bipartite_columns,
-    bipartite_value,
+    bipartite_upper_bound,
     even_moment_columns,
-    even_moment_value,
+    even_moment_upper_bound,
     two_point_columns,
-    two_point_value,
+    two_point_upper_bound,
 )
 from swbounds.graph import generate
 from swbounds.spectrum import eigen_decompose
@@ -103,6 +112,13 @@ def _assert_matches_the_scalar_routines(seqs, alphas, bipartite):
                 assert _same(table[i, j], outcome), (name, i, columns[j], table[i, j], outcome)
 
 
+def _outcome(record):
+    """The outcome a kernel's record was built from."""
+    if record.trivial or not record.applicable:
+        return Dead(record.reason, record.trivial)
+    return record.value
+
+
 def _graph_rows(spec: str, seed: int, length: int):
     """The walk and rooted sequences m_0..m_{length-1} of a generated graph,
     each with the atom weight a sweep gives it."""
@@ -167,6 +183,29 @@ class TestArrayRoutines:
     def test_each_cell_equals_the_scalar_routine(self, table):
         _assert_matches_the_scalar_routines(*table)
 
+    @settings(max_examples=200, deadline=None)
+    @given(table=_tables())
+    def test_each_kernel_equals_the_scalar_routine(self, table):
+        # a kernel reads its one cell from its family's array routine
+        seqs, alphas, bipartite = table
+        ratios, blocks, ks = _columns(len(seqs[0]))
+        for m, alpha in zip(seqs, alphas):
+            cells = [(ratio_lower_bound, ratio_value, (m, *c)) for c in ratios]
+            cells += [(kernel, value, (m, *c)) for c in blocks for kernel, value in (
+                (det_ratio_lower_bound, det_ratio_value),
+                (quadratic_root_lower_bound, quadratic_root_value))]
+            cells += [(kernel, value, (m, alpha, k, *flag)) for k in ks for kernel, value, flag in (
+                (even_moment_upper_bound, even_moment_value, ()),
+                (two_point_upper_bound, two_point_value, ()),
+                (bipartite_upper_bound, bipartite_value, (bipartite,)))]
+            for kernel, value, args in cells:
+                expected = _scalar(value, *args)
+                if isinstance(expected, Exception):
+                    with pytest.raises(type(expected), match=re.escape(str(expected))):
+                        kernel(*args)
+                else:
+                    assert _same(_outcome(kernel(*args)), expected), (kernel.__name__, args)
+
     def test_the_big_number_branches(self):
         # K_12 at K = 300: walk counts 12 * 11**k pass 2**1020 near k = 295,
         # so even_moment takes the log/exp branch and two_point the shifted
@@ -210,6 +249,11 @@ class TestArrayRoutines:
         moments = np.array([ok.values], dtype=object)
         table = two_point_columns(moments, [0.0], [1])
         assert _same(table[0, 0], two_point_value(ok, 0.0, 1))
+        # the kernel raises them too
+        for m, alpha, message in ((empty, 0.5, "zero total mass"),
+                                  (ok, 1.5, "atom weight exceeds")):
+            with pytest.raises(ValueError, match=message):
+                two_point_upper_bound(m, alpha, 1)
 
     def test_an_int_division_past_the_float_range_raises(self):
         m = MomentSequence(KIND_CLOSED, (1, 2 ** 1100, 4))

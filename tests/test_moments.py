@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalar_reference import exact_determinant
 from swbounds.graph import Graph, complete_graph, path_graph
 from swbounds.moments import (
     MomentError,
-    exact_determinant,
     exact_psd,
     hamburger_check,
     hankel_matrix,
