@@ -384,15 +384,13 @@ def baseline_lower_bounds(m_w: MomentSequence, rooted: Sequence[MomentSequence],
     """Classical comparison bounds as labelled ratio rows: the four walk
     ratios ratio(walks, s, k) within the horizon, and sqrt(max degree), the
     rooted ratio (s=0, k=2) at the vertex `reported_vertex` picks, when m_2 is.
-    `walk_ratios` ({(s, k): outcome}) and `sqrt_degrees` are the outcomes the
-    caller has; one `ratio_columns` call each gives the rest."""
+    `walk_ratios` ({(s, k): outcome}) and `sqrt_degrees` are those outcomes,
+    when the caller has them all; else one `ratio_columns` call gives them."""
     if m_w.kind != KIND_WALKS:
         raise ValueError("baselines need the total-walk sequence")
-    walk_ratios = dict(walk_ratios or {})
     reached = [(s, k) for _, s, k in WALK_RATIO_BASELINES if 2 * s + k <= m_w.max_index]
-    missing = [p for p in reached if p not in walk_ratios]
-    if missing:
-        walk_ratios.update(zip(missing, ratio_columns(moment_matrix([m_w]), missing)[0].tolist()))
+    if walk_ratios is None or not all(p in walk_ratios for p in reached):
+        walk_ratios = dict(zip(reached, ratio_columns(moment_matrix([m_w]), reached)[0].tolist()))
     out = [outcome_row(name, "lower", {}, walk_ratios[s, k])
            for name, s, k in WALK_RATIO_BASELINES if (s, k) in reached]
     if rooted and rooted[0].max_index >= 2:

@@ -20,6 +20,7 @@ from .bounds_lower import (
     det_ratio_columns,
     det_ratio_row,
     local_triangle_lower_bound,
+    moment_matrix,
     quadratic_root_columns,
     quadratic_root_row,
     ratio_columns,
@@ -249,7 +250,7 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
         for r in batch:
             families.setdefault((r.kind, r.name), []).append((r, ms / len(batch)))
 
-    swept: dict = {}  # the (params, Classes, table) of each pass, by its row and measure
+    swept: dict = {}  # (params, Classes, table) of a row's last pass, by its row and measure
     passes: dict = {}  # the measures' parts and the passes of each table family, by its row
 
     def table_pass(kind, routine, row, params, parts, *args,
@@ -274,14 +275,12 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
         ms = (time.perf_counter() - t0) * 1000.0 / sum(map(len, records))
         passes.setdefault(row, (parts, []))[1].append([[(r, ms) for r in rs] for rs in records])
         for part in parts:
-            swept.setdefault((row, part.heads[0][0].kind), []).append((params, part, table))
+            swept[row, part.heads[0][0].kind] = (params, part, table)
 
     def swept_column(row, measure, *p) -> Optional[list]:
-        """The outcome of each `measure` sequence in a swept column, else None."""
-        for params, part, table in swept.get((row, measure), ()):
-            if p in params:
-                return table[part.rows, params.index(p)][part.of].tolist()
-        return None
+        """One outcome per `measure` sequence of a swept column, else None."""
+        params, part, table = swept.get((row, measure), ((), None, None))
+        return table[part.rows, params.index(p)][part.of].tolist() if p in params else None
 
     def root_column(kind, value, heads, parts, *args) -> np.ndarray:
         """The one-column table of `value(*head, *args)` at the stacked class
@@ -331,7 +330,7 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
     blocks = [(s, k) for s, k in ratios if 2 * s + 3 * k <= horizon]
     ks = [k for k in range(1, k_max + 1) if 2 * k <= horizon]
     if ratios:
-        moments = np.array([m.values for (m,) in lower_heads], dtype=object)
+        moments = moment_matrix([m for (m,) in lower_heads])
         table_pass("lower", ratio_columns, ratio_row, ratios, lower_parts, moments, ratios)
         if blocks:
             start = time.perf_counter()
@@ -341,7 +340,7 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
             table_pass("lower", quadratic_root_columns, quadratic_root_row, blocks, lower_parts,
                        dets, blocks)
     if ks:
-        moments = np.array([m.values for m, _ in upper_heads], dtype=object)
+        moments = moment_matrix([m for m, _ in upper_heads])
         alphas = [alpha for _, alpha in upper_heads]
         columns = [(k,) for k in ks]
         table_pass("upper", even_moment_columns, even_moment_row, columns, upper_parts, moments,
