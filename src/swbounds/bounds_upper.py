@@ -174,32 +174,22 @@ def two_point_row(m: MomentSequence, alpha: float, k: int, outcome: float | Dead
 
 
 def eigvec_degree_upper_bound(rooted: Sequence[MomentSequence], summary: SpectralSummary,
-                              outcomes: Sequence | None = None,
-                              weights: Sequence[float] | None = None) -> BoundResult:
+                              outcomes: Sequence | None = None) -> BoundResult:
     """rho <= sqrt((1/x_i^2 - 1) d_i) at the vertex `reported_vertex` picks:
     the k = 1 `two_point` row of the rooted sequence (1, 0, d_i, ...).
-    `outcomes` are those rows' outcomes and `weights` the sequences'
-    `atom_weight_for` values, when the caller has them.
+    `outcomes` are those rows' outcomes, when the caller has them.
 
     x_i^2 is at most the rooted mass at rho (Bessel's inequality) and the
     bound falls as the weight grows, so it holds on any graph. Vertices
-    with a vanishing weight are skipped and counted; `rearranged_ok` checks
-    the equivalent x_i <= 1 / sqrt(1 + rho^2/d_i).
+    with a vanishing weight are skipped and counted.
     """
     if any(m.kind != KIND_CLOSED_AT or m.max_index < 2 for m in rooted):
         raise ValueError("the eigenvector-degree bound needs rooted sequences up to m_2")
-    if weights is None:
-        weights = [atom_weight_for(m, summary) for m in rooted]
     if outcomes is None:
+        weights = [atom_weight_for(m, summary) for m in rooted]
         outcomes = two_point_columns(moment_matrix(rooted, 3), weights, [1])[:, 0].tolist()
-    rho = summary.rho
-    rearranged_ok = not any(
-        w > MIN_ATOM_WEIGHT and m.values[2] > 0
-        and math.sqrt(w) > 1.0 / math.sqrt(1.0 + rho * rho / m.values[2]) + 1e-9
-        for m, w in zip(rooted, weights))
     i = reported_vertex(outcomes, "upper")
-    params = {"vertex": rooted[i].vertex, "skipped": sum(isinstance(o, Dead) for o in outcomes),
-              "rearranged_ok": rearranged_ok}
+    params = {"vertex": rooted[i].vertex, "skipped": sum(isinstance(o, Dead) for o in outcomes)}
     return outcome_row("eigvec_degree", "upper", params, outcomes[i], oracle_assisted=True)
 
 

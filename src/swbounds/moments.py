@@ -1,7 +1,7 @@
 """Hankel machinery of the moment problem: pair assembly and feasibility tests.
 
 Every positivity question on walk-count Hankel blocks is decided exactly, by
-fraction-free elimination on the integer matrices (`exact_psd`); one
+fraction-free elimination on the integer matrices (`_eliminate`); one
 elimination of H_top (`hankel_table`) gives the Hamburger check and the
 semidefinite bound's orthogonal polynomial at every order up to top. The float
 blocks (`hankel_pair`, `hankel_matrix`) and the spectral `is_psd` are on no
@@ -149,27 +149,13 @@ def _eliminate(a: list[list[int]], size: int) -> tuple[int, int]:
     return psd, next((k for k in range(psd) if not a[k][k]), psd)
 
 
-def exact_psd(matrix: Sequence[Sequence[int]]) -> Optional[int]:
-    """Exact positive-semidefiniteness test of a symmetric integer matrix.
-
-    Returns None when the matrix is not PSD, else the number of its leading
-    principal minors that are positive. For a PSD matrix the leading minors
-    are positive up to the first zero one and zero from there on, so the
-    matrix is positive definite exactly when the count is its size. Only the
-    upper triangle is read.
-    """
-    a = [list(row) for row in matrix]
-    psd, leading = _eliminate(a, len(a))
-    return leading if psd == len(a) else None
-
-
 def is_psd(matrix: np.ndarray, tol: float = PSD_TOL) -> bool:
     """Spectral positive-semidefiniteness test of a float matrix, with a
     relative tolerance.
 
     True iff the smallest eigenvalue is >= -tol * max(1, largest |entry|).
     Input must be symmetric within the same tolerance. Integer Hankel
-    blocks go through `exact_psd` instead.
+    blocks go through `_eliminate` instead.
     """
     a = np.asarray(matrix, dtype=float)
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)

@@ -220,20 +220,21 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
 
     Each family is one table of outcomes, a row per twin class of every
     measure (vertices with identical `values` and, for an upper bound,
-    `atom_weight_for` float), filled by one array pass (`ratio_columns`,
-    ...) or, for `sdp`, `stieltjes_root` and `hankel_root`, one pass per
-    column. `table_pass` makes the records of every vertex ("all") or of
-    the first vertex of the class `reported_vertex` picks in each column
-    (aggregate), which share the pass's time; the labelled rows read the
-    swept cells they label, and evaluate only the columns not swept.
+    `atom_weight_for` float), stacked in report order and filled by one
+    timed pass: an array routine (`ratio_columns`, ...) or, for `sdp`,
+    `stieltjes_root` and `hankel_root`, `root_table`. `table_pass` makes
+    the records of every vertex ("all") or of the first vertex of the class
+    `reported_vertex` picks in each column (aggregate), which share the
+    pass's time; the labelled rows read the swept cells they label, and
+    evaluate only the columns not swept.
 
     In aggregate mode a root pass gives each class after a positive live
-    one of its measure a cutoff one float beyond the best value b so far
-    (nextafter(b, inf) for a lower bound, nextafter(b, 0) for an upper one);
-    a routine that proves exactly that its value is no better than b
-    returns it inapplicable without a root search, which leaves the
-    reported row unchanged. The `sdp` Hankel tables are built once per
-    class, timed with the first root pass.
+    one of its measure, in each column, a cutoff one float beyond the best
+    value b so far (nextafter(b, inf) for a lower bound, nextafter(b, 0)
+    for an upper one); a routine that proves exactly that its value is no
+    better than b returns it inapplicable without a root search, which
+    leaves the reported row unchanged. The `sdp` Hankel tables are built
+    once per class, timed with the `sdp` pass.
     """
     if s_max < 0 or k_max < 0:
         raise ValueError(f"s_max and k_max must be non-negative, got {s_max} and {k_max}")
@@ -250,30 +251,30 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
         for r in batch:
             families.setdefault((r.kind, r.name), []).append((r, ms / len(batch)))
 
-    swept: dict = {}  # (params, Classes, table) of a row's last pass, by its row and measure
-    passes: dict = {}  # the measures' parts and the passes of each table family, by its row
+    swept: dict = {}  # (params, Classes, table) of each table family, by its row and measure
 
     def table_pass(kind, routine, row, params, parts, *args,
                    start: Optional[float] = None) -> None:
         """One timed call of `routine(*args)`, counted from `start` if given,
         for each (stacked class, column `p` of `params`) cell of the measures'
-        `parts`. Each part's records `row(*head, *p, outcome)` are built in
-        report order, not sorted: every vertex's by column, or each column's pick."""
+        `parts`, which are in report order. The records `row(*head, *p,
+        outcome)` are built in report order, not sorted: every vertex's by
+        column, or each column's pick, ordered by class (so by vertex)."""
         t0 = time.perf_counter() if start is None else start
         table = routine(*args)
         records = []
         for heads, firsts, of, rows_of in parts:
             if vertex_mode == "all":
                 outcomes = table[rows_of].tolist()
-                records.append([row(*head, *p, o) for head, c in zip(heads, of)
-                                for p, o in zip(params, outcomes[c])])
+                records += [row(*head, *p, o) for head, c in zip(heads, of)
+                            for p, o in zip(params, outcomes[c])]
             else:
                 columns = table[rows_of].T.tolist()
                 picks = [reported_vertex(col, kind) if len(col) > 1 else 0 for col in columns]
-                records.append([row(*heads[firsts[c]], *p, col[c])
-                                for p, col, c in zip(params, columns, picks)])
-        ms = (time.perf_counter() - t0) * 1000.0 / sum(map(len, records))
-        passes.setdefault(row, (parts, []))[1].append([[(r, ms) for r in rs] for rs in records])
+                records += [row(*heads[firsts[c]], *p, col[c]) for c, p, col
+                            in sorted(zip(picks, params, columns), key=lambda cell: cell[0])]
+        ms = (time.perf_counter() - t0) * 1000.0 / len(records)
+        families[kind, records[0].name] = [(r, ms) for r in records]
         for part in parts:
             swept[row, part.heads[0][0].kind] = (params, part, table)
 
@@ -282,24 +283,26 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
         params, part, table = swept.get((row, measure), ((), None, None))
         return table[part.rows, params.index(p)][part.of].tolist() if p in params else None
 
-    def root_column(kind, value, heads, parts, *args) -> np.ndarray:
-        """The one-column table of `value(*head, *args)` at the stacked class
-        `heads` of the measures' `parts`. In aggregate mode the cutoff
-        restarts at each measure's first class."""
+    def root_table(kind, value, heads, parts, params) -> np.ndarray:
+        """The table of `value(*head, *p)` at the stacked class `heads` of the
+        measures' `parts` and each column `p` of `params`. In aggregate mode
+        the cutoff restarts at each measure's first class, in every column."""
         toward = math.inf if kind == "lower" else 0.0
-        column = []
-        for part in parts:
-            cutoff = None
-            for head in heads[part.rows]:
-                column.append(res := value(*head, *args, cutoff=cutoff))
-                if vertex_mode != "all" and not isinstance(res, Dead) and res > 0.0:
-                    # not ruled out, so better than the best so far
-                    cutoff = math.nextafter(res, toward)
-        return np.fromiter(column, object, len(column))[:, None]
+        table = np.empty((len(heads), len(params)), dtype=object)
+        for j, p in enumerate(params):
+            for part in parts:
+                cutoff = None
+                for i in range(part.rows.start, part.rows.stop):
+                    table[i, j] = res = value(*heads[i], *p, cutoff=cutoff)
+                    if vertex_mode != "all" and not isinstance(res, Dead) and res > 0.0:
+                        # not ruled out, so better than the best so far
+                        cutoff = math.nextafter(res, toward)
+        return table
 
-    by_measure = {"walks": [prep.walks_seq], "closed": [prep.closed_seq],
-                  "vertex": list(prep.rooted_seqs)}
-    sequences = [by_measure[m] for m in MEASURES if m in measures]
+    # the measures in report order: closed_walks, closed_walks_at, walks
+    by_measure = {"closed": [prep.closed_seq], "vertex": list(prep.rooted_seqs),
+                  "walks": [prep.walks_seq]}
+    sequences = [seqs for m, seqs in by_measure.items() if m in measures]
     # every sequence reaches the horizon: one check (MomentError) covers a J's columns
     j_positions = sorted({_validated_indices(prep.walks_seq, j_set, 0) for j_set in j_sets
                           if 2 * max(j_set) - 1 <= horizon}, key=lambda j: str(list(j)))
@@ -314,17 +317,19 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
         upper_parts.append(_twin_classes(list(zip(seqs, weights)), zip(lower.of, weights),
                                          upper_heads))
 
-    orders = sorted(order for order in sdp_orders if 2 * order + 1 <= horizon)
-    start = time.perf_counter()
-    sdp_heads = [(m, hankel_table(m, max(orders))) for (m,) in lower_heads] if orders else []
-    roots = [("lower", sdp_value, sdp_row, order, sdp_heads, lower_parts) for order in orders]
-    roots += [("upper", stieltjes_root_value, stieltjes_root_row, k, upper_heads, upper_parts)
-              for k in range(1, k_max + 1) if 2 * k + 1 <= horizon]
-    roots += [("upper", hankel_root_value, hankel_root_row, indices, upper_heads, upper_parts)
-              for indices in j_positions]
-    for kind, value, row, p, heads, parts in roots:
-        table_pass(kind, root_column, row, [(p,)], parts, kind, value, heads, parts, p, start=start)
-        start = None
+    orders = [(order,) for order in sorted(set(sdp_orders)) if 2 * order + 1 <= horizon]
+    if orders:
+        start = time.perf_counter()
+        sdp_heads = [(m, hankel_table(m, orders[-1][0])) for (m,) in lower_heads]
+        table_pass("lower", root_table, sdp_row, orders, lower_parts,
+                   "lower", sdp_value, sdp_heads, lower_parts, orders, start=start)
+    for value, row, params in (
+            (stieltjes_root_value, stieltjes_root_row,
+             [(k,) for k in range(1, k_max + 1) if 2 * k + 1 <= horizon]),
+            (hankel_root_value, hankel_root_row, [(indices,) for indices in j_positions])):
+        if params:
+            table_pass("upper", root_table, row, params, upper_parts,
+                       "upper", value, upper_heads, upper_parts, params)
 
     ratios = [(s, k) for s in range(s_max + 1) for k in range(1, k_max + 1) if 2 * s + k <= horizon]
     blocks = [(s, k) for s, k in ratios if 2 * s + 3 * k <= horizon]
@@ -374,17 +379,7 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
 
     if rooted and 2 <= horizon:
         emit(eigvec_degree_upper_bound, rooted, summary,
-             swept_column(two_point_row, KIND_CLOSED_AT, 1),
-             [alpha for _, alpha in upper_parts[-1].heads])
-
-    for parts, family in passes.values():  # join each table family's passes in report order
-        block = []
-        for i in sorted(range(len(parts)), key=lambda i: parts[i].heads[0][0].kind):
-            cells = [records[i] for records in family]  # one pass, or one per column
-            if vertex_mode != "all":
-                cells = [sorted(sum(cells, []), key=lambda c: c[0].params.get("vertex", -1))]
-            block += [cell for vertex in zip(*cells) for cell in vertex] if cells[1:] else cells[0]
-        families[block[0][0].kind, block[0][0].name] = block
+             swept_column(two_point_row, KIND_CLOSED_AT, 1))
     return [pair for key in sorted(families) for pair in families[key]]
 
 
@@ -791,13 +786,6 @@ def _verify_sandwich(out: VerificationOutcome, prep: PreparedGraph,
     return bounds
 
 
-def _det_blocks(m: MomentSequence, s: int, k: int) -> tuple[int, int, int]:
-    """Exact determinants (det H, det S, det F) of the strided 2x2 blocks."""
-    v = m.values
-    m0, m1, m2, m3 = (v[2 * s], v[2 * s + k], v[2 * s + 2 * k], v[2 * s + 3 * k])
-    return m0 * m2 - m1 * m1, m1 * m3 - m2 * m2, m1 * m2 - m3 * m0
-
-
 _BELOW_EVEN_MOMENT = {
     "two_point": "two-point bound",
     "stieltjes_root": "odd-moment root",
@@ -832,7 +820,10 @@ def _verify_dominance(out: VerificationOutcome, prep: PreparedGraph,
                   f"{name}: local triangle bound below sqrt(max degree)")
     hierarchy = prep.connected and prep.omega is not None and prep.omega >= 2
     baselines = index.get((None, None), {})
-    for m in [prep.walks_seq, prep.closed_seq, *prep.rooted_seqs]:
+    seqs = [prep.walks_seq, prep.closed_seq, *prep.rooted_seqs]
+    blocks = sorted({(r.params["s"], r.params["k"]) for r in rows if r.name == "quadratic_root"})
+    det_h, _, det_f = det_block_columns(moment_matrix(seqs), blocks)
+    for i, m in enumerate(seqs):
         found = index.get((m.kind, m.vertex), {})
         sdp = sorted((n, r.value) for (bound, _, _, n), r in found.items() if bound == "sdp")
         for (o1, v1), (o2, v2) in zip(sdp, sdp[1:]):
@@ -854,8 +845,8 @@ def _verify_dominance(out: VerificationOutcome, prep: PreparedGraph,
                     out.check(eigvec_walk.value >= r.value - 1e-9,
                               f"{name}: eigenvector walk bound below even-moment bound (k={k})")
             elif bound == "quadratic_root":
-                det_h, _, det_f = _det_blocks(m, s, k)
-                floor = (abs(det_f) / (2 * det_h)) ** (1.0 / k)
+                j = blocks.index((s, k))
+                floor = (abs(det_f[i, j]) / (2 * det_h[i, j])) ** (1.0 / k)
                 out.check(r.value >= floor - 1e-9,
                           f"{name}: quadratic root below its vertex value ({m.kind}, s={s}, k={k})")
                 det = found.get(("det_ratio", s, k, None))

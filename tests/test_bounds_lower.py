@@ -29,7 +29,7 @@ from swbounds.graph import (
     star_graph,
     triangle_counts,
 )
-from swbounds.moments import exact_psd, hankel_table, orthogonal_polynomial
+from swbounds.moments import _eliminate, hankel_table, orthogonal_polynomial
 from swbounds.report import er_corpus, family_corpus, find_violations, prepare_graph
 from swbounds.roots import largest_real_root_bracket, no_real_root_above, sign_at
 from swbounds.spectrum import eigen_decompose
@@ -404,7 +404,7 @@ def _at_most_rho(g, v):
     shifted = [[p if i == j else 0 for j in range(g.n)] for i in range(g.n)]
     for a, b in g.edges:
         shifted[a][b] = shifted[b][a] = -q
-    return exact_psd(shifted) != g.n
+    return _eliminate(shifted, g.n) != (g.n, g.n)
 
 
 class TestSdpExactSandwich:

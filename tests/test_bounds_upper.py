@@ -134,7 +134,6 @@ class TestEigvecDegree:
         # hub attains the minimum: sqrt((2 - 1) * 4) = 2
         assert res.value == pytest.approx(2.0, abs=1e-9)
         assert res.params["vertex"] == 0
-        assert res.params["rearranged_ok"]
 
     def test_reports_the_vertex_not_its_position(self):
         # the centre of the star is vertex 0, passed second
@@ -204,7 +203,7 @@ class TestEigvecDegree:
         # the isolated vertex has no mass at rho and is skipped
         g = Graph(3, [(0, 1)])
         res = _eigvec_degree(g)
-        assert res.params == {"vertex": 0, "skipped": 1, "rearranged_ok": True}
+        assert res.params == {"vertex": 0, "skipped": 1}
         assert res.value == pytest.approx(1.0, abs=1e-12) and res.oracle_assisted
 
     def test_needs_rooted_sequences_up_to_m2(self):

@@ -639,6 +639,28 @@ class TestSandwichRule:
 
 
 class TestVerificationEngine:
+    def test_a_rooted_two_point_row_below_rho_is_flagged(self, monkeypatch):
+        # the rooted two_point k = 1 row is sqrt((1/x_i^2 - 1) d_i), which
+        # eigvec_degree reports: the sandwich check holds it above rho
+        sweep = report.sweep_bounds
+        entry = CorpusEntry("star", "star", generate("star:4"))
+        rho = prepare_graph(entry).summary.rho
+
+        def target(r):
+            return (r.name == "two_point" and r.params["measure"] == KIND_CLOSED_AT
+                    and r.params["vertex"] == 2 and r.params["k"] == 1)
+
+        def lowered(*args, **kwargs):
+            return [(dataclasses.replace(r, value=rho - 1e-3) if target(r) else r, ms)
+                    for r, ms in sweep(*args, **kwargs)]
+        assert run_verification([entry]).violations == []
+        monkeypatch.setattr(report, "sweep_bounds", lowered)
+        outcome = run_verification([entry])
+        assert len(outcome.violations) == 1
+        assert outcome.violations[0].startswith("star: upper bound two_point {'measure': "
+                                                "'closed_walks_at', 'vertex': 2, 'k': 1")
+        assert outcome.offenders == [entry]
+
     def test_clean_corpus(self):
         entries = [CorpusEntry("k3", "complete", complete_graph(3))]
         outcome = run_verification(entries, max_length=8)
@@ -756,6 +778,42 @@ class TestVerificationEngine:
         expected = [f"{prep.entry.name}: determinant ratio above its quadratic root "
                     "(closed_walks, s=0, k=2)"]
         assert out.violations == (expected if flagged else [])
+
+    def test_dominance_sees_a_quadratic_root_row_below_its_vertex_value(self):
+        # each row's floor |det F| / (2 det H) ** (1/k) comes from its own
+        # sequence and (s, k) column: at the floor no row is flagged, and
+        # 2e-9 below it, past the 1e-9 slack, every row is
+        prep = prepare_graph(CorpusEntry("path_6_chord", "test", Graph(
+            6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 4)])), 8)
+        seqs = {(m.kind, m.vertex): m for m in (prep.walks_seq, prep.closed_seq,
+                                                *prep.rooted_seqs)}
+        assert len({m.values for m in seqs.values()}) == len(seqs)
+        rows = [r for r, _ in sweep_bounds(prep, vertex_mode="all")]
+
+        def floor(r):
+            p = r.params
+            v = seqs[p["measure"], p.get("vertex")].values
+            s, k = p["s"], p["k"]
+            m0, m1, m2, m3 = (v[2 * s + i * k] for i in range(4))
+            return (abs(m1 * m2 - m3 * m0) / (2 * (m0 * m2 - m1 * m1))) ** (1.0 / k)
+
+        roots = [r for r in rows if r.name == "quadratic_root" and r.applicable]
+        assert len({floor(r) for r in roots}) > len(roots) // 2
+        assert len({(r.params["s"], r.params["k"]) for r in roots}) > 1
+        message = "quadratic root below its vertex value"
+        for shift, flagged in ((0.0, 0), (-2e-9, len(roots))):
+            out = VerificationOutcome()
+            _verify_dominance(out, prep, [
+                dataclasses.replace(r, value=floor(r) + shift) if r in roots else r
+                for r in rows])
+            assert sum(message in v for v in out.violations) == flagged, shift
+        lowered = next(r for r in roots if r.params["measure"] == KIND_CLOSED_AT)
+        out = VerificationOutcome()
+        _verify_dominance(out, prep, [dataclasses.replace(r, value=floor(r) - 2e-9)
+                                      if r is lowered else r for r in rows])
+        p = lowered.params
+        assert out.violations == [f"path_6_chord: {message} (closed_walks_at, "
+                                  f"s={p['s']}, k={p['k']})"]
 
     def test_dominance_sees_an_sdp_row_one_ulp_below_the_previous_order(self):
         prep = prepare_graph(CorpusEntry("k4", "complete", complete_graph(4)), 8)
@@ -975,7 +1033,8 @@ class TestVertexReduction:
                                                                vertex_mode):
         # twins share every outcome: a lower column evaluates each distinct
         # sequence once, an upper one each distinct (sequence, alpha_1), and
-        # an array routine gets one matrix row for each
+        # an array routine, called once, gets one matrix row for each, with
+        # the measures stacked in report order
         calls: dict = {}
 
         def counted(name, head, weighted):
@@ -993,7 +1052,7 @@ class TestVertexReduction:
         arrays: dict = {}
         for name in self._ARRAY_ROUTINES:
             def recorded(*args, name=name, fn=getattr(report, name)):
-                arrays[name] = args
+                arrays.setdefault(name, []).append(args)
                 return fn(*args)
             monkeypatch.setattr(report, name, recorded)
         prep = prepare_graph(CorpusEntry("g", "test", generate(spec)))
@@ -1010,9 +1069,10 @@ class TestVertexReduction:
             assert sorted(keys) == sorted(expected), (name, kind)
 
         assert arrays.keys() == self._ARRAY_ROUTINES.keys()
-        moments = arrays["ratio_columns"][0]
+        assert all(len(passes) == 1 for passes in arrays.values()), arrays.keys()
+        moments = arrays["ratio_columns"][0][0]
         for name, weighted in self._ARRAY_ROUTINES.items():
-            args = arrays[name]
+            (args,) = arrays[name]
             if name in ("det_ratio_columns", "quadratic_root_columns"):
                 # the 2x2 blocks of the ratio pass's matrix, whose rows are checked there
                 blocks = bounds_lower.det_block_columns(moments, args[1])
@@ -1021,9 +1081,9 @@ class TestVertexReduction:
             keys = [tuple(row) for row in args[0]]
             if weighted:
                 keys = list(zip(keys, args[1]))
-            # the rows of each measure in turn, one per distinct key
+            # the rows of each measure in report order, one per distinct key
             start = 0
-            for kind in (KIND_WALKS, KIND_CLOSED, KIND_CLOSED_AT):
+            for kind in (KIND_CLOSED, KIND_CLOSED_AT, KIND_WALKS):
                 expected = distinct[(kind, weighted)]
                 assert sorted(keys[start:start + len(expected)]) == sorted(expected), (name, kind)
                 start += len(expected)
@@ -1116,21 +1176,25 @@ class TestVertexReduction:
         monkeypatch.setattr(report, "hankel_table", slow_table)
         prep = prepare_graph(CorpusEntry("g", "test", generate("star:6")))
         first_order = min(report.DEFAULT_SDP_ORDERS)
-        shares = [ms for r, ms in sweep_bounds(prep, vertex_mode=vertex_mode)
-                  if r.name == "sdp" and r.params["n"] == first_order]
+        rows = [(r, ms) for r, ms in sweep_bounds(prep, vertex_mode=vertex_mode)
+                if r.name == "sdp"]
+        shares = [ms for _, ms in rows]
         # one table for walks and closed walks, one per class of the rooted
         assert sorted(built) == sorted([KIND_WALKS, KIND_CLOSED] + [KIND_CLOSED_AT] * 2)
-        # the first column's one pass over every measure builds them all, and
-        # its records share its time evenly
-        assert len(shares) == (2 + prep.entry.graph.n if vertex_mode == "all" else 3)
+        # the family's one pass over every measure and order builds them all,
+        # and its records, the first column's among them, share its time evenly
+        per_order = 2 + prep.entry.graph.n if vertex_mode == "all" else 3
+        assert len(shares) == per_order * len(report.DEFAULT_SDP_ORDERS)
+        assert sum(r.params["n"] == first_order for r, _ in rows) == per_order
         assert len(set(shares)) == 1
         assert sum(shares) >= sleep_ms * len(built) - 1e-9
 
     @pytest.mark.parametrize("vertex_mode", ["aggregate", "all"])
     def test_the_cutoff_restarts_at_each_measure(self, monkeypatch, vertex_mode):
-        # a root pass runs over the stacked classes of every measure in turn;
-        # in aggregate mode only a class after the first of its own measure
-        # gets a cutoff, and in "all" mode none does
+        # in each column, a root family's pass runs over the stacked classes
+        # of every measure in turn, in report order; in aggregate mode only a
+        # class after the first of its own measure gets a cutoff, and in
+        # "all" mode none does
         calls: dict = {}
 
         def recorded(name):
@@ -1145,7 +1209,7 @@ class TestVertexReduction:
             recorded(name)
         prep = prepare_graph(CorpusEntry("g", "test", generate("erdos_renyi:12:0.4", 1)))
         sweep_bounds(prep, vertex_mode=vertex_mode)
-        order = [KIND_WALKS, KIND_CLOSED, KIND_CLOSED_AT]
+        order = [KIND_CLOSED, KIND_CLOSED_AT, KIND_WALKS]
         assert {name for name, _ in calls} == set(self._VALUE_ROUTINES)
         for key, column in calls.items():
             kinds = [kind for kind, _ in column]
@@ -1155,6 +1219,18 @@ class TestVertexReduction:
                     assert cutoff is None, (key, kind)
         cut = [cutoff for column in calls.values() for _, cutoff in column if cutoff is not None]
         assert bool(cut) == (vertex_mode == "aggregate")
+
+    @pytest.mark.parametrize("vertex_mode", ["aggregate", "all"])
+    def test_every_row_of_a_table_family_shares_one_pass_time(self, vertex_mode):
+        # each of the nine table families is one timed pass over all its
+        # columns and measures: every row it reports carries the same share
+        prep = prepare_graph(CorpusEntry("g", "test", generate("erdos_renyi:12:0.4", 1)))
+        times: dict = {}
+        for r, ms in sweep_bounds(prep, vertex_mode=vertex_mode):
+            times.setdefault(r.name, []).append(ms)
+        assert set(self._KERNELS) <= times.keys()
+        for name in self._KERNELS:
+            assert len(times[name]) > 3 and len(set(times[name])) == 1, name
 
     @pytest.mark.parametrize("spec", ["star:6", "erdos_renyi:12:0.4"])
     def test_per_vertex_rows_share_their_column_time(self, spec):
@@ -1183,6 +1259,19 @@ class TestVertexReduction:
         assert sorted(calls) == [((1, 2), 0), ((1, 2, 3), 0)]
         with pytest.raises(moments.MomentError, match="1-based"):
             sweep_bounds(prep, j_sets=((0, 1),), vertex_mode=vertex_mode)
+
+    @pytest.mark.parametrize("vertex_mode", ["aggregate", "all"])
+    def test_a_repeated_sdp_order_gives_one_column(self, vertex_mode):
+        prep = prepare_graph(CorpusEntry("c", "cycle", cycle_graph(5)))
+
+        def sdp_rows(orders):
+            return [repr(r) for r, _ in sweep_bounds(prep, sdp_orders=orders,
+                                                     vertex_mode=vertex_mode)
+                    if r.name == "sdp"]
+        once = sdp_rows([1, 2])
+        assert len(once) == 2 * (3 if vertex_mode == "aggregate" else 2 + prep.entry.graph.n)
+        assert sdp_rows([1, 1, 2]) == once
+        assert sdp_rows([2, 1, 2, 1]) == once
 
     @pytest.mark.parametrize("vertex_mode", ["aggregate", "all"])
     def test_index_sets_with_equal_positions_give_one_column(self, vertex_mode):

@@ -9,7 +9,7 @@ from scalar_reference import exact_determinant
 from swbounds.graph import Graph, complete_graph, path_graph
 from swbounds.moments import (
     MomentError,
-    exact_psd,
+    _eliminate,
     hamburger_check,
     hankel_matrix,
     hankel_pair,
@@ -128,46 +128,54 @@ class TestPsd:
         assert not is_psd(np.array([[1.0, 0.0], [0.0, -1e-3]]))
 
 
+def _psd_leading(matrix) -> tuple[int, int]:
+    """(psd, leading) of `_eliminate` on a copy of a square integer matrix:
+    its s x s leading block is PSD exactly when s <= psd, and then
+    min(s, leading) of that block's leading minors are positive."""
+    a = [list(row) for row in matrix]
+    return _eliminate(a, len(a))
+
+
 class TestExactPsd:
     def test_definite_counts_every_leading_minor(self):
-        assert exact_psd([[2, 1, 0], [1, 2, 1], [0, 1, 2]]) == 3
-        assert exact_psd([[7]]) == 1
-        assert exact_psd([]) == 0
+        assert _psd_leading([[2, 1, 0], [1, 2, 1], [0, 1, 2]]) == (3, 3)
+        assert _psd_leading([[7]]) == (1, 1)
+        assert _psd_leading([]) == (0, 0)
 
     def test_semidefinite_stops_the_count_at_the_first_zero_minor(self):
         # rank one: every leading minor past the first is zero
-        assert exact_psd([[1, 2, 3], [2, 4, 6], [3, 6, 9]]) == 1
-        assert exact_psd([[0, 0], [0, 0]]) == 0
+        assert _psd_leading([[1, 2, 3], [2, 4, 6], [3, 6, 9]]) == (3, 1)
+        assert _psd_leading([[0, 0], [0, 0]]) == (2, 0)
 
     def test_negative_pivot(self):
-        assert exact_psd([[-1]]) is None
+        assert _psd_leading([[-1]]) == (0, 0)
         # leading pivot fine, Schur complement 1 - 4 < 0
-        assert exact_psd([[1, 2], [2, 1]]) is None
+        assert _psd_leading([[1, 2], [2, 1]]) == (1, 1)
 
     def test_zero_pivot_with_nonzero_row_is_not_psd(self):
-        assert exact_psd([[0, 1], [1, 5]]) is None
-        assert exact_psd([[1, 1, 1], [1, 1, 2], [1, 2, 9]]) is None
+        assert _psd_leading([[0, 1], [1, 5]]) == (1, 0)
+        assert _psd_leading([[1, 1, 1], [1, 1, 2], [1, 2, 9]]) == (2, 1)
 
     def test_zero_row_is_skipped(self):
         # index 1 drops out; the rest, [[4, 2], [2, 3]], is definite
-        assert exact_psd([[4, 0, 2], [0, 0, 0], [2, 0, 3]]) == 1
+        assert _psd_leading([[4, 0, 2], [0, 0, 0], [2, 0, 3]]) == (3, 1)
         # ... and an indefinite rest is still caught after the skip
-        assert exact_psd([[4, 0, 2], [0, 0, 0], [2, 0, 0]]) is None
+        assert _psd_leading([[4, 0, 2], [0, 0, 0], [2, 0, 0]]) == (2, 1)
 
     def test_entries_beyond_float_range(self):
         big = 2 ** 200 + 1
         # det = big * (big + 1) - big**2 = big > 0, far below float resolution
-        assert exact_psd([[big, big], [big, big + 1]]) == 2
-        assert exact_psd([[big, big], [big, big - 1]]) is None
-        assert exact_psd([[big, big], [big, big]]) == 1
+        assert _psd_leading([[big, big], [big, big + 1]]) == (2, 2)
+        assert _psd_leading([[big, big], [big, big - 1]]) == (1, 1)
+        assert _psd_leading([[big, big], [big, big]]) == (2, 1)
 
     @given(st.lists(st.integers(-6, 6), min_size=9, max_size=9))
     @settings(max_examples=60, deadline=None)
     def test_gram_matrices_are_psd_with_rank_many_positive_minors(self, entries):
         rows = [entries[i:i + 3] for i in range(0, 9, 3)]
         gram = [[sum(a * b for a, b in zip(u, v)) for v in rows] for u in rows]
-        count = exact_psd(gram)
-        assert count is not None
+        psd, count = _psd_leading(gram)
+        assert psd == 3
         minors = [exact_determinant([r[:k] for r in gram[:k]]) for k in range(1, 4)]
         assert count == next((k for k, d in enumerate(minors) if d == 0), 3)
 
@@ -214,9 +222,10 @@ class TestHankelTable:
         table = hankel_table(m, top)
         _, psd, leading = table
         for order in range(top + 1):
-            count = exact_psd([[m[i + j] for j in range(order + 1)] for i in range(order + 1)])
-            assert (order < psd) == (count is not None), (m, order)
-            if count is not None:
+            block_psd, count = _psd_leading([[m[i + j] for j in range(order + 1)]
+                                             for i in range(order + 1)])
+            assert (order < psd) == (block_psd == order + 1), (m, order)
+            if block_psd == order + 1:
                 assert min(leading, order + 1) == count
             if 2 * order + 1 > m.max_index:
                 continue
@@ -302,7 +311,7 @@ class TestStieltjesFeasibility:
         h, s = hankel_pair_exact(m, range(1, size + 1))
         p, q = u.as_integer_ratio()
         for r in range(1, size + 1):
-            feasible = all(exact_psd([[p * h[a][b] + sign * q * s[a][b] for b in range(r)]
-                                      for a in range(r)]) is not None for sign in (-1, 1))
+            feasible = all(_psd_leading([[p * h[a][b] + sign * q * s[a][b] for b in range(r)]
+                                         for a in range(r)])[0] == r for sign in (-1, 1))
             assert (r <= count) == feasible == stieltjes_feasible(m, range(1, r + 1), u), \
                 (m, r, u)
