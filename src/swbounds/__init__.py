@@ -14,6 +14,7 @@ from .bounds_lower import (
     quadratic_root_lower_bound,
     ratio_lower_bound,
     sdp_lower_bound,
+    sqrt_max_degree_lower_bound,
     triangle_edge_lower_bound,
 )
 from .bounds_upper import (

@@ -96,11 +96,6 @@ class BoundResult:
     oracle_assisted: bool = False
 
 
-def _not_applicable(name: str, kind: str, reason: str, params: dict) -> BoundResult:
-    return BoundResult(name=name, kind=kind, value=math.nan, params=params,
-                       applicable=False, reason=reason)
-
-
 class Dead(NamedTuple):
     """The outcome of a row that is not live: inapplicable for `reason`, or,
     when `trivial`, vacuous and reported as 0 for that reason."""
@@ -130,9 +125,9 @@ def outcome_row(name: str, kind: str, params: dict, outcome: float | Dead,
     if not isinstance(outcome, Dead):
         # positional: this is the per-row path of a sweep that keeps every vertex
         return BoundResult(name, kind, outcome, params, True, None, False, oracle_assisted)
-    if outcome.trivial:
-        return BoundResult(name, kind, 0.0, params, trivial=True, reason=outcome.reason)
-    return _not_applicable(name, kind, outcome.reason, params)
+    # a trivial row is applicable and reported as 0; any other dead row is not
+    return BoundResult(name, kind, 0.0 if outcome.trivial else math.nan, params,
+                       applicable=outcome.trivial, reason=outcome.reason, trivial=outcome.trivial)
 
 
 def outcome_table(live: np.ndarray, values: np.ndarray,
@@ -307,6 +302,20 @@ def local_triangle_lower_bound(rooted: Sequence[MomentSequence],
                        {"vertex": rooted[i].vertex, "sqrt_max_degree": sqrt_delta}, outcomes[i])
 
 
+def sqrt_max_degree_lower_bound(rooted: Sequence[MomentSequence],
+                                outcomes: Sequence | None = None) -> BoundResult:
+    """Max-degree bound rho >= sqrt(d_i): the row `baseline_sqrt_max_degree`,
+    the (s=0, k=2) ratio of each rooted sequence m = (1, 0, d_i, ...) at the
+    vertex `reported_vertex` picks. `outcomes` are those ratios, when the
+    caller has them."""
+    if any(m.kind != KIND_CLOSED_AT or m.max_index < 2 for m in rooted):
+        raise ValueError("the sqrt(max degree) bound needs the rooted sequences up to m_2")
+    if outcomes is None:
+        outcomes = ratio_columns(moment_matrix(rooted, 3), [(0, 2)])[:, 0].tolist()
+    return outcome_row("baseline_sqrt_max_degree", "lower", {},
+                       outcomes[reported_vertex(outcomes, "lower")])
+
+
 def sdp_lower_bound(m: MomentSequence, order: int) -> BoundResult:
     """Minimal u with u*H_order +/- S_order both PSD, certified from below.
 
@@ -378,24 +387,16 @@ WALK_RATIO_BASELINES = (("baseline_w1_w0", 0, 1), ("baseline_sqrt_w2_w0", 0, 2),
                         ("baseline_sqrt_w4_w2", 1, 2), ("baseline_sqrt_w6_w4", 2, 2))
 
 
-def baseline_lower_bounds(m_w: MomentSequence, rooted: Sequence[MomentSequence],
-                          sqrt_degrees: Sequence | None = None,
+def baseline_lower_bounds(m_w: MomentSequence,
                           walk_ratios: dict | None = None) -> list[BoundResult]:
-    """Classical comparison bounds as labelled ratio rows: the four walk
-    ratios ratio(walks, s, k) within the horizon, and sqrt(max degree), the
-    rooted ratio (s=0, k=2) at the vertex `reported_vertex` picks, when m_2 is.
-    `walk_ratios` ({(s, k): outcome}) and `sqrt_degrees` are those outcomes,
-    when the caller has them all; else one `ratio_columns` call gives them."""
+    """The classical walk-ratio bounds as labelled ratio rows: the four
+    ratio(walks, s, k) within the horizon. `walk_ratios` ({(s, k): outcome})
+    are those outcomes, when the caller has them all; else one
+    `ratio_columns` call gives them."""
     if m_w.kind != KIND_WALKS:
         raise ValueError("baselines need the total-walk sequence")
     reached = [(s, k) for _, s, k in WALK_RATIO_BASELINES if 2 * s + k <= m_w.max_index]
     if walk_ratios is None or not all(p in walk_ratios for p in reached):
         walk_ratios = dict(zip(reached, ratio_columns(moment_matrix([m_w]), reached)[0].tolist()))
-    out = [outcome_row(name, "lower", {}, walk_ratios[s, k])
-           for name, s, k in WALK_RATIO_BASELINES if (s, k) in reached]
-    if rooted and rooted[0].max_index >= 2:
-        if sqrt_degrees is None:
-            sqrt_degrees = ratio_columns(moment_matrix(rooted, 3), [(0, 2)])[:, 0].tolist()
-        out.append(outcome_row("baseline_sqrt_max_degree", "lower", {},
-                               sqrt_degrees[reported_vertex(sqrt_degrees, "lower")]))
-    return out
+    return [outcome_row(name, "lower", {}, walk_ratios[s, k])
+            for name, s, k in WALK_RATIO_BASELINES if (s, k) in reached]

@@ -24,8 +24,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bounds_lower import (BoundResult, Dead, _not_applicable, moment_matrix, outcome_row,
-                           outcome_table, reported_vertex, spread)
+from .bounds_lower import (BoundResult, Dead, moment_matrix, outcome_row, outcome_table,
+                           reported_vertex, spread)
 from .moments import _eliminate, _validated_indices
 from .roots import largest_real_root_bracket, no_real_root_above, sign_at
 from .spectrum import SpectralSummary
@@ -42,6 +42,8 @@ _LEADING_BLOCK_NOT_PD = Dead("leading Hankel block not positive definite")
 _ROOT_ABOVE_CUTOFF = Dead("a root above the cutoff")
 _ZERO_EVEN_NONZERO_ODD = Dead("zero even moment with non-zero odd moment")
 _RISING_LINEAR = Dead("degenerate linear case: non-negative leading coefficient")
+_EDGELESS = Dead("edgeless graph (clique number < 2)")
+_NOT_CONNECTED = Dead("graph is not connected")
 
 
 def atom_weight_for(m: MomentSequence, summary: Optional[SpectralSummary] = None) -> float:
@@ -405,22 +407,23 @@ def clique_root_upper_bound(m_w: MomentSequence, omega: int, k: int) -> BoundRes
         raise ValueError("need k >= 0")
     if 2 * k + 1 > m_w.max_index:
         raise ValueError(f"need w_{2 * k + 1}, have up to w_{m_w.max_index}")
-    params = {"measure": m_w.kind, "k": k, "omega": omega}
-    if omega < 2:
-        return _not_applicable("clique_root", "upper", "edgeless graph (clique number < 2)",
-                               params)
     w2k = m_w.values[2 * k]
     w2k1 = m_w.values[2 * k + 1]
-    if w2k == 0 and w2k1 == 0:
-        return BoundResult("clique_root", "upper", 0.0, params)
-    if omega * w2k1 ** (2 * k + 1) > (omega - 1) * w2k ** (2 * k + 2):
+    if omega < 2:
+        outcome = _EDGELESS
+    elif w2k == 0 and w2k1 == 0:
+        outcome = 0.0
+    elif omega * w2k1 ** (2 * k + 1) > (omega - 1) * w2k ** (2 * k + 2):
         raise ValueError(f"clique number {omega} is too small for the walk counts "
                          f"w_{2 * k} and w_{2 * k + 1}")
-    coeffs = [0] * (2 * k + 3)
-    coeffs[0] = (omega - 1) * w2k1
-    coeffs[1] = (omega - 1) * w2k
-    coeffs[2 * k + 2] = -2 * omega
-    return BoundResult("clique_root", "upper", largest_real_root_bracket(coeffs)[1], params)
+    else:
+        coeffs = [0] * (2 * k + 3)
+        coeffs[0] = (omega - 1) * w2k1
+        coeffs[1] = (omega - 1) * w2k
+        coeffs[2 * k + 2] = -2 * omega
+        outcome = largest_real_root_bracket(coeffs)[1]
+    return outcome_row("clique_root", "upper", {"measure": m_w.kind, "k": k, "omega": omega},
+                       outcome)
 
 
 def nikiforov_clique_value(m_w: MomentSequence, omega: int, j: int) -> float:
@@ -446,37 +449,23 @@ def baseline_upper_bounds(m_w: MomentSequence, summary: SpectralSummary, omega: 
         raise ValueError("baselines need the total-walk sequence")
     if ks and max(ks) > m_w.max_index:
         raise ValueError(f"need w_{max(ks)}, have up to w_{m_w.max_index}")
-    out = [] if omega is None else [
-        BoundResult("baseline_nikiforov_clique", "upper", nikiforov_clique_value(m_w, omega, k),
-                    {"k": k, "omega": omega}) for k in ks]
-
-    if not connected:
-        reason = "graph is not connected"
-        if omega is not None:
-            out.append(_not_applicable("baseline_wilf", "upper", reason, {"omega": omega}))
-        for k in ks:
-            if 2 * k <= m_w.max_index:
-                out.append(_not_applicable("baseline_eigvec_walk", "upper", reason, {"k": k}))
-            out.append(_not_applicable("baseline_van_mieghem", "upper", reason, {"k": k}))
-        return out
-
-    if omega is not None:
-        wilf = 0.0 if omega < 2 else (1.0 - 1.0 / omega) * atom_weight_for(m_w, summary)
-        out.append(BoundResult("baseline_wilf", "upper", wilf, {"omega": omega},
-                               oracle_assisted=True))
-
+    rows = [] if omega is None else [("baseline_nikiforov_clique", {"k": k, "omega": omega},
+                                      nikiforov_clique_value(m_w, omega, k)) for k in ks]
+    # the largest-magnitude entry of x is positive, so umax > 0; on a connected
+    # graph x > 0 with sum(x_i^2) = 1, so 1'x >= 1 and neither weight vanishes
     x = summary.eigenvectors[:, 0]
     umax = float(x.max())
-    usum = float(x.sum())
-    floor = 1.0 / (umax * umax)
+    floor, fundamental = 1.0 / (umax * umax), float(x.sum()) / umax
+    if omega is not None:
+        wilf = 0.0 if omega < 2 else (1.0 - 1.0 / omega) * atom_weight_for(m_w, summary)
+        rows.append(("baseline_wilf", {"omega": omega}, wilf if connected else _NOT_CONNECTED))
     for k in ks:
         if 2 * k <= m_w.max_index:
-            # the floor is at least 1, so the weight never vanishes
-            value = _ratio_root(m_w.values[2 * k], floor, 1.0 / (2 * k))
-            out.append(BoundResult("baseline_eigvec_walk", "upper", value, {"k": k},
-                                   oracle_assisted=True))
-        if usum > 1e-12:
-            value = _ratio_root(m_w.values[k], usum / umax, 1.0 / k)
-            out.append(BoundResult("baseline_van_mieghem", "upper", value, {"k": k},
-                                   oracle_assisted=True))
-    return out
+            rows.append(("baseline_eigvec_walk", {"k": k},
+                         _ratio_root(m_w.values[2 * k], floor, 1.0 / (2 * k))
+                         if connected else _NOT_CONNECTED))
+        rows.append(("baseline_van_mieghem", {"k": k},
+                     _ratio_root(m_w.values[k], fundamental, 1.0 / k)
+                     if connected else _NOT_CONNECTED))
+    return [outcome_row(name, "upper", params, outcome, name != "baseline_nikiforov_clique")
+            for name, params, outcome in rows]

@@ -45,17 +45,17 @@ class HankelPair:
     scale: int
 
 
-def _validated_indices(m: MomentSequence, index_set: Iterable[int],
+def _validated_indices(m: MomentSequence | None, index_set: Iterable[int],
                        top_offset: int) -> tuple[int, ...]:
     """The distinct positions of J in increasing order, checked to be 1-based
-    and to need no moment beyond m_{2*max(J) - 2 + top_offset}."""
+    and, given m, to need no moment beyond m_{2*max(J) - 2 + top_offset}."""
     indices = tuple(sorted(set(int(j) for j in index_set)))
     if not indices:
         raise MomentError("empty index set")
     if indices[0] < 1:
         raise MomentError("indices are 1-based and must be >= 1")
     top = 2 * indices[-1] - 2 + top_offset
-    if top > m.max_index:
+    if m is not None and top > m.max_index:
         raise MomentError(
             f"insufficient moments: need m_0..m_{top}, have up to m_{m.max_index}"
         )

@@ -28,6 +28,7 @@ from .bounds_lower import (
     reported_vertex,
     sdp_row,
     sdp_value,
+    sqrt_max_degree_lower_bound,
     triangle_edge_lower_bound,
 )
 from .bounds_upper import (
@@ -211,12 +212,15 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
     This is the one place that decides which (bound, parameters) rows exist:
     a combination that needs moments beyond the computed horizon is skipped,
     the classical rows (`triangle_edge`, `baseline_*`, ...) included, and a
-    labelled row needs its measure in `measures`. The (result, milliseconds)
-    pairs are built in report order, not sorted: by family (kind, name),
-    measure (closed_walks, closed_walks_at, walks), vertex (every one, or
-    the reported ones), then column ((s, k) as built, k and the `sdp` order
-    ascending, J by `str(list(J))`); a labelled family's rows, and equal
-    keys, in the order they were evaluated.
+    labelled row needs its measure in `measures` (`closed` for
+    `triangle_edge`, `vertex` for the rooted rows, `walks` for the rest). An
+    unknown measure or vertex mode raises ValueError, and each J set's
+    positions are checked (MomentError) before one beyond the horizon is
+    skipped. The (result, milliseconds) pairs are built in report order, not
+    sorted: by family (kind, name), measure (closed_walks, closed_walks_at,
+    walks), vertex (every one, or the reported ones), then column ((s, k) as
+    built, k and the `sdp` order ascending, J by `str(list(J))`); a labelled
+    family's rows, and equal keys, in the order they were evaluated.
 
     Each family is one table of outcomes, a row per twin class of every
     measure (vertices with identical `values` and, for an upper bound,
@@ -238,6 +242,10 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
     """
     if s_max < 0 or k_max < 0:
         raise ValueError(f"s_max and k_max must be non-negative, got {s_max} and {k_max}")
+    if isinstance(measures, str) or not set(measures) <= set(MEASURES):
+        raise ValueError(f"measures must be a collection of {MEASURES}, got {measures!r}")
+    if vertex_mode not in ("aggregate", "all"):
+        raise ValueError(f"vertex_mode must be 'aggregate' or 'all', got {vertex_mode!r}")
     horizon = prep.walks_seq.max_index
     summary = prep.summary
     families: dict = {}  # the (result, ms) pairs of each (kind, name) family, in report order
@@ -303,9 +311,10 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
     by_measure = {"closed": [prep.closed_seq], "vertex": list(prep.rooted_seqs),
                   "walks": [prep.walks_seq]}
     sequences = [seqs for m, seqs in by_measure.items() if m in measures]
-    # every sequence reaches the horizon: one check (MomentError) covers a J's columns
-    j_positions = sorted({_validated_indices(prep.walks_seq, j_set, 0) for j_set in j_sets
-                          if 2 * max(j_set) - 1 <= horizon}, key=lambda j: str(list(j)))
+    # one check (MomentError) of each J's positions covers its columns of every
+    # measure; a J beyond the horizon is checked too, then skipped
+    j_positions = sorted({j for j in {_validated_indices(None, j_set, 0) for j_set in j_sets}
+                          if 2 * j[-1] - 1 <= horizon}, key=lambda j: str(list(j)))
     if not sequences:
         return []
 
@@ -357,29 +366,27 @@ def sweep_bounds(prep: PreparedGraph, s_max: int = DEFAULT_S_MAX, k_max: int = D
             table_pass("upper", bipartite_columns, bipartite_row, columns, closed_parts,
                        moments, alphas, ks, prep.bipartite)
 
+    if "closed" in measures and 3 <= horizon:
+        closed = swept_column(quadratic_root_row, KIND_CLOSED, 0, 1)
+        emit(triangle_edge_lower_bound, prep.closed_seq, closed and closed[0])
     rooted = prep.rooted_seqs if "vertex" in measures else ()
-    if 3 <= horizon:
-        if "closed" in measures:
-            closed = swept_column(quadratic_root_row, KIND_CLOSED, 0, 1)
-            emit(triangle_edge_lower_bound, prep.closed_seq, closed and closed[0])
-        if rooted:
+    if rooted and 2 <= horizon:
+        if 3 <= horizon:
             emit(local_triangle_lower_bound, rooted,
                  swept_column(quadratic_root_row, KIND_CLOSED_AT, 0, 1))
+        emit(sqrt_max_degree_lower_bound, rooted, swept_column(ratio_row, KIND_CLOSED_AT, 0, 2))
+        emit(eigvec_degree_upper_bound, rooted, summary,
+             swept_column(two_point_row, KIND_CLOSED_AT, 1))
     if "walks" in measures:
         walk_ratios = {(s, k): column[0] for _, s, k in WALK_RATIO_BASELINES
                        if (column := swept_column(ratio_row, KIND_WALKS, s, k))}
-        emit(baseline_lower_bounds, prep.walks_seq, rooted,
-             swept_column(ratio_row, KIND_CLOSED_AT, 0, 2), walk_ratios)
+        emit(baseline_lower_bounds, prep.walks_seq, walk_ratios)
         if prep.omega is not None:
             for k in range(0, k_max + 1):
                 if 2 * k + 1 <= horizon:
                     emit(clique_root_upper_bound, prep.walks_seq, prep.omega, k)
         ks = tuple(k for k in range(1, k_max + 1) if k <= horizon)
         emit(baseline_upper_bounds, prep.walks_seq, summary, prep.omega, prep.connected, ks)
-
-    if rooted and 2 <= horizon:
-        emit(eigvec_degree_upper_bound, rooted, summary,
-             swept_column(two_point_row, KIND_CLOSED_AT, 1))
     return [pair for key in sorted(families) for pair in families[key]]
 
 

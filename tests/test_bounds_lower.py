@@ -18,6 +18,7 @@ from swbounds.bounds_lower import (
     ratio_lower_bound,
     reported_vertex,
     sdp_lower_bound,
+    sqrt_max_degree_lower_bound,
     triangle_edge_lower_bound,
 )
 from swbounds.graph import (
@@ -449,8 +450,10 @@ class TestSdpExactSandwich:
 
 
 def _baselines(g, horizon=6):
-    return {r.name: r for r in baseline_lower_bounds(walk_counts(g, horizon),
-                                                     all_rooted_closed_counts(g, horizon))}
+    rows = baseline_lower_bounds(walk_counts(g, horizon))
+    if horizon >= 2:
+        rows.append(sqrt_max_degree_lower_bound(all_rooted_closed_counts(g, horizon)))
+    return {r.name: r for r in rows}
 
 
 class TestBaselines:
@@ -467,8 +470,11 @@ class TestBaselines:
         assert results["baseline_w1_w0"].value <= results["baseline_sqrt_w2_w0"].value
 
     def test_star_sqrt_degree(self):
-        results = _baselines(star_graph(4))
-        assert results["baseline_sqrt_max_degree"].value == pytest.approx(2.0)
+        res = sqrt_max_degree_lower_bound(all_rooted_closed_counts(star_graph(4), 2))
+        assert res.name == "baseline_sqrt_max_degree"
+        assert res.value == pytest.approx(2.0)
+        with pytest.raises(ValueError, match="up to m_2"):
+            sqrt_max_degree_lower_bound(all_rooted_closed_counts(star_graph(4), 1))
 
     def test_are_ratio_rows(self, corpus):
         # each walk ratio is ratio(walks, s, k), sqrt(max degree) the best

@@ -449,6 +449,23 @@ class TestBaselines:
         # the clique hierarchy needs no eigenvector and stays applicable
         assert all(r.applicable for r in by_name["baseline_nikiforov_clique"])
 
+    def test_disconnected_rows_are_the_connected_rows_dead(self):
+        g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+        m_w, summary = walk_counts(g, 6), eigen_decompose(g)
+        dead = baseline_upper_bounds(m_w, summary, 2, False)
+        assert [(r.name, r.params) for r in dead] == [
+            (r.name, r.params) for r in baseline_upper_bounds(m_w, summary, 2, True)]
+        eigvec = [r for r in dead if r.name != "baseline_nikiforov_clique"]
+        assert len(eigvec) == 7
+        for r in eigvec:
+            assert (r.applicable, r.reason, r.oracle_assisted) == (
+                False, "graph is not connected", False)
+
+    def test_only_the_eigenvector_rows_are_oracle_assisted(self):
+        flags = {(r.name, r.oracle_assisted) for r in _baselines(P3, 2)}
+        assert flags == {("baseline_nikiforov_clique", False), ("baseline_wilf", True),
+                         ("baseline_eigvec_walk", True), ("baseline_van_mieghem", True)}
+
     def test_all_sound_on_small_family(self):
         for g, omega in ((K3, 3), (C4, 2), (star_graph(5), 2), (complete_graph(6), 6)):
             for r in _baselines(g, omega, horizon=8):

@@ -1285,22 +1285,60 @@ class TestVertexReduction:
         assert len(once) == (3 if vertex_mode == "aggregate" else 2 + prep.entry.graph.n)
         assert hankel_rows([(1, 2), (2, 1), (1, 1, 2)]) == once
 
-    @pytest.mark.parametrize("spec, s_max, k_max", [
-        ("erdos_renyi:15:0.3", 3, 4), ("erdos_renyi:15:0.3", 0, 2), ("erdos_renyi:15:0.3", 0, 0),
-        ("complete_bipartite:3:4", 1, 1), ("star:6", 3, 4)])
-    def test_labelled_rows_equal_their_kernels(self, spec, s_max, k_max):
+    @pytest.mark.parametrize("spec, s_max, k_max, measures", [
+        *(pytest.param(spec, s_max, k_max, report.MEASURES, id=f"{spec}-{s_max}-{k_max}")
+          for spec, s_max, k_max in (
+              ("erdos_renyi:15:0.3", 3, 4), ("erdos_renyi:15:0.3", 0, 2),
+              ("erdos_renyi:15:0.3", 0, 0), ("complete_bipartite:3:4", 1, 1), ("star:6", 3, 4))),
+        ("erdos_renyi:15:0.3", 3, 4, ("vertex",)), ("star:6", 0, 1, ("closed", "vertex"))])
+    def test_labelled_rows_equal_their_kernels(self, spec, s_max, k_max, measures):
         # a sweep's labelled rows read the swept cells they label, or
         # evaluate the columns it did not sweep; the kernels called alone
-        # evaluate every cell themselves
+        # evaluate every cell themselves; each needs its measure swept
         prep = prepare_graph(CorpusEntry("g", "test", generate(spec, 2)))
         rooted = prep.rooted_seqs
-        expected = [bounds_lower.triangle_edge_lower_bound(prep.closed_seq),
-                    bounds_lower.local_triangle_lower_bound(rooted),
-                    *bounds_lower.baseline_lower_bounds(prep.walks_seq, rooted),
-                    bounds_upper.eigvec_degree_upper_bound(rooted, prep.summary)]
-        names = {r.name for r in expected}
-        rows = [r for r, _ in sweep_bounds(prep, s_max, k_max) if r.name in names]
+        kernels = {"closed": [bounds_lower.triangle_edge_lower_bound(prep.closed_seq)],
+                   "vertex": [bounds_lower.local_triangle_lower_bound(rooted),
+                              bounds_lower.sqrt_max_degree_lower_bound(rooted),
+                              bounds_upper.eigvec_degree_upper_bound(rooted, prep.summary)],
+                   "walks": bounds_lower.baseline_lower_bounds(prep.walks_seq)}
+        names = {r.name for rows in kernels.values() for r in rows}
+        expected = [r for m in measures for r in kernels[m]]
+        rows = [r for r, _ in sweep_bounds(prep, s_max, k_max, measures=measures)
+                if r.name in names]
         assert sorted(map(repr, rows)) == sorted(map(repr, expected))
+
+    @pytest.mark.parametrize("measures", [("vertex",), ("vertex", "closed")])
+    def test_sqrt_max_degree_needs_only_the_vertex_measure(self, measures):
+        prep = prepare_graph(CorpusEntry("g", "test", generate("erdos_renyi:15:0.3", 2)))
+
+        def sqrt_rows(**kwargs):
+            return [repr(r) for r, _ in sweep_bounds(prep, **kwargs)
+                    if r.name == "baseline_sqrt_max_degree"]
+        full = sqrt_rows()
+        assert len(full) == 1
+        assert sqrt_rows(measures=measures) == full
+        assert sqrt_rows(measures=("walks", "closed")) == []
+
+    @pytest.mark.parametrize("kwargs", [
+        {"measures": ("walk",)}, {"measures": "closed"}, {"measures": "vertex"},
+        {"measures": ("walks", "closed_walks")}, {"vertex_mode": "bogus"},
+        {"vertex_mode": "per-vertex"}])
+    def test_unknown_measures_and_vertex_modes_raise(self, kwargs):
+        prep = prepare_graph(CorpusEntry("c", "cycle", cycle_graph(5)))
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            sweep_bounds(prep, **kwargs)
+
+    @pytest.mark.parametrize("vertex_mode", ["aggregate", "all"])
+    @pytest.mark.parametrize("j_set, message", [((0, 50), "1-based"), ((), "empty index set")])
+    def test_every_index_set_is_checked_beyond_the_horizon(self, vertex_mode, j_set, message):
+        prep = prepare_graph(CorpusEntry("c", "cycle", cycle_graph(5)))
+        with pytest.raises(moments.MomentError, match=message):
+            sweep_bounds(prep, j_sets=[(1, 2), j_set], vertex_mode=vertex_mode)
+        # a valid J beyond the horizon is still skipped
+        rows = [repr(r) for r, _ in sweep_bounds(prep, vertex_mode=vertex_mode)]
+        assert [repr(r) for r, _ in sweep_bounds(
+            prep, j_sets=[*report.DEFAULT_J_SETS, (1, 50)], vertex_mode=vertex_mode)] == rows
 
     @pytest.mark.parametrize("spec, seed", [("erdos_renyi:60:0.1", 3), ("cycle:60", 0)])
     def test_aggregate_mode_builds_only_the_reported_rooted_rows(self, monkeypatch, spec, seed):
