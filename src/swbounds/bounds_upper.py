@@ -26,7 +26,7 @@ import numpy as np
 
 from .bounds_lower import (BoundResult, Dead, moment_matrix, outcome_row, outcome_table,
                            reported_vertex, spread)
-from .moments import _eliminate, _validated_indices
+from .moments import _adjugate, _validated_indices, hankel_block
 from .roots import largest_real_root_bracket, no_real_root_above, sign_at
 from .spectrum import SpectralSummary
 from .walks import KIND_CLOSED, KIND_CLOSED_AT, KIND_WALKS, MomentSequence
@@ -225,34 +225,6 @@ def bipartite_row(m: MomentSequence, alpha: float, k: int, outcome: float | Dead
     return outcome_row("bipartite_half", "upper", params, outcome, m.kind != KIND_CLOSED)
 
 
-def _adjugate(h: list[list[int]]) -> list[list[int]] | None:
-    """Exact adjugate of a symmetric integer matrix H: hand cofactors up to
-    3x3; beyond, `_eliminate` on [H | I], or None when it finds fewer than
-    size - 1 positive leading minors. The carried identity block's last row
-    is the last row of adj(H); the eliminated rows are M [H | I] for some M,
-    so U adj(H) = det(H) M on their triangular part U, and back substitution
-    with exact divisions gives the other rows, as in `orthogonal_polynomial`.
-    """
-    size = len(h)
-    if size == 2:
-        return [[h[1][1], -h[0][1]], [-h[0][1], h[0][0]]]
-    if size == 3:
-        (a, b, c), (_, d, e), (_, _, f) = h
-        return [[d * f - e * e, c * e - b * f, b * e - c * d],
-                [c * e - b * f, a * f - c * c, b * c - a * e],
-                [b * e - c * d, b * c - a * e, a * d - b * b]]
-    a = [row + [int(i == j) for j in range(size)] for i, row in enumerate(h)]
-    if _eliminate(a, size)[1] < size - 1:
-        return None
-    det = a[-1][size - 1]
-    adj = [[]] * (size - 1) + [a[-1][size:]]
-    for i in range(size - 2, -1, -1):
-        row = a[i]
-        adj[i] = [(det * row[size + c] - sum(row[j] * adj[j][c] for j in range(i + 1, size)))
-                  // row[i] for c in range(size)]
-    return adj
-
-
 def hankel_root_upper_bound(m: MomentSequence, alpha: float,
                             index_set: Iterable[int]) -> BoundResult:
     """Largest root of det(H_J - alpha_1 * R_J(r)) as an upper bound.
@@ -276,6 +248,9 @@ def hankel_root_value(m: MomentSequence, alpha: float, indices: tuple[int, ...],
                       cutoff: float | None = None) -> float | Dead:
     """The outcome of `hankel_root_upper_bound` for the sorted positions
     `indices`, already checked against m's horizon (`_validated_indices`).
+    H_J comes from `moments.hankel_block`, and adj(H_J) from
+    `moments._adjugate`, whose exact back substitution beyond 3x3 is the
+    one `orthogonal_polynomial` uses (`_back_substitute`).
 
     With a cutoff u > 0, a polynomial with a real root above u gets no
     bracket: the bound would exceed u, and the row comes back inapplicable.
@@ -289,8 +264,7 @@ def hankel_root_value(m: MomentSequence, alpha: float, indices: tuple[int, ...],
         return _ONE_POSITION
     if alpha <= MIN_ATOM_WEIGHT:
         return _VANISHING_WEIGHT
-    v = m.values
-    h = [[v[ja + jb - 2] for jb in indices] for ja in indices]
+    h = hankel_block(m.values, indices)
     adj = _adjugate(h)
     if adj is None or adj[-1][-1] <= 0:
         return _LEADING_BLOCK_NOT_PD

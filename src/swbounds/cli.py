@@ -59,12 +59,9 @@ def _parse_j_sets(values: Optional[Sequence[str]]) -> tuple[tuple[int, ...], ...
     out = []
     for text in values:
         try:
-            indices = tuple(sorted({int(t) for t in text.split(",") if t}))
+            out.append(tuple(int(t) for t in text.split(",") if t))
         except ValueError:
             raise GraphError(f"bad index set {text!r}: expected comma-separated integers")
-        if not indices or indices[0] < 1:
-            raise GraphError(f"bad index set {text!r}: positions are 1-based")
-        out.append(indices)
     return tuple(out)
 
 

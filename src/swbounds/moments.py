@@ -1,11 +1,13 @@
 """Hankel machinery of the moment problem: pair assembly and feasibility tests.
 
-Every positivity question on walk-count Hankel blocks is decided exactly, by
-fraction-free elimination on the integer matrices (`_eliminate`); one
-elimination of H_top (`hankel_table`) gives the Hamburger check and the
-semidefinite bound's orthogonal polynomial at every order up to top. The float
-blocks (`hankel_pair`, `hankel_matrix`) and the spectral `is_psd` are on no
-bound's path; they stay for float callers and `perfbench/tracing.py`.
+Every Hankel block is built by `hankel_block`. Every positivity question on
+walk-count Hankel blocks is decided exactly, by fraction-free elimination on
+the integer matrices (`_eliminate`), and solved on its rows by
+`_back_substitute`; one elimination of H_top (`hankel_table`) gives the
+Hamburger check and the semidefinite bound's orthogonal polynomial at every
+order up to top. The float blocks (`hankel_pair`, `hankel_matrix`) and the
+spectral `is_psd` are on no bound's path; they stay for float callers and
+`perfbench/tracing.py`.
 """
 
 from __future__ import annotations
@@ -62,27 +64,25 @@ def _validated_indices(m: MomentSequence | None, index_set: Iterable[int],
     return indices
 
 
-def _scale_exponent(values: Sequence[int], top_index: int) -> int:
-    """Smallest b such that m_k / 2**(b*k) fits exact float range for all k."""
-    b = 0
+def hankel_block(values: Sequence, rows: Iterable[int],
+                 columns: Optional[Iterable[int]] = None) -> list[list]:
+    """Entry (a, b) is values[r_a + c_b - 2] on 1-based positions, the
+    columns being the rows unless given: H_J of m is the block of m.values
+    on J, and S_J that of m.values[1:]."""
+    columns = rows if columns is None else columns
+    return [[values[r + c - 2] for c in columns] for r in rows]
+
+
+def _scaled_moments(m: MomentSequence, top_index: int) -> tuple[list[float], int]:
+    """m_k / 2**(b*k) for k <= top_index, and 2**b, with b the smallest
+    shift that puts every such m_k, k >= 1, in exact float range."""
+    values = m.values[:top_index + 1]
+    shift = 0
     for k in range(1, top_index + 1):
         excess = values[k].bit_length() - _FLOAT_EXACT_BITS
         if excess > 0:
-            b = max(b, -(-excess // k))
-    return b
-
-
-def _scaled_entry(value: int, index: int, shift: int) -> float:
-    if shift == 0:
-        return float(value)
-    return value / (1 << (shift * index))
-
-
-def _float_block(m: MomentSequence, indices: tuple[int, ...], offset: int,
-                 shift: int) -> np.ndarray:
-    """Entry (a, b) is m[j_a + j_b - 2 + offset] / 2**(shift * that index)."""
-    return np.array([[_scaled_entry(m[ja + jb - 2 + offset], ja + jb - 2 + offset, shift)
-                      for jb in indices] for ja in indices])
+            shift = max(shift, -(-excess // k))
+    return [v / (1 << (shift * k)) for k, v in enumerate(values)], 1 << shift
 
 
 def hankel_matrix(m: MomentSequence, index_set: Iterable[int]) -> tuple[np.ndarray, int]:
@@ -92,8 +92,8 @@ def hankel_matrix(m: MomentSequence, index_set: Iterable[int]) -> tuple[np.ndarr
     hankel_pair.
     """
     indices = _validated_indices(m, index_set, 0)
-    shift = _scale_exponent(m.values, 2 * indices[-1] - 2)
-    return _float_block(m, indices, 0, shift), 1 << shift
+    scaled, scale = _scaled_moments(m, 2 * indices[-1] - 2)
+    return np.array(hankel_block(scaled, indices)), scale
 
 
 def hankel_pair(m: MomentSequence, index_set: Iterable[int]) -> HankelPair:
@@ -102,17 +102,15 @@ def hankel_pair(m: MomentSequence, index_set: Iterable[int]) -> HankelPair:
     Needs moments through 2*max(J) - 1 (the bottom-right entry of S_J).
     """
     indices = _validated_indices(m, index_set, 1)
-    shift = _scale_exponent(m.values, 2 * indices[-1] - 1)
-    return HankelPair(indices=indices, h=_float_block(m, indices, 0, shift),
-                      s=_float_block(m, indices, 1, shift), scale=1 << shift)
+    scaled, scale = _scaled_moments(m, 2 * indices[-1] - 1)
+    return HankelPair(indices=indices, h=np.array(hankel_block(scaled, indices)),
+                      s=np.array(hankel_block(scaled[1:], indices)), scale=scale)
 
 
 def hankel_pair_exact(m: MomentSequence, index_set: Iterable[int]) -> tuple[list[list[int]], list[list[int]]]:
     """Integer-valued H_J and S_J (no scaling, no rounding)."""
     indices = _validated_indices(m, index_set, 1)
-    h = [[m[ja + jb - 2] for jb in indices] for ja in indices]
-    s = [[m[ja + jb - 1] for jb in indices] for ja in indices]
-    return h, s
+    return hankel_block(m.values, indices), hankel_block(m.values[1:], indices)
 
 
 def _eliminate(a: list[list[int]], size: int) -> tuple[int, int]:
@@ -178,7 +176,7 @@ def hankel_table(m: MomentSequence, top: int) -> tuple[list[list[int]], int, int
     up to top: H_order is PSD exactly when order < psd. The rows carry column
     top + 1 (m_{top+1}, ..., m_{2*top+1}) when the moments reach it."""
     _require_order(m, top, 2 * top)
-    a = [[m[i + j] for j in range(min(top + 2, m.max_index - top + 1))] for i in range(top + 1)]
+    a = hankel_block(m.values, range(1, top + 2), range(1, min(top + 3, m.max_index - top + 2)))
     return (a, *_eliminate(a, top + 1))
 
 
@@ -201,12 +199,48 @@ def stieltjes_feasible(m: MomentSequence, index_set: Iterable[int], u: float) ->
 def stieltjes_prefix(m: MomentSequence, index_set: Iterable[int], u: float) -> int:
     """The largest r for which `stieltjes_feasible` holds on the first r
     positions of J, from one `_eliminate` per sign of p*H_J -/+ q*S_J, with
-    u = p/q: the blocks of those prefixes are the leading blocks of J's."""
-    h, s = hankel_pair_exact(m, index_set)
+    u = p/q: the blocks of those prefixes are the leading blocks of J's.
+    p*H_J -/+ q*S_J is the H_J of the sequence p*m_k -/+ q*m_{k+1}."""
+    indices = _validated_indices(m, index_set, 1)
     p, q = u.as_integer_ratio()
-    return min(_eliminate([[p * x + sign * q * y for x, y in zip(h_row, s_row)]
-                           for h_row, s_row in zip(h, s)], len(h))[0]
-               for sign in (-1, 1))
+    v = m.values[:2 * indices[-1]]
+    ph, qs = [p * x for x in v[:-1]], [q * x for x in v[1:]]
+    return min(_eliminate(hankel_block(w, indices), len(indices))[0]
+               for w in ([x - y for x, y in zip(ph, qs)], [x + y for x, y in zip(ph, qs)]))
+
+
+def _back_substitute(a: list[list[int]], size: int, columns: Sequence[int]) -> list[list[int]]:
+    """adj(H) C in exact integers, where `a` is `_eliminate`d with its first
+    size - 1 pivots positive, H is its leading size x size block and C its
+    `columns`. Its first rows are M [H | C] with M H = U triangular and
+    det(H) = a[size-1][size-1], so U adj(H) C = det(H) M C, solved upward
+    with exact divisions; the last row is M C's, as det(H) may be 0."""
+    det = a[size - 1][size - 1]
+    x = [[]] * (size - 1) + [[a[size - 1][c] for c in columns]]
+    for i in range(size - 2, -1, -1):
+        row = a[i]
+        x[i] = [(det * row[c] - sum(row[j] * x[j][t] for j in range(i + 1, size))) // row[i]
+                for t, c in enumerate(columns)]
+    return x
+
+
+def _adjugate(h: list[list[int]]) -> list[list[int]] | None:
+    """Exact adjugate of a symmetric integer matrix H: hand cofactors up to
+    3x3 (20 to 30 times faster there than the elimination); beyond,
+    `_back_substitute` on [H | I], or None when `_eliminate` finds fewer
+    than size - 1 positive leading minors."""
+    size = len(h)
+    if size == 2:
+        return [[h[1][1], -h[0][1]], [-h[0][1], h[0][0]]]
+    if size == 3:
+        (a, b, c), (_, d, e), (_, _, f) = h
+        return [[d * f - e * e, c * e - b * f, b * e - c * d],
+                [c * e - b * f, a * f - c * c, b * c - a * e],
+                [b * e - c * d, b * c - a * e, a * d - b * b]]
+    a = [row + [int(i == j) for j in range(size)] for i, row in enumerate(h)]
+    if _eliminate(a, size)[1] < size - 1:
+        return None
+    return _back_substitute(a, size, range(size, 2 * size))
 
 
 def orthogonal_polynomial(table: tuple, order: int) -> Optional[list[int]]:
@@ -220,8 +254,8 @@ def orthogonal_polynomial(table: tuple, order: int) -> Optional[list[int]]:
     c(x) = det(H_r) x^(r+1) - sum_j det(H_r) y_j x^j with H_r y = b,
     b = (m_{r+1}, ..., m_{2r+1}). Its zeros are real and simple. The table's
     top r + 1 rows are that system triangularized (their column r + 1 is b);
-    back substitution with exact divisions gives det(H_r) * y, whose entries
-    are integers by Cramer's rule. Needs moments through m_{2*order+1}.
+    `_back_substitute` gives det(H_r) * y, whose entries are integers by
+    Cramer's rule. Needs moments through m_{2*order+1}.
     """
     a, psd, leading = table
     if not 0 <= order < len(a[0]) - 1:
@@ -231,10 +265,4 @@ def orthogonal_polynomial(table: tuple, order: int) -> Optional[list[int]]:
     size = min(leading, order + 1)
     if size == 0:
         return [1]
-    det = a[size - 1][size - 1]
-    scaled = [0] * size
-    for i in range(size - 1, -1, -1):
-        row = a[i]
-        total = det * row[size] - sum(row[j] * scaled[j] for j in range(i + 1, size))
-        scaled[i] = total // row[i]
-    return [-y for y in scaled] + [det]
+    return [-row[0] for row in _back_substitute(a, size, (size,))] + [a[size - 1][size - 1]]

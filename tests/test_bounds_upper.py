@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from swbounds.bounds_lower import Dead
 from swbounds.bounds_upper import (
     _LEADING_BLOCK_NOT_PD,
-    _adjugate,
     atom_weight_for,
     baseline_upper_bounds,
     bipartite_upper_bound,
@@ -34,6 +33,7 @@ from swbounds.graph import (
     path_graph,
     star_graph,
 )
+from swbounds.moments import _adjugate
 from swbounds.report import CorpusEntry, prepare_graph, sweep_bounds
 from swbounds.roots import largest_real_root_bracket, no_real_root_above
 from swbounds.spectrum import eigen_decompose

@@ -377,6 +377,7 @@ class TestCommands:
         (["1,2", "1,2"], ["1,2"]),
         (["1,1,2", "1,2"], ["1,2"]),
         (["1,2,3", "2,1", "3,2,1", "1,2"], ["1,2,3", "1,2"]),
+        (["2,1,1"], ["1,2"]),
     ])
     def test_a_repeated_index_set_is_swept_once(self, capsys, repeated, once):
         def output(j_sets):
@@ -388,6 +389,15 @@ class TestCommands:
         assert out == output(once)
         # one row per measure of each distinct set: walks, closed walks and vertex 0
         assert sum(",hankel_root," in line for line in out.splitlines()) == 3 * len(once)
+
+    @pytest.mark.parametrize("j_set, message", [
+        (",,", "empty index set"),
+        ("0,1", "indices are 1-based and must be >= 1"),
+        ("1,x", "bad index set '1,x': expected comma-separated integers"),
+    ])
+    def test_a_bad_index_set_exits_1_with_its_reason(self, capsys, j_set, message):
+        assert main(["bounds", "--gen", "cycle:5", "--J", j_set]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_gen_round_trip(self, capsys):
         assert main(["gen", "erdos_renyi:10:0.5", "--seed", "7"]) == 0

@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalar_reference import exact_determinant
@@ -77,6 +78,32 @@ class TestHankelPair:
         assert pair.h[10, 10] == pytest.approx(m[k] / pair.scale**k, rel=1e-12)
         # the scaled Hankel matrix is a congruence of the raw one: still PSD
         assert is_psd(pair.h)
+
+    @pytest.mark.parametrize("m, index_set, rescaled", [
+        (walk_counts(complete_graph(12), 40), range(1, 21), True),
+        (walk_counts(complete_graph(12), 40), (2, 5, 11, 20), True),
+        (closed_walk_counts(path_graph(5), 9), (3, 1, 5), False),
+        (seq(1, 1, 1, 2 ** 80), (1, 2), True),  # the scale set by the top moment alone
+    ])
+    def test_blocks_match_a_per_entry_reference_bit_for_bit(self, m, index_set, rescaled):
+        indices = sorted(index_set)
+
+        def reference(top, offset):
+            # the smallest b with every m_k / 2**(b*k), 1 <= k <= top, exact in a float
+            b = max(0, *(math.ceil((m[k].bit_length() - 53) / k) for k in range(1, top + 1)))
+            return np.array([[float(m[ja + jb - 2 + offset]) if b == 0 else
+                              m[ja + jb - 2 + offset] / 2 ** (b * (ja + jb - 2 + offset))
+                              for jb in indices] for ja in indices]), 2 ** b
+
+        pair = hankel_pair(m, index_set)
+        h, scale = hankel_matrix(m, index_set)
+        top = 2 * indices[-1] - 1
+        (ref_h, ref_scale), (ref_s, _) = reference(top, 0), reference(top, 1)
+        assert pair.h.tobytes() == ref_h.tobytes() and pair.s.tobytes() == ref_s.tobytes()
+        assert pair.scale == ref_scale and pair.h.shape == (len(indices),) * 2
+        ref_h, ref_scale = reference(top - 1, 0)
+        assert h.tobytes() == ref_h.tobytes() and scale == ref_scale
+        assert (pair.scale > 1) == rescaled
 
     def test_hankel_matrix_needs_one_less_moment(self):
         m = seq(3, 0, 6)
@@ -315,3 +342,28 @@ class TestStieltjesFeasibility:
                                          for a in range(r)])[0] == r for sign in (-1, 1))
             assert (r <= count) == feasible == stieltjes_feasible(m, range(1, r + 1), u), \
                 (m, r, u)
+
+    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 3)), min_size=1, max_size=4),
+           st.lists(st.tuples(st.integers(0, 13), st.integers(-3, 3)), max_size=2),
+           st.lists(st.integers(1, 7), min_size=1, max_size=5), st.floats(-6.0, 6.0))
+    @example([(1, 1), (2, 1), (3, 2)], [], [7, 2, 3, 5], 3.0)
+    @example([(1, 1), (2, 1), (3, 2)], [], [7, 2, 3, 5], 3.0 - 2.0 ** -50)
+    @settings(max_examples=300, deadline=None)
+    def test_any_index_set_agrees_with_the_principal_minors(self, atoms, perturb, j_set, u):
+        # J unsorted, with repeats and gaps: each prefix of its sorted
+        # positions is feasible exactly when every principal minor of
+        # p*H -/+ q*S on that prefix is non-negative
+        indices = sorted(set(j_set))
+        m = _atomic_moments(atoms, perturb, 2 * indices[-1])
+        count = stieltjes_prefix(m, j_set, u)
+        h, s = hankel_pair_exact(m, j_set)
+        p, q = u.as_integer_ratio()
+        for r in range(1, len(indices) + 1):
+            feasible = all(
+                exact_determinant([[p * h[a][b] + sign * q * s[a][b] for b in rows]
+                                   for a in rows]) >= 0
+                for sign in (-1, 1) for size in range(1, r + 1)
+                for rows in itertools.combinations(range(r), size))
+            assert (r <= count) == feasible == stieltjes_feasible(m, indices[:r], u), \
+                (m, indices, r, u)
+        assert stieltjes_feasible(m, j_set, u) == (count == len(indices))
