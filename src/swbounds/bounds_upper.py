@@ -13,8 +13,9 @@ so their rows are flagged oracle-assisted. No bound reads a graph:
 The Hankel, Stieltjes and clique root bounds are the largest real roots of
 polynomials with exact integer coefficients (the weight enters as the exact
 ratio of its float). Each is the upper end of the bracket from
-`roots.largest_real_root_bracket`: the polynomial is provably negative
-beyond the reported value.
+`roots.largest_real_root_bracket`, or for the three-term Stieltjes and
+clique polynomials from `roots.three_term_root_bracket`: the polynomial is
+provably negative beyond the reported value.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import numpy as np
 from .bounds_lower import (BoundResult, Dead, moment_matrix, outcome_row, outcome_table,
                            reported_vertex, spread)
 from .moments import _adjugate, _validated_indices, hankel_block
-from .roots import largest_real_root_bracket, no_real_root_above, sign_at
+from .roots import (largest_real_root_bracket, no_real_root_above, sign_at,
+                    three_term_root_bracket, three_term_sign)
 from .spectrum import SpectralSummary
 from .walks import KIND_CLOSED, KIND_CLOSED_AT, KIND_WALKS, MomentSequence
 
@@ -314,11 +316,16 @@ def stieltjes_root_value(m: MomentSequence, alpha: float, k: int, *,
                          cutoff: float | None = None) -> float | Dead:
     """The outcome of `stieltjes_root_upper_bound` (no range check).
 
+    The polynomial is a + b r - c r**n with a = den m_{2k+1},
+    b = den m_{2k}, c = 2 num and n = 2k + 1, for alpha_1 = num/den. For
+    k >= 1 its bracket comes from `roots.three_term_root_bracket`, with no
+    coefficient list; at k = 0 it is linear.
+
     With a cutoff u > 0, a polynomial whose root lies above u gets no
     bracket, and the row comes back inapplicable. Its coefficients change
     sign once, so it is positive exactly below its one positive root, and
-    its exact sign at u (`_stieltjes_sign`) decides; the sign at the
-    even-moment bound still checks that the root lies below that. Given
+    its exact sign at u (`roots.three_term_sign`) decides; the same sign at
+    the even-moment bound checks that the root lies below that. Given
     u = nextafter(b, 0) for a running best b, exactly the vertices whose
     bound would be no less than b are ruled out.
     """
@@ -334,27 +341,18 @@ def stieltjes_root_value(m: MomentSequence, alpha: float, k: int, *,
     num, den = alpha.as_integer_ratio()
     if k == 0 and den * m2k >= 2 * num:
         return _RISING_LINEAR
+    a, b, c, n = den * m2k1, den * m2k, 2 * num, 2 * k + 1
     # the even-moment bound, which the root never exceeds
     ceiling = _ratio_root(m2k, alpha, 1.0 / (2 * k)) * (1.0 + 1e-12) + 1e-9 if k else None
-    if cutoff is not None and _stieltjes_sign(m2k, m2k1, num, den, k, cutoff) > 0:
-        assert ceiling is None or _stieltjes_sign(m2k, m2k1, num, den, k, ceiling) <= 0
+    if cutoff is not None and three_term_sign(a, b, c, n, cutoff) > 0:
+        assert ceiling is None or three_term_sign(a, b, c, n, ceiling) <= 0
         return _ROOT_ABOVE_CUTOFF
-    coeffs = [0] * (2 * k + 2)
-    coeffs[0] = den * m2k1
-    coeffs[1] = den * m2k
-    coeffs[2 * k + 1] -= 2 * num  # for k = 0 it joins the linear term
-    root = largest_real_root_bracket(coeffs)[1]
+    if k:
+        root = three_term_root_bracket(a, b, c, n)[1]
+    else:
+        root = largest_real_root_bracket([a, b - c])[1]
     assert ceiling is None or root <= ceiling
     return root
-
-
-def _stieltjes_sign(m2k: int, m2k1: int, num: int, den: int, k: int, u: float) -> int:
-    """Sign of den m_{2k+1} + den m_{2k} u - 2 num u**(2k+1) at the float u,
-    exactly: at u = p / 2**e, times 2**(e(2k+1)) > 0."""
-    p, q = u.as_integer_ratio()
-    e = q.bit_length() - 1
-    diff = (den * (m2k1 * q + m2k * p) << (2 * k * e)) - 2 * num * p ** (2 * k + 1)
-    return (diff > 0) - (diff < 0)
 
 
 def stieltjes_root_row(m: MomentSequence, alpha: float, k: int,
@@ -373,7 +371,10 @@ def clique_root_upper_bound(m_w: MomentSequence, omega: int, k: int) -> BoundRes
     omega w_{2k+1}^{2k+1} <= (omega - 1) w_{2k}^{2k+2}. The true clique
     number passes this integer test (w_{2k+1}/w_{2k} <= rho <= N, by
     Nikiforov's bound; at k = 0 it is Turan's); an omega that fails it is too
-    small, and raises ValueError.
+    small, and raises ValueError. Times omega - 1 the polynomial is
+    a + b r - c r**n with a = (omega - 1) w_{2k+1}, b = (omega - 1) w_{2k},
+    c = 2 omega and n = 2k + 2, bracketed by `roots.three_term_root_bracket`
+    with no coefficient list.
     """
     if m_w.kind != KIND_WALKS:
         raise ValueError("clique-based bound needs the total-walk sequence")
@@ -391,11 +392,8 @@ def clique_root_upper_bound(m_w: MomentSequence, omega: int, k: int) -> BoundRes
         raise ValueError(f"clique number {omega} is too small for the walk counts "
                          f"w_{2 * k} and w_{2 * k + 1}")
     else:
-        coeffs = [0] * (2 * k + 3)
-        coeffs[0] = (omega - 1) * w2k1
-        coeffs[1] = (omega - 1) * w2k
-        coeffs[2 * k + 2] = -2 * omega
-        outcome = largest_real_root_bracket(coeffs)[1]
+        outcome = three_term_root_bracket((omega - 1) * w2k1, (omega - 1) * w2k, 2 * omega,
+                                          2 * k + 2)[1]
     return outcome_row("clique_root", "upper", {"measure": m_w.kind, "k": k, "omega": omega},
                        outcome)
 

@@ -75,7 +75,7 @@ class MomentSequence:
 
 
 def _apply_adjacency(g: Graph, v: list[int]) -> list[int]:
-    return [sum(v[j] for j in nb) for nb in g.neighbors]
+    return [sum(map(v.__getitem__, nb)) for nb in g.neighbors]
 
 
 def walk_counts(g: Graph, max_length: int = DEFAULT_MAX_LENGTH) -> MomentSequence:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from swbounds.bounds_lower import Dead
 from swbounds.bounds_upper import (
     _LEADING_BLOCK_NOT_PD,
+    MIN_ATOM_WEIGHT,
     atom_weight_for,
     baseline_upper_bounds,
     bipartite_upper_bound,
@@ -28,6 +29,7 @@ from swbounds.graph import (
     complete_graph,
     cycle_graph,
     degrees,
+    generate,
     is_bipartite,
     is_connected,
     path_graph,
@@ -420,6 +422,38 @@ class TestCliqueRoot:
                 assert res.value <= reference + 1e-9
                 assert nikiforov_clique_value(m, omega, 2 * k) == pytest.approx(
                     reference, rel=1e-14)
+
+
+class TestThreeTermRoute:
+    """The Stieltjes (k >= 1) and clique rows bracket a + b r - c r**n with
+    no coefficient list, by the same search as the coefficient list."""
+
+    def test_every_class_matches_the_coefficient_list_bit_for_bit(self):
+        g = generate("erdos_renyi:20:0.3", 16)
+        prep = prepare_graph(CorpusEntry("er", "erdos_renyi", g), 20)
+        checked = 0
+        for m in (prep.walks_seq, prep.closed_seq, *prep.rooted_seqs):
+            alpha = atom_weight_for(m, prep.summary)
+            assert alpha > MIN_ATOM_WEIGHT
+            num, den = alpha.as_integer_ratio()
+            for k in range(1, 10):
+                coeffs = [den * m[2 * k + 1], den * m[2 * k]] + [0] * (2 * k - 1) + [-2 * num]
+                lo, hi = largest_real_root_bracket(coeffs)
+                assert stieltjes_root_value(m, alpha, k) == hi
+                for u in (math.nextafter(lo, 0.0), lo, hi, math.nextafter(hi, math.inf)):
+                    out = stieltjes_root_value(m, alpha, k, cutoff=u)
+                    if no_real_root_above(coeffs, u):
+                        assert out == hi
+                    else:
+                        assert isinstance(out, Dead)
+                checked += 1
+        w, omega = prep.walks_seq, prep.omega
+        for k in range(10):
+            coeffs = [(omega - 1) * w[2 * k + 1], (omega - 1) * w[2 * k]] + [0] * (2 * k)
+            coeffs.append(-2 * omega)
+            assert clique_root_upper_bound(w, omega, k).value == largest_real_root_bracket(coeffs)[1]
+            checked += 1
+        assert checked == 22 * 9 + 10
 
 
 class TestBaselines:

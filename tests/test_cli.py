@@ -1373,8 +1373,13 @@ class TestVertexReduction:
         def counted(coeffs):
             calls.append(coeffs)
             return roots.largest_real_root_bracket(coeffs)
+
+        def counted_three_terms(*terms):
+            calls.append(terms)
+            return roots.three_term_root_bracket(*terms)
         monkeypatch.setattr(bounds_lower, "largest_real_root_bracket", counted)
         monkeypatch.setattr(bounds_upper, "largest_real_root_bracket", counted)
+        monkeypatch.setattr(bounds_upper, "three_term_root_bracket", counted_three_terms)
         prep = prepare_graph(CorpusEntry("er", "erdos_renyi", generate("erdos_renyi:60:0.1", 3)))
         sweep_bounds(prep)
         # a root search per vertex and root-based row would be 625

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swbounds import roots
-from swbounds.roots import largest_real_root_bracket, no_real_root_above
+from swbounds.roots import (largest_real_root_bracket, no_real_root_above, sign_at,
+                            three_term_root_bracket, three_term_sign)
 
 
 def _product(*factors):
@@ -313,3 +314,95 @@ def test_no_real_root_above_rejects_bad_input():
         no_real_root_above([-1, 1], math.nan)
     with pytest.raises(ValueError, match="non-constant"):
         no_real_root_above([3, 0], 1.0)
+
+
+def test_a_cauchy_bound_past_the_float_range_is_capped():
+    # roots 1 and B(1 +/- i): the complex pair beyond the real root defeats
+    # the Newton start, and the Cauchy bound 2 B**2 lies past the largest float
+    B = 2 ** 600
+    coeffs = [-2 * B * B, 2 * B * B + 2 * B, -(2 * B + 1), 1]
+    assert largest_real_root_bracket(coeffs) == (1.0, math.nextafter(1.0, math.inf))
+
+
+def test_a_root_beyond_the_float_range_raises():
+    # 1 + 2**1100 r - r**2: no float lies above its top root
+    with pytest.raises(ValueError, match="beyond the float range"):
+        largest_real_root_bracket([1, 2 ** 1100, -1])
+    with pytest.raises(ValueError, match="beyond the float range"):
+        three_term_root_bracket(1, 2 ** 1100, 1, 2)
+    # r**2 + 2**2200 has no real root, and its Cauchy bound is capped
+    with pytest.raises(ValueError, match="no real root in the float range"):
+        largest_real_root_bracket([2 ** 2200, 0, 1])
+
+
+def test_steps_stop_at_the_largest_float(monkeypatch):
+    # from the estimate 1.0, the steps go down past every float to the real
+    # root -2**1100 of -(r + 2**1100)(r**2 + 1), or up past every float to
+    # the top root 2**1050 of 2**2100 - r**2
+    monkeypatch.setattr(roots, "_newton_estimate", lambda terms: 1.0)
+    with pytest.raises(ValueError, match="no real root in the float range"):
+        largest_real_root_bracket(_product([2 ** 1100, 1], [1, 0, 1], [-1]))
+    with pytest.raises(ValueError, match="beyond the float range"):
+        largest_real_root_bracket([2 ** 2100, 0, -1])
+    # up to the largest float, then bisection between floats whose sum overflows
+    assert largest_real_root_bracket([-3 * 2 ** 1022, 1]) == (1.5 * 2.0 ** 1023,) * 2
+
+
+def _outcome(bracket, *args):
+    try:
+        return bracket(*args)
+    except ValueError as e:
+        return str(e)
+
+
+@st.composite
+def _three_terms(draw):
+    """(a, b, c, n, root) of a + b r - c r**n: plain, with a = 0 (a root at
+    zero below the positive one), with a dyadic root, which is then `root`,
+    or with a and b past 2**1100 beside a small c."""
+    n = draw(st.integers(2, 41))
+    shape = draw(st.sampled_from(("plain", "a_zero", "dyadic", "huge")))
+    if shape == "dyadic":
+        # the root p / 2**e: c = c0 2**(e n), b = b0 2**e, a = c0 p**n - b0 p
+        p, e = draw(st.integers(1, 2 ** 20)), draw(st.integers(0, 20))
+        c0 = draw(st.integers(1, 99))
+        b0 = draw(st.integers(1, c0 * p ** (n - 1)))
+        return c0 * p ** n - b0 * p, b0 << e, c0 << e * n, n, math.ldexp(p, -e)
+    a = 0 if shape == "a_zero" else draw(st.integers(0, 2 ** 120))
+    b, c = draw(st.integers(1, 2 ** 120)), draw(st.integers(1, 2 ** 60))
+    if shape == "huge":
+        shift = draw(st.integers(1100, 1200))
+        a, b, c = a << shift, b << shift, c >> 50 or 1
+    return a, b, c, n, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=_three_terms(), extra=st.floats(-1e3, 1e3))
+def test_three_terms_bracket_like_the_coefficient_list(terms, extra):
+    a, b, c, n, root = terms
+    dense = [a, b] + [0] * (n - 2) + [-c]
+    out = _outcome(three_term_root_bracket, a, b, c, n)
+    assert out == _outcome(largest_real_root_bracket, dense)
+    if isinstance(out, str):
+        return
+    lo, hi = out
+    if root is not None:
+        assert lo == hi == root
+    near = (lo, hi, math.nextafter(lo, 0.0), math.nextafter(hi, math.inf), 0.5 * lo, 2.0 * hi)
+    for u in (*near, *(-u for u in near), 0.0, extra):
+        assert three_term_sign(a, b, c, n, u) == sign_at(dense, u)
+
+
+def test_three_terms_without_a_seed_fall_back(monkeypatch):
+    # the Cauchy bound either side of zero: below zero the one positive root
+    # lies above every point, whatever the sign there (negative for even n)
+    cases = [(6, 6, 2, 3), (0, 8, 2, 3), (21, 2, 1, 3), (5, 3, 7, 4), (0, 1, 1, 2)]
+    brackets = [three_term_root_bracket(*terms) for terms in cases]
+    monkeypatch.setattr(roots, "_three_term_seed", lambda a, b, c, n: None)
+    assert [three_term_root_bracket(*terms) for terms in cases] == brackets
+
+
+def test_three_terms_reject_other_shapes():
+    for a, b, c, n in ((-1, 1, 1, 3), (1, 0, 1, 3), (1, 1, 0, 3), (1, 1, 1, 1)):
+        with pytest.raises(ValueError, match="need a >= 0"):
+            three_term_root_bracket(a, b, c, n)
